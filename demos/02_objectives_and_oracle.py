@@ -4,7 +4,7 @@ Run with:  python3 demos/02_objectives_and_oracle.py
 """
 import numpy as np
 
-from fedelim import OBJECTIVE_NAMES, eval_base, make_base, make_suite, profile_ladder
+from fedelim import OBJECTIVE_NAMES, make_base, make_suite, profile_ladder
 
 print("=== the five normalized benchmark surfaces ===")
 for name in OBJECTIVE_NAMES:
@@ -17,10 +17,10 @@ for name in OBJECTIVE_NAMES:
 
 print()
 print("known anchor values:")
-print("  garland(0)        =", eval_base(make_base("garland"), [0.0]))
-print("  himmelblau(3, 2)  =", eval_base(make_base("himmelblau"), [3.0, 2.0]))
-print("  himmelblau(5, 5)  =", eval_base(make_base("himmelblau"), [5.0, 5.0]))
-print("  rastrigin(0,...,0)=", eval_base(make_base("rastrigin"), np.zeros(10)))
+print("  garland(0)        =", make_base("garland").evaluate([0.0]))
+print("  himmelblau(3, 2)  =", make_base("himmelblau").evaluate([3.0, 2.0]))
+print("  himmelblau(5, 5)  =", make_base("himmelblau").evaluate([5.0, 5.0]))
+print("  rastrigin(0,...,0)=", make_base("rastrigin").evaluate(np.zeros(10)))
 
 print()
 print("=== a shifted suite and its optimum certificates ===")

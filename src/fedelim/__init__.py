@@ -41,7 +41,6 @@ from .objectives import (
     OracleBudget,
     OracleFailure,
     OracleResult,
-    eval_base,
     make_base,
     make_suite,
     near_optimality_profile,
@@ -64,7 +63,6 @@ from .protocol import (
     CommRound,
     EliminationEvent,
     PullLog,
-    PullRecord,
     Stage,
     run_protocol,
 )
@@ -92,7 +90,6 @@ __all__ = [
     "PartitionSpec",
     "ProtocolFault",
     "PullLog",
-    "PullRecord",
     "ROOT",
     "RunMetrics",
     "ServerBroadcast",
@@ -103,7 +100,6 @@ __all__ = [
     "children",
     "confidence_bound",
     "eliminate",
-    "eval_base",
     "make_base",
     "make_suite",
     "merge_global",

@@ -15,8 +15,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from .fedcore import ProtocolFault, format_float
 from .harness import (
     VARIANTS,
@@ -192,19 +190,9 @@ def _execute(configs: list[ExperimentConfig]) -> dict[str, AggregateMetrics]:
     tasks = [(config, seed) for config in configs for seed in config.seeds]
     with ProcessPoolExecutor(max_workers=threads) as pool:
         metrics = list(pool.map(_run_one, tasks))
-    by_variant: dict[str, list] = {config.variant: [] for config in configs}
-    for (config, _), metric in zip(tasks, metrics):
-        by_variant[config.variant].append(metric)
     for config in configs:
-        runs = by_variant[config.variant]
-        curves = np.stack([r.avg_cum_regret for r in runs])
-        results[config.variant] = AggregateMetrics(
-            variant=config.variant,
-            checkpoints=runs[0].checkpoints,
-            mean_curve=curves.mean(axis=0),
-            std_curve=curves.std(axis=0),
-            runs=runs,
-        )
+        runs = [metric for (owner, _), metric in zip(tasks, metrics) if owner is config]
+        results[config.variant] = AggregateMetrics.from_runs(config.variant, runs)
     return results
 
 

@@ -39,8 +39,8 @@ class ConfParams:
     horizon_T: int
 
     def __post_init__(self):
-        if self.c <= 0 or self.c1 <= 0:
-            raise ValueError("c and c1 must be positive")
+        if not (0 < self.c < math.inf and 0 < self.c1 < math.inf):
+            raise ValueError("c and c1 must be finite and positive")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
         if self.horizon_T < 1:
@@ -62,8 +62,8 @@ class SmoothParams:
     delta_gap: float
 
     def __post_init__(self):
-        if self.nu1 <= 0:
-            raise ValueError("nu1 must be positive")
+        if not 0 < self.nu1 < math.inf:
+            raise ValueError("nu1 must be finite and positive")
         if not 0 < self.rho < 1:
             raise ValueError("rho must lie strictly inside (0, 1)")
         if not 0 < self.delta_gap <= 1:

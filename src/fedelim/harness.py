@@ -8,6 +8,7 @@ order or in parallel.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,10 +102,10 @@ class ExperimentConfig:
             raise ConfigError("clients must be at least 1")
         if self.horizon < 1:
             raise ConfigError("horizon must be at least 1")
-        if self.noise < 0:
-            raise ConfigError("noise halfwidth must be nonnegative")
-        if self.shift_std is not None and self.shift_std < 0:
-            raise ConfigError("shift_std must be nonnegative")
+        if not 0 <= self.noise < math.inf:
+            raise ConfigError("noise halfwidth must be finite and nonnegative")
+        if self.shift_std is not None and not 0 <= self.shift_std < math.inf:
+            raise ConfigError("shift_std must be finite and nonnegative")
         if self.arity < 2:
             raise ConfigError("arity must be at least 2")
         if self.depth_cap < 1:
@@ -179,6 +180,18 @@ class AggregateMetrics:
     mean_curve: np.ndarray
     std_curve: np.ndarray
     runs: list[RunMetrics]
+
+    @classmethod
+    def from_runs(cls, variant: str, runs: list[RunMetrics]) -> "AggregateMetrics":
+        """Per-checkpoint mean and standard deviation over ``runs``, in the given order."""
+        curves = np.stack([r.avg_cum_regret for r in runs])
+        return cls(
+            variant=variant,
+            checkpoints=runs[0].checkpoints,
+            mean_curve=curves.mean(axis=0),
+            std_curve=curves.std(axis=0),
+            runs=runs,
+        )
 
     @property
     def final_mean(self) -> float:
@@ -282,11 +295,4 @@ def run_many(config: ExperimentConfig, record_pulls: bool = False) -> AggregateM
     """Independent runs over config.seeds, aggregated per checkpoint."""
     config.validate()
     runs = [run(config, seed, record_pulls=record_pulls) for seed in config.seeds]
-    curves = np.stack([r.avg_cum_regret for r in runs])
-    return AggregateMetrics(
-        variant=config.variant,
-        checkpoints=runs[0].checkpoints,
-        mean_curve=curves.mean(axis=0),
-        std_curve=curves.std(axis=0),
-        runs=runs,
-    )
+    return AggregateMetrics.from_runs(config.variant, runs)

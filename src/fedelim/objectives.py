@@ -324,11 +324,6 @@ class BaseObjective:
         return float(self.evaluate_batch(x[None, :])[0])
 
 
-def eval_base(obj: BaseObjective, x) -> float:
-    """Normalized objective value at an in-domain point."""
-    return obj.evaluate(x)
-
-
 _BASE_CACHE: dict[tuple, BaseObjective] = {}
 
 
@@ -390,8 +385,8 @@ class NoiseModel:
     kind: str = "uniform-symmetric"
 
     def __post_init__(self):
-        if self.halfwidth < 0:
-            raise ValueError("noise halfwidth must be nonnegative")
+        if not 0 <= self.halfwidth < math.inf:
+            raise ValueError("noise halfwidth must be finite and nonnegative")
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.halfwidth == 0.0:
@@ -416,7 +411,8 @@ class ObjectiveSuite:
     Local objective m evaluates the base at ``clip(x - s_m)`` so shifted
     copies stay defined and bounded on the original domain; the global
     objective is the arithmetic mean of the locals, accumulated in client
-    order so scalar and batch paths round identically.
+    order.  The single-point evaluators check the domain and then call the
+    batch paths, so both round identically.
     """
 
     def __init__(self, base: BaseObjective, shifts: np.ndarray, noise: NoiseModel,
@@ -447,6 +443,13 @@ class ObjectiveSuite:
         if not 1 <= m <= self.clients:
             raise ValueError(f"client index {m} out of range 1..{self.clients}")
 
+    def _point_row(self, x) -> np.ndarray:
+        """An in-domain point as a one-row batch."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if not self.domain.contains(x, atol=1e-12):
+            raise ValueError("evaluation point lies outside the domain")
+        return x[None, :]
+
     def eval_local_batch(self, m: int, X: np.ndarray) -> np.ndarray:
         self._check_client(m)
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -454,10 +457,7 @@ class ObjectiveSuite:
 
     def eval_local(self, m: int, x) -> float:
         self._check_client(m)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if not self.domain.contains(x, atol=1e-12):
-            raise ValueError("evaluation point lies outside the domain")
-        return float(self.eval_local_batch(m, x[None, :])[0])
+        return float(self.eval_local_batch(m, self._point_row(x))[0])
 
     def eval_global_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -467,11 +467,7 @@ class ObjectiveSuite:
         return acc / self.clients
 
     def eval_global(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        acc = 0.0
-        for m in range(1, self.clients + 1):
-            acc += self.eval_local(m, x)
-        return acc / self.clients
+        return float(self.eval_global_batch(self._point_row(x))[0])
 
     def sample(self, m: int, x, rng: np.random.Generator) -> float:
         """One noisy reward: f_m(x) plus bounded uniform noise, unclipped."""
@@ -522,8 +518,8 @@ def make_suite(base: BaseObjective, clients: int, shift_std: float,
     """
     if clients < 1:
         raise ValueError("need at least one client")
-    if shift_std < 0:
-        raise ValueError("shift_std must be nonnegative")
+    if not 0 <= shift_std < math.inf:
+        raise ValueError("shift_std must be finite and nonnegative")
     budget = budget or OracleBudget()
     domain = base.domain
     rng_shift = substream(seed, PURPOSE_SHIFTS)

@@ -18,7 +18,9 @@ be eliminated.  A cell thus disappears for a client only after failing both
 the collaborative test and a personal test on the client's own rewards.
 
 The driver is synchronous and deterministic: given a suite and a master
-seed, every pull, message and elimination event is reproducible.
+seed, every pull, message and elimination event is reproducible.  Each
+client's pull log keeps one segment per batch (the cell, the batch's reward
+array and their shared instant regret), not one entry per pull.
 """
 from __future__ import annotations
 
@@ -29,7 +31,6 @@ import numpy as np
 
 from .fedcore import (
     PROVENANCE_GLOBAL,
-    PROVENANCE_LOCAL,
     ClientReport,
     ConfParams,
     NodeStats,
@@ -44,7 +45,7 @@ from .fedcore import (
     tau,
 )
 from .objectives import ObjectiveSuite
-from .partition import ROOT, BoxDomain, NodeId, PartitionSpec, children, parent, representative
+from .partition import ROOT, NodeId, PartitionSpec, children, parent, representative
 from .seeding import PURPOSE_NOISE, substream
 
 
@@ -54,55 +55,29 @@ class Stage(enum.Enum):
     EXHAUSTED = "exhausted"
 
 
-@dataclass(frozen=True)
-class PullRecord:
-    """One evaluation: which client pulled which cell, when, and the outcome."""
-
-    client: int
-    t: int
-    node: NodeId
-    point: np.ndarray
-    reward: float
-    instant_regret: float
-
-
 class PullLog:
-    """Compact per-client pull history (arrays instead of record objects)."""
+    """One client's pulls, stored as one segment per batch.
+
+    Every pull of a batch hits the same cell, so a segment is the cell, the
+    batch's reward array and the instant regret shared by all its pulls.
+    Per-pull sequences are expanded only when asked for.
+    """
 
     def __init__(self, client: int):
         self.client = client
-        self.node_depths: list[int] = []
-        self.node_indices: list[int] = []
-        self.rewards: list[float] = []
-        self.instant_regrets: list[float] = []
+        self.segments: list[tuple[NodeId, np.ndarray, float]] = []
 
     def append_batch(self, node: NodeId, rewards: np.ndarray, instant_regret: float) -> None:
-        n = len(rewards)
-        self.node_depths.extend([node.depth] * n)
-        self.node_indices.extend([node.index] * n)
-        self.rewards.extend(rewards.tolist())
-        self.instant_regrets.extend([instant_regret] * n)
+        self.segments.append((node, rewards, instant_regret))
 
     def __len__(self) -> int:
-        return len(self.rewards)
+        return sum(len(rewards) for _, rewards, _ in self.segments)
 
     def regret_array(self) -> np.ndarray:
-        return np.asarray(self.instant_regrets, dtype=float)
-
-    def nodes(self) -> list[NodeId]:
-        return [NodeId(d, i) for d, i in zip(self.node_depths, self.node_indices)]
-
-    def iter_records(self, domain: BoxDomain, spec: PartitionSpec):
-        for t in range(len(self.rewards)):
-            node = NodeId(self.node_depths[t], self.node_indices[t])
-            yield PullRecord(
-                client=self.client,
-                t=t + 1,
-                node=node,
-                point=representative(domain, node, spec),
-                reward=self.rewards[t],
-                instant_regret=self.instant_regrets[t],
-            )
+        """Instant regret of every pull, in pull order."""
+        regrets = [regret for _, _, regret in self.segments]
+        counts = [len(rewards) for _, rewards, _ in self.segments]
+        return np.repeat(np.asarray(regrets, dtype=float), counts)
 
 
 @dataclass
@@ -137,7 +112,6 @@ class Server:
         self.clients = clients
         self.depth = 0
         self.active: list[NodeId] = [ROOT]
-        self.history: dict[int, tuple[tuple[NodeId, ...], dict]] = {}
         self.events: list[EliminationEvent] = []
         self.comm_rounds: list[CommRound] = []
         self.cumulative_scalars = 0
@@ -159,7 +133,6 @@ class Server:
         survivors = tuple(n for n in self.active if n not in removed)
         stats = {n: (merged[n].mean, merged[n].bound) for n in survivors}
         self.events.append(EliminationEvent(self.depth, best, frozenset(removed), survivors))
-        self.history[self.depth] = (survivors, stats)
 
         up = sum(len(r.entries) for r in reports) * 2
         down = len(survivors) * 3
@@ -421,7 +394,6 @@ class ProtocolResult:
     comm_rounds: list[CommRound]
     transition_clock: int | None
     transcript: list[str] = field(default_factory=list)
-    stages: list[Stage] = field(default_factory=list)
 
 
 def run_protocol(suite: ObjectiveSuite, spec: PartitionSpec, conf: ConfParams,
@@ -483,8 +455,6 @@ def run_protocol(suite: ObjectiveSuite, spec: PartitionSpec, conf: ConfParams,
             raise ProtocolFault(
                 f"client {client.m} consumed {client.clock} pulls out of {conf.horizon_T}"
             )
-        if client.stage != Stage.EXHAUSTED:
-            client.stage = Stage.EXHAUSTED
 
     transition_clocks = {c.transition_clock for c in clients}
     if len(transition_clocks) != 1:
@@ -500,5 +470,4 @@ def run_protocol(suite: ObjectiveSuite, spec: PartitionSpec, conf: ConfParams,
         comm_rounds=list(server.comm_rounds),
         transition_clock=transition_clocks.pop(),
         transcript=transcript,
-        stages=[c.stage for c in clients],
     )

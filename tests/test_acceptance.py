@@ -24,6 +24,7 @@ from fedelim.harness import ExperimentConfig, average_regret_trace, run
 from fedelim.objectives import make_base, make_suite
 from fedelim.partition import NodeId, PartitionSpec, node_containing
 from fedelim.seeding import PURPOSE_NOISE, substream
+from pull_helpers import expand_pulls
 
 SPEC = PartitionSpec(2)
 SEEDS = tuple(range(10))
@@ -191,9 +192,11 @@ class TestCriterion06DegenerationIdentities:
                 mismatches.append(f"seed {seed}: unexpected communication")
                 continue
             for la, lb in zip(a.pull_logs, b.pull_logs):
-                if (la.node_depths != lb.node_depths or la.node_indices != lb.node_indices
-                        or la.rewards != lb.rewards
-                        or la.instant_regrets != lb.instant_regrets):
+                depths_a, indices_a, rewards_a, regrets_a = expand_pulls(la)
+                depths_b, indices_b, rewards_b, regrets_b = expand_pulls(lb)
+                if (depths_a != depths_b or indices_a != indices_b
+                        or not np.array_equal(rewards_a, rewards_b)
+                        or not np.array_equal(regrets_a, regrets_b)):
                     mismatches.append(f"seed {seed}: pull logs differ for client {la.client}")
                     break
         ok_identity = not mismatches

@@ -1,5 +1,6 @@
 """Command-line surface: config parsing, CSV/JSON outputs, exit codes."""
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -28,6 +29,27 @@ seeds = 0, 1
 checkpoint_stride = 10
 variants = pfpne, local-only
 """
+
+
+# Three variants, a few hundred pulls per client; pfpne transitions on one seed.
+FIXED_CONFIG = """
+[experiment]
+objective = garland
+clients = 3
+horizon = 400
+noise = 0.1
+shift_std = 0.05
+delta_gap = 0.05
+seeds = 0, 1
+checkpoint_stride = 10
+variants = pfpne, global-only, local-only
+"""
+
+FIXED_DIGESTS = {
+    "regret.csv": "58175502e72bcf44abeb79b3d980118df33332d9617c5f66da9da35f6f5e1687",
+    "comm.csv": "9f4ea1af4ce16735597fa4bcab059221c9830bb23a44d801c36d7a2d1aaed51e",
+    "summary.json": "1046101da2894541b312aac40542d2d77eace1a5188cd9a68162974e5427c04b",
+}
 
 
 @pytest.fixture()
@@ -133,6 +155,30 @@ class TestRunCommand:
     def test_usage_error_exits_1(self):
         assert main(["run", "--bogus-flag"]) == 1
         assert main([]) == 1
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_outputs_match_recorded_hashes(self, tmp_path, monkeypatch, threads):
+        # Digests recorded before the pull log stored segments; serial and
+        # pool runs must both reproduce them.
+        path = tmp_path / "fixed.ini"
+        path.write_text(FIXED_CONFIG)
+        monkeypatch.setenv("FEDELIM_THREADS", threads)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        for name, digest in FIXED_DIGESTS.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("line", [
+        "noise = nan", "noise = inf", "nu1 = inf", "nu1 = nan", "c1 = inf", "c1 = nan",
+        "c = nan", "c = inf", "shift_std = inf", "shift_std = nan",
+    ])
+    def test_nonfinite_value_exits_2(self, tmp_path, capsys, line):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[experiment]\nobjective = garland\nclients = 3\nhorizon = 500\n{line}\n")
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and "Traceback" not in err
 
     def test_parallel_workers_match_sequential(self, config_path, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "seq", tmp_path / "par"

@@ -13,6 +13,7 @@ from fedelim.harness import (
     run_many,
     variant_schedule,
 )
+from pull_helpers import expand_pulls
 
 SMOOTH = SmoothParams(1.0, 0.5, 0.01)
 
@@ -70,9 +71,11 @@ class TestRun:
         b = run(small_config(variant="local-only", **kwargs), 5)
         assert a.comm_rounds_total == 0
         for la, lb in zip(a.pull_logs, b.pull_logs):
-            assert la.node_depths == lb.node_depths
-            assert la.node_indices == lb.node_indices
-            assert la.rewards == lb.rewards
+            depths_a, indices_a, rewards_a, _ = expand_pulls(la)
+            depths_b, indices_b, rewards_b, _ = expand_pulls(lb)
+            assert depths_a == depths_b
+            assert indices_a == indices_b
+            assert np.array_equal(rewards_a, rewards_b)
 
     def test_comm_rounds_bounded_by_transition_depth(self):
         config = small_config(clients=10, horizon=5000)
@@ -90,8 +93,10 @@ class TestRun:
         if cut is None:
             cut = a.horizon
         for la, lb in zip(a.pull_logs, b.pull_logs):
-            assert la.node_indices[:cut] == lb.node_indices[:cut]
-            assert la.rewards[:cut] == lb.rewards[:cut]
+            _, indices_a, rewards_a, _ = expand_pulls(la)
+            _, indices_b, rewards_b, _ = expand_pulls(lb)
+            assert indices_a[:cut] == indices_b[:cut]
+            assert np.array_equal(rewards_a[:cut], rewards_b[:cut])
 
     def test_client_average_identity(self):
         config = small_config(noise=0.1, clients=5)

@@ -10,7 +10,6 @@ from fedelim.objectives import (
     ORIENT_VALUE,
     OracleBudget,
     OracleFailure,
-    eval_base,
     make_base,
     make_suite,
     near_optimality_profile,
@@ -36,7 +35,7 @@ def ramp_base():
 class TestBaseValues:
     def test_garland_vanishes_at_zero(self):
         garland = make_base("garland")
-        assert eval_base(garland, [0.0]) == 0.0
+        assert garland.evaluate([0.0]) == 0.0
 
     def test_garland_normalization_matches_analytic_peak(self):
         # the raw peak sits exactly on a cusp at pi/6 with value 4x(1-x)
@@ -47,7 +46,7 @@ class TestBaseValues:
 
     def test_himmelblau_unit_at_root(self):
         himmelblau = make_base("himmelblau")
-        assert eval_base(himmelblau, [3.0, 2.0]) == 1.0
+        assert himmelblau.evaluate([3.0, 2.0]) == 1.0
 
     def test_himmelblau_raw_maximum_is_890_at_corner(self):
         # independent coarse grid over [-5,5]^2 confirms the corner maximum
@@ -59,11 +58,11 @@ class TestBaseValues:
         assert raw[k] == 890.0
         himmelblau = make_base("himmelblau")
         assert himmelblau.normalization_max == 890.0
-        assert eval_base(himmelblau, [5.0, 5.0]) == 0.0
+        assert himmelblau.evaluate([5.0, 5.0]) == 0.0
 
     def test_rastrigin_unit_at_origin(self):
         rastrigin = make_base("rastrigin")
-        assert eval_base(rastrigin, np.zeros(10)) == 1.0
+        assert rastrigin.evaluate(np.zeros(10)) == 1.0
 
     def test_rastrigin_normalization_is_separable_sum(self):
         # per-dimension brute force: max of x^2 - 10 cos(2 pi x) on [-1, 1]
@@ -81,7 +80,7 @@ class TestBaseValues:
     def test_out_of_domain_rejected(self):
         garland = make_base("garland")
         with pytest.raises(ValueError):
-            eval_base(garland, [1.5])
+            garland.evaluate([1.5])
 
     def test_range_on_random_clouds(self):
         rng = np.random.default_rng(21)
@@ -108,7 +107,7 @@ class TestSuite:
                            noise_halfwidth=0.0, seed=5)
         assert np.all(suite.shifts == 0.0)
         x = 0.37
-        base_value = eval_base(suite.base, [x])
+        base_value = suite.base.evaluate([x])
         for m in (1, 2, 3):
             assert suite.eval_local(m, [x]) == base_value
             assert suite.local_star(m) == pytest.approx(1.0, abs=1e-9)
@@ -147,9 +146,9 @@ class TestSuite:
         suite = make_suite(make_base("garland"), clients=1, shift_std=0.0,
                            noise_halfwidth=0.0, seed=0)
         suite.shifts[0, 0] = 0.1
-        assert suite.eval_local(1, [0.3]) == eval_base(suite.base, [0.3 - 0.1])
+        assert suite.eval_local(1, [0.3]) == suite.base.evaluate([0.3 - 0.1])
         suite.shifts[0, 0] = 0.5
-        assert suite.eval_local(1, [0.2]) == eval_base(suite.base, [0.0])  # clipped
+        assert suite.eval_local(1, [0.2]) == suite.base.evaluate([0.0])  # clipped
 
     def test_global_is_exact_client_mean(self):
         suite = make_suite(make_base("himmelblau"), clients=4, shift_std=0.3,
@@ -169,6 +168,14 @@ class TestSuite:
             suite.eval_local(0, [0.5])
         with pytest.raises(ValueError):
             suite.eval_local(3, [0.5])
+
+    def test_out_of_domain_point_rejected(self):
+        suite = make_suite(ramp_base(), clients=2, shift_std=0.0,
+                           noise_halfwidth=0.0, seed=1)
+        with pytest.raises(ValueError):
+            suite.eval_local(1, [1.5])
+        with pytest.raises(ValueError):
+            suite.eval_global([1.5])
 
 
 class TestSampling:
@@ -268,7 +275,7 @@ class TestProfile:
             expected = 0
             for i in range(cells):
                 center = (i + 0.5) * step
-                if eval_base(base, [center]) >= 1.0 - 0.1:
+                if base.evaluate([center]) >= 1.0 - 0.1:
                     expected += 1
             got = near_optimality_profile(base.evaluate_batch, base.domain, 1.0,
                                           eps=0.1, grid_step=step)

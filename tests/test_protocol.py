@@ -24,6 +24,7 @@ from fedelim.objectives import BaseObjective, ORIENT_VALUE, make_base, make_suit
 from fedelim.partition import ROOT, BoxDomain, NodeId, PartitionSpec, node_containing
 from fedelim.protocol import Client, Server, Stage, run_protocol
 from fedelim.seeding import PURPOSE_NOISE, substream
+from pull_helpers import expand_pulls
 
 SPEC = PartitionSpec(2)
 
@@ -56,7 +57,8 @@ def personal_eliminations(result):
 def rewards_by_node(log):
     """One client's rewards per node, in pull order."""
     out: dict[NodeId, list[float]] = {}
-    for d, i, r in zip(log.node_depths, log.node_indices, log.rewards):
+    depths, indices, rewards, _ = expand_pulls(log)
+    for d, i, r in zip(depths, indices, rewards.tolist()):
         out.setdefault(NodeId(d, i), []).append(r)
     return out
 
@@ -127,7 +129,7 @@ class TestServerStep:
             ClientReport(m, 4, {n: (0.5, 7) for n in server.active}) for m in (1, 2)
         ]
         broadcast = server.step(reports, clock=0)
-        assert broadcast.survivors == tuple(server.history[4][0])
+        assert broadcast.survivors == server.events[-1].survivors
         assert len(broadcast.survivors) == 3
         assert server.events[-1].eliminated == frozenset()
 
@@ -287,7 +289,8 @@ class TestFallback:
         client.run_pe()
         assert client.stage is Stage.EXHAUSTED
         assert client.budget == 0
-        tail_nodes = set(zip(client.pull_log.node_depths[-37:], client.pull_log.node_indices[-37:]))
+        depths, indices, _, _ = expand_pulls(client.pull_log)
+        tail_nodes = set(zip(depths[-37:], indices[-37:]))
         assert len(tail_nodes) == 1
         (depth, index), = tail_nodes
         assert depth == cap
@@ -302,8 +305,9 @@ class TestFallback:
         conf = ConfParams(0.1, 1.0, 0.1, horizon)
         client = make_client(suite, conf, smooth, h0=0, depth_cap=2)
         client.run_pe()
-        tail = client.pull_log.instant_regrets[-12:]
-        assert len(set(tail)) == 1
+        _, _, _, regrets = expand_pulls(client.pull_log)
+        tail = regrets[-12:]
+        assert len(tail) == 12 and len(set(tail.tolist())) == 1
 
 
 class TestDrivenRuns:
@@ -450,4 +454,5 @@ class TestDrivenRuns:
         result = run_protocol(suite, SPEC, conf, SMOOTH, h0=7, pe_enabled=True,
                               depth_cap=40, seed=12)
         for log in result.pull_logs:
-            assert all(r >= -1e-9 for r in log.instant_regrets)
+            _, _, _, regrets = expand_pulls(log)
+            assert len(regrets) == 1000 and np.all(regrets >= -1e-9)
