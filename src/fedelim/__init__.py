@@ -38,9 +38,9 @@ from .objectives import (
     NoiseModel,
     ObjectiveSuite,
     OBJECTIVE_NAMES,
+    OptimumCertificate,
     OracleBudget,
     OracleFailure,
-    OracleResult,
     make_base,
     make_suite,
     near_optimality_profile,
@@ -84,9 +84,9 @@ __all__ = [
     "NoiseModel",
     "OBJECTIVE_NAMES",
     "ObjectiveSuite",
+    "OptimumCertificate",
     "OracleBudget",
     "OracleFailure",
-    "OracleResult",
     "PartitionSpec",
     "ProtocolFault",
     "PullLog",

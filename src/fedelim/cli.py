@@ -240,8 +240,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    config = ExperimentConfig(objective=args.objective, clients=args.clients,
+                              shift_std=args.shift_std, noise=0.0, seeds=(args.seed,))
+    config.validate()
     base = make_base(args.objective)
-    shift_std = args.shift_std if args.shift_std is not None else 0.05 * float(base.domain.widths[0])
+    shift_std = config.resolved_shift_std(base)
     suite = make_suite(base, clients=args.clients, shift_std=shift_std,
                        noise_halfwidth=0.0, seed=args.seed)
     print(f"objective={args.objective} clients={args.clients} "
@@ -259,19 +262,20 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    base = make_base(args.objective)
-    fn = base.evaluate_batch
+    smooth = ExperimentConfig(nu1=args.nu1, rho=args.rho).smooth_params()
     if (args.eps is None) != (args.grid_step is None):
         raise ConfigError("--eps and --grid-step must be given together")
+    if args.eps is not None and not (args.eps > 0 and args.grid_step > 0):
+        raise ConfigError("--eps and --grid-step must be positive")
+    base = make_base(args.objective)
+    fn = base.evaluate_batch
     if args.eps is not None:
-        if args.eps <= 0 or args.grid_step <= 0:
-            raise ConfigError("--eps and --grid-step must be positive")
         count = near_optimality_profile(fn, base.domain, 1.0, args.eps, args.grid_step)
         print(f"{args.objective}: eps={format_float(args.eps)} "
               f"grid_step={format_float(args.grid_step)} cells={count}")
         return 0
     print(f"{args.objective}: near-optimal cell counts, eps=6*nu1*rho^h, step=rho^h")
-    for h, eps, step, count in profile_ladder(fn, base.domain, 1.0, args.nu1, args.rho):
+    for h, eps, step, count in profile_ladder(fn, base.domain, 1.0, smooth.nu1, smooth.rho):
         print(f"h={h} eps={format_float(eps)} grid_step={format_float(step)} cells={count}")
     return 0
 

@@ -11,6 +11,7 @@ this half-width below the cell resolution ``nu1 * rho**h``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -18,6 +19,8 @@ from .partition import NodeId
 
 PROVENANCE_LOCAL = "local"
 PROVENANCE_GLOBAL = "global-substituted"
+
+TAU_SATURATED = int(sys.float_info.max)
 
 
 class ProtocolFault(RuntimeError):
@@ -149,10 +152,20 @@ def confidence_bound(pulls: int, conf: ConfParams) -> float:
 
 
 def tau(h: int, conf: ConfParams, smooth: SmoothParams) -> int:
-    """Pulls required at depth h: ceil(c^2 * log(c1*T/delta) / nu1^2 * rho^(-2h))."""
+    """Pulls required at depth h: ceil(c^2 * log(c1*T/delta) / nu1^2 * rho^(-2h)).
+
+    A value that overflows (or is undefined) saturates at ``TAU_SATURATED``,
+    the largest finite float: no per-client quota or top-up of it fits in a
+    budget, so a saturated threshold is simply never reached.
+    """
     if h < 0:
         raise ValueError("depth must be nonnegative")
-    value = (conf.c ** 2) * conf.log_term / (smooth.nu1 ** 2) * smooth.rho ** (-2 * h)
+    try:
+        value = (conf.c ** 2) * conf.log_term / (smooth.nu1 ** 2) * smooth.rho ** (-2 * h)
+    except (OverflowError, ZeroDivisionError):
+        return TAU_SATURATED
+    if not value < math.inf:  # inf, or nan from 0 * inf
+        return TAU_SATURATED
     return max(1, math.ceil(value))
 
 

@@ -10,6 +10,7 @@ covering numbers of near-optimal sets.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -89,22 +90,29 @@ class OracleBudget:
 
 
 @dataclass
-class OracleResult:
-    """Certified optimum: best probed point, its value and search metadata."""
+class OptimumCertificate:
+    """Certified optimum: best probed point, its value, and search metadata."""
 
     x: np.ndarray
     value: float
-    probes: int
-    rounds: int
     method: str
-    converged: bool
+    probes: int = 0
+    rounds: int = 0
 
 
-def _chunked_eval(fn, X, chunk=1_000_000):
-    if len(X) <= chunk:
-        return fn(X)
-    parts = [fn(X[i:i + chunk]) for i in range(0, len(X), chunk)]
-    return np.concatenate(parts)
+def _screen(fn, blocks, keep: int):
+    """Evaluate point blocks, keeping the ``keep`` best rows of each block.
+
+    Returns (kept points, their values, number of points evaluated).
+    """
+    rows, vals, probes = [], [], 0
+    for pts in blocks:
+        v = fn(pts)
+        probes += len(pts)
+        top = np.argsort(v)[-keep:]
+        rows.append(pts[top])
+        vals.append(v[top])
+    return np.concatenate(rows), np.concatenate(vals), probes
 
 
 def _top_separated(points: np.ndarray, values: np.ndarray, count: int, min_sep: np.ndarray):
@@ -200,84 +208,57 @@ def oracle_optimum(
     budget: OracleBudget | None = None,
     rng: np.random.Generator | None = None,
     hints: Sequence[np.ndarray] = (),
-) -> OracleResult:
+) -> OptimumCertificate:
     """Certified maximum of a batched objective over a box domain.
 
     Dimensions up to 2 get an exhaustive uniform grid (endpoints included)
     with local zoom refinement around the top candidates; higher dimensions
-    get uniform random search plus coordinate-descent refinement.  The
-    returned value is the maximum over every probed point, so the
-    certificate dominates all probes by construction.  Raises
-    ``OracleFailure`` when the incumbent has not converged to ``budget.tol``
-    within the round budget.
+    get uniform random search plus coordinate-descent refinement.  In-domain
+    ``hints`` join the candidates.  The returned value is the maximum over
+    every probed point, so the certificate dominates all probes by
+    construction.  Raises ``OracleFailure`` when the incumbent has not
+    converged to ``budget.tol`` within the round budget.
     """
     budget = budget or OracleBudget()
     d = domain.dim
-    probes = 0
-
-    hint_points = [np.atleast_1d(np.asarray(h, dtype=float)) for h in hints]
-    hint_points = [h for h in hint_points if domain.contains(h, atol=0.0)]
-
+    keep = 4 * budget.top_candidates
     if d <= 2:
         axes = [np.linspace(domain.lower[j], domain.upper[j], budget.grid_points) for j in range(d)]
-        spacing = domain.widths / (budget.grid_points - 1)
         if d == 1:
             pts = axes[0][:, None]
-            vals = _chunked_eval(fn, pts)
-            probes += len(pts)
-            candidates = _top_separated(pts, vals, budget.top_candidates, 2 * spacing)
+            vals = fn(pts)
+            probes = len(pts)
         else:
-            best_rows: list[np.ndarray] = []
-            best_vals: list[np.ndarray] = []
-            chunk = max(1, 2_000_000 // budget.grid_points)
-            ys = axes[1]
-            for i0 in range(0, budget.grid_points, chunk):
-                xs = axes[0][i0:i0 + chunk]
-                mx, my = np.meshgrid(xs, ys, indexing="ij")
-                pts = np.stack([mx.ravel(), my.ravel()], axis=1)
-                vals = fn(pts)
-                probes += len(pts)
-                keep = np.argsort(vals)[-4 * budget.top_candidates:]
-                best_rows.append(pts[keep])
-                best_vals.append(vals[keep])
-            pts = np.concatenate(best_rows)
-            vals = np.concatenate(best_vals)
-            candidates = _top_separated(pts, vals, budget.top_candidates, 2 * spacing)
-        for h in hint_points:
-            hv = float(fn(h[None, :])[0])
-            probes += 1
-            candidates.append((h, hv))
+            step = max(1, 2_000_000 // budget.grid_points)
+            blocks = (np.stack([g.ravel() for g in np.meshgrid(axes[0][i:i + step], axes[1],
+                                                               indexing="ij")], axis=1)
+                      for i in range(0, budget.grid_points, step))
+            pts, vals, probes = _screen(fn, blocks, keep)
+        spacing = domain.widths / (budget.grid_points - 1)
+        candidates = _top_separated(pts, vals, budget.top_candidates, 2 * spacing)
         method = "grid-zoom"
         refine = lambda x0, v0: _zoom_refine(fn, domain, x0, v0, 2 * spacing, budget)
     else:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        n = budget.random_samples
-        best_rows, best_vals = [], []
-        chunk = 250_000
-        for i0 in range(0, n, chunk):
-            m = min(chunk, n - i0)
-            pts = rng.uniform(domain.lower, domain.upper, size=(m, d))
-            vals = fn(pts)
-            probes += m
-            keep = np.argsort(vals)[-4 * budget.top_candidates:]
-            best_rows.append(pts[keep])
-            best_vals.append(vals[keep])
-        pts = np.concatenate(best_rows)
-        vals = np.concatenate(best_vals)
+        rng = rng if rng is not None else np.random.default_rng(0)
+        n, step = budget.random_samples, 250_000
+        blocks = (rng.uniform(domain.lower, domain.upper, size=(min(step, n - i), d))
+                  for i in range(0, n, step))
+        pts, vals, probes = _screen(fn, blocks, keep)
         candidates = _top_separated(pts, vals, budget.top_candidates, domain.widths / 16)
-        for h in hint_points:
-            hv = float(fn(h[None, :])[0])
-            probes += 1
-            candidates.append((h, hv))
         method = "random-zoom"
         refine = lambda x0, v0: _coordinate_refine(fn, domain, x0, v0, budget)
 
-    best_x, best_v, best_converged, rounds_total = None, -math.inf, False, 0
+    for h in hints:
+        h = np.atleast_1d(np.asarray(h, dtype=float))
+        if domain.contains(h, atol=0.0):
+            candidates.append((h, float(fn(h[None, :])[0])))
+            probes += 1
+
+    best_x, best_v, best_converged, rounds = None, -math.inf, False, 0
     for x0, v0 in candidates:
         x, v, p, r, ok = refine(x0, v0)
         probes += p
-        rounds_total += r
+        rounds += r
         if v > best_v:
             best_x, best_v, best_converged = x, v, ok
     if not best_converged:
@@ -285,8 +266,7 @@ def oracle_optimum(
             f"optimum search did not converge to {budget.tol:g} within "
             f"{budget.max_zoom_rounds} refinement rounds"
         )
-    return OracleResult(x=best_x, value=best_v, probes=probes, rounds=rounds_total,
-                        method=method, converged=True)
+    return OptimumCertificate(x=best_x, value=best_v, method=method, probes=probes, rounds=rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +307,16 @@ class BaseObjective:
 _BASE_CACHE: dict[tuple, BaseObjective] = {}
 
 
-def make_base(name: str, domain: BoxDomain | None = None,
-              budget: OracleBudget | None = None) -> BaseObjective:
+def _rastrigin_term(X: np.ndarray) -> np.ndarray:
+    return X[:, 0] ** 2 - 10.0 * np.cos(2.0 * math.pi * X[:, 0])
+
+
+def make_base(name: str, domain: BoxDomain | None = None) -> BaseObjective:
     """Build a named objective, certifying its normalization constant.
 
     The raw extreme is certified by the grid oracle (per dimension for the
-    separable rastrigin sum, jointly otherwise).  Results for the default
-    budget are cached per (name, domain).
+    separable rastrigin sum, jointly otherwise).  Results are cached per
+    (name, domain).
     """
     if name not in _CATALOG:
         raise ValueError(f"unknown objective {name!r}; expected one of {OBJECTIVE_NAMES}")
@@ -342,22 +325,18 @@ def make_base(name: str, domain: BoxDomain | None = None,
     if rigid_dim is not None and domain.dim != rigid_dim:
         raise ValueError(f"{name} is defined on a {rigid_dim}-dimensional domain")
     key = (name, domain.bounds_key())
-    if budget is None and key in _BASE_CACHE:
+    if key in _BASE_CACHE:
         return _BASE_CACHE[key]
-    cert_budget = budget or OracleBudget()
 
     if name == "rastrigin":
         # 10*d + sum_j g(x_j) is separable: certify max(g) one dimension at a time.
-        d = domain.dim
-        total = 10.0 * d
-        for j in range(d):
+        norm_max = 10.0 * domain.dim
+        for j in range(domain.dim):
             line = BoxDomain([domain.lower[j]], [domain.upper[j]])
-            g = lambda X: X[:, 0] ** 2 - 10.0 * np.cos(2.0 * math.pi * X[:, 0])
-            total += oracle_optimum(g, line, cert_budget).value
-        norm_max = total
-        known = np.zeros(d) if domain.contains(np.zeros(d)) else None
+            norm_max += oracle_optimum(_rastrigin_term, line).value
+        known = np.zeros(domain.dim) if domain.contains(np.zeros(domain.dim)) else None
     else:
-        res = oracle_optimum(raw_fn, domain, cert_budget)
+        res = oracle_optimum(raw_fn, domain)
         norm_max = res.value
         if orientation == ORIENT_VALUE:
             known = res.x
@@ -368,8 +347,7 @@ def make_base(name: str, domain: BoxDomain | None = None,
 
     obj = BaseObjective(name=name, domain=domain, normalization_max=norm_max,
                         orientation=orientation, raw_fn=raw_fn, known_optimum=known)
-    if budget is None:
-        _BASE_CACHE[key] = obj
+    _BASE_CACHE[key] = obj
     return obj
 
 
@@ -394,15 +372,26 @@ class NoiseModel:
         return rng.uniform(-self.halfwidth, self.halfwidth, size=n)
 
 
-@dataclass
-class OptimumCertificate:
-    """Best point found for one objective, with search metadata."""
+def _certify_shifted(base: BaseObjective, shift: np.ndarray, fn,
+                     rng: np.random.Generator) -> OptimumCertificate:
+    """Optimum certificate for one shifted local objective ``fn``.
 
-    x: np.ndarray
-    value: float
-    method: str
-    probes: int = 0
-    rounds: int = 0
+    When the base optimum is known and its shifted image stays inside the
+    domain, the clip is the identity there and translation preserves the
+    maximum: the image is certified without any search, provided it
+    evaluates to at least the base's own value at its optimum (rounding in
+    ``x + s - s`` can move it off by an ulp).  Otherwise the grid or random
+    search oracle runs, with the shifted image as a hint above two dimensions.
+    """
+    known = base.known_optimum
+    if known is not None:
+        cand = known + shift
+        if base.domain.contains(cand, atol=0.0):
+            val = float(fn(cand[None, :])[0])
+            if val >= float(base.evaluate_batch(known[None, :])[0]):
+                return OptimumCertificate(x=cand, value=val, method="shift-translation", probes=1)
+    hints = [known + shift] if known is not None and base.domain.dim > 2 else []
+    return oracle_optimum(fn, base.domain, rng=rng, hints=hints)
 
 
 class ObjectiveSuite:
@@ -412,24 +401,35 @@ class ObjectiveSuite:
     copies stay defined and bounded on the original domain; the global
     objective is the arithmetic mean of the locals, accumulated in client
     order.  The single-point evaluators check the domain and then call the
-    batch paths, so both round identically.
+    batch paths, so both round identically.  The constructor certifies
+    every optimum on the batch evaluators themselves.
     """
 
     def __init__(self, base: BaseObjective, shifts: np.ndarray, noise: NoiseModel,
-                 shift_std: float, seed: int,
-                 local_optima: list[OptimumCertificate],
-                 global_optimum: OptimumCertificate):
+                 shift_std: float, seed: int):
         self.base = base
         self.shifts = np.asarray(shifts, dtype=float)
         self.noise = noise
         self.shift_std = float(shift_std)
         self.seed = int(seed)
-        self.local_optima = local_optima
-        self.global_optimum = global_optimum
-        if self.shifts.ndim != 2 or self.shifts.shape[1] != base.domain.dim:
-            raise ValueError("shifts must have shape (clients, dim)")
-        if len(local_optima) != self.shifts.shape[0]:
-            raise ValueError("one optimum certificate is required per client")
+        if self.shifts.ndim != 2 or len(self.shifts) < 1 or self.shifts.shape[1] != base.domain.dim:
+            raise ValueError("shifts must have shape (clients, dim) with at least one client")
+        self.local_optima = [
+            _certify_shifted(base, self.shifts[m - 1], functools.partial(self.eval_local_batch, m),
+                             substream(self.seed, PURPOSE_ORACLE, m))
+            for m in range(1, self.clients + 1)
+        ]
+        if self.clients == 1:
+            # the average of one client is that client
+            self.global_optimum = self.local_optima[0]
+        else:
+            known = base.known_optimum
+            hints = []
+            if known is not None and base.domain.dim > 2:
+                hints = [base.domain.clip(known + self.shifts.mean(axis=0))]
+            self.global_optimum = oracle_optimum(self.eval_global_batch, base.domain,
+                                                 rng=substream(self.seed, PURPOSE_ORACLE, 0),
+                                                 hints=hints)
 
     @property
     def clients(self) -> int:
@@ -462,8 +462,8 @@ class ObjectiveSuite:
     def eval_global_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         acc = np.zeros(len(X))
-        for m in range(1, self.clients + 1):
-            acc += self.eval_local_batch(m, X)
+        for shift in self.shifts:  # eval_local_batch's arithmetic, without its per-call checks
+            acc += self.base.evaluate_batch(self.domain.clip(X - shift))
         return acc / self.clients
 
     def eval_global(self, x) -> float:
@@ -481,130 +481,57 @@ class ObjectiveSuite:
         return self.global_optimum.value
 
 
-def _certify_shifted(base: BaseObjective, domain: BoxDomain, shift: np.ndarray,
-                     fn, budget: OracleBudget, rng) -> OptimumCertificate:
-    """Optimum certificate for one shifted local objective.
-
-    When the base optimum is known and its shifted image stays inside the
-    domain, translation preserves the maximum exactly (the clip is the
-    identity there) and the value 1 is certified without any search.
-    """
-    if base.known_optimum is not None:
-        cand = base.known_optimum + shift
-        if domain.contains(cand, atol=0.0):
-            val = float(fn(cand[None, :])[0])
-            if val >= 1.0:
-                return OptimumCertificate(x=cand, value=val, method="shift-translation", probes=1)
-    if domain.dim <= 2:
-        res = oracle_optimum(fn, domain, budget)
-    else:
-        hints = []
-        if base.known_optimum is not None:
-            hints.append(base.known_optimum + shift)
-        res = oracle_optimum(fn, domain, budget, rng=rng, hints=hints)
-    return OptimumCertificate(x=res.x, value=res.value, method=res.method,
-                              probes=res.probes, rounds=res.rounds)
-
-
 def make_suite(base: BaseObjective, clients: int, shift_std: float,
-               noise_halfwidth: float, seed: int,
-               budget: OracleBudget | None = None) -> ObjectiveSuite:
-    """Draw per-client shifts and certify every optimum.
+               noise_halfwidth: float, seed: int) -> ObjectiveSuite:
+    """Draw per-client shifts and build the suite, which certifies every optimum.
 
     Shifts are N(0, shift_std^2) per client per dimension, drawn from the
-    dedicated substream of the master seed.  Certificates come from the
-    grid oracle for dimensions up to 2 and from the translation shortcut
-    (falling back to seeded random search) above that.
+    dedicated substream of the master seed.
     """
     if clients < 1:
         raise ValueError("need at least one client")
     if not 0 <= shift_std < math.inf:
         raise ValueError("shift_std must be finite and nonnegative")
-    budget = budget or OracleBudget()
-    domain = base.domain
-    rng_shift = substream(seed, PURPOSE_SHIFTS)
+    shape = (clients, base.domain.dim)
     if shift_std == 0.0:
-        shifts = np.zeros((clients, domain.dim))
+        shifts = np.zeros(shape)
     else:
-        shifts = rng_shift.normal(0.0, shift_std, size=(clients, domain.dim))
-
-    local_optima = []
-    for m in range(1, clients + 1):
-        s = shifts[m - 1]
-        fn = lambda X, s=s: base.evaluate_batch(domain.clip(np.atleast_2d(X) - s))
-        cert = _certify_shifted(base, domain, s, fn, budget,
-                                substream(seed, PURPOSE_ORACLE, m))
-        local_optima.append(cert)
-
-    def global_fn(X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        acc = np.zeros(len(X))
-        for j in range(clients):
-            acc += base.evaluate_batch(domain.clip(X - shifts[j]))
-        return acc / clients
-
-    if clients == 1:
-        # the average of one client is that client
-        global_cert = local_optima[0]
-    else:
-        if domain.dim <= 2:
-            gres = oracle_optimum(global_fn, domain, budget)
-        else:
-            hints = []
-            if base.known_optimum is not None:
-                hints = [domain.clip(base.known_optimum + shifts.mean(axis=0))]
-            gres = oracle_optimum(global_fn, domain, budget,
-                                  rng=substream(seed, PURPOSE_ORACLE, 0), hints=hints)
-        global_cert = OptimumCertificate(x=gres.x, value=gres.value, method=gres.method,
-                                         probes=gres.probes, rounds=gres.rounds)
-
-    return ObjectiveSuite(base=base, shifts=shifts,
-                          noise=NoiseModel(halfwidth=noise_halfwidth),
-                          shift_std=shift_std, seed=seed,
-                          local_optima=local_optima, global_optimum=global_cert)
+        shifts = substream(seed, PURPOSE_SHIFTS).normal(0.0, shift_std, size=shape)
+    return ObjectiveSuite(base, shifts, NoiseModel(halfwidth=noise_halfwidth), shift_std, seed)
 
 
 # ---------------------------------------------------------------------------
 # Near-optimality profiling
 # ---------------------------------------------------------------------------
 
-def _profile_grid(domain: BoxDomain, grid_step: float):
+def _profile_centers(domain: BoxDomain, grid_step: float):
+    """Cell centers of the profile grid, in blocks of at most a million points.
+
+    The grid uses ceil(width / grid_step) equal cells per dimension.
+    """
     counts = [max(1, math.ceil(w / grid_step - 1e-12)) for w in domain.widths]
-    total = 1
-    for n in counts:
-        total *= n
+    total = math.prod(counts)
     if total > _PROFILE_CELL_LIMIT:
         raise ValueError(f"profile grid of {total} cells exceeds the {_PROFILE_CELL_LIMIT} cap")
-    return counts, total
-
-
-def _profile_centers(domain: BoxDomain, counts, flat_idx):
-    coords = np.unravel_index(flat_idx, counts)
-    X = np.empty((len(flat_idx), domain.dim))
-    for j in range(domain.dim):
-        cw = domain.widths[j] / counts[j]
-        X[:, j] = domain.lower[j] + (coords[j] + 0.5) * cw
-    return X
+    chunk = 1_000_000
+    for start in range(0, total, chunk):
+        coords = np.unravel_index(np.arange(start, min(start + chunk, total)), counts)
+        X = np.empty((len(coords[0]), domain.dim))
+        for j in range(domain.dim):
+            cw = domain.widths[j] / counts[j]
+            X[:, j] = domain.lower[j] + (coords[j] + 0.5) * cw
+        yield X
 
 
 def near_optimality_profile(fn: Callable[[np.ndarray], np.ndarray], domain: BoxDomain,
                             f_star: float, eps: float, grid_step: float) -> int:
     """Number of grid cells whose center value reaches ``f_star - eps``.
 
-    The grid uses ceil(width / grid_step) equal cells per dimension; the
-    count is a proxy for the covering number of the eps-optimal set.
+    The count is a proxy for the covering number of the eps-optimal set.
     """
     if eps <= 0 or grid_step <= 0:
         raise ValueError("eps and grid_step must be positive")
-    counts, total = _profile_grid(domain, grid_step)
-    threshold = f_star - eps
-    hits = 0
-    chunk = 1_000_000
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        vals = fn(_profile_centers(domain, counts, idx))
-        hits += int((vals >= threshold).sum())
-    return hits
+    return sum(int((fn(X) >= f_star - eps).sum()) for X in _profile_centers(domain, grid_step))
 
 
 def optimality_difference_count(fn_local, local_star: float, fn_global, global_star: float,
@@ -617,12 +544,8 @@ def optimality_difference_count(fn_local, local_star: float, fn_global, global_s
     """
     if eps_local <= 0 or eps_global <= 0 or grid_step <= 0:
         raise ValueError("tolerances and grid_step must be positive")
-    counts, total = _profile_grid(domain, grid_step)
     hits = 0
-    chunk = 1_000_000
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
-        X = _profile_centers(domain, counts, idx)
+    for X in _profile_centers(domain, grid_step):
         local_ok = fn_local(X) >= local_star - eps_local
         global_ok = fn_global(X) >= global_star - eps_global
         hits += int((local_ok & ~global_ok).sum())

@@ -39,7 +39,11 @@ class BoxDomain:
             raise ValueError("lower and upper must be 1-D vectors of equal length")
         if self.lower.size < 1:
             raise ValueError("domain needs at least one dimension")
-        if not np.all(self.lower < self.upper):
+        # one subtraction covers both checks: every cell of the partition is a BoxDomain
+        widths = self.upper - self.lower
+        if not np.isfinite(widths).all():
+            raise ValueError("domain bounds and widths must be finite")
+        if not (widths > 0).all():
             raise ValueError("every lower bound must be strictly below its upper bound")
 
     @property

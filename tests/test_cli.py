@@ -171,6 +171,7 @@ class TestRunCommand:
     @pytest.mark.parametrize("line", [
         "noise = nan", "noise = inf", "nu1 = inf", "nu1 = nan", "c1 = inf", "c1 = nan",
         "c = nan", "c = inf", "shift_std = inf", "shift_std = nan",
+        "domain_lower = -inf\ndomain_upper = 1", "domain_lower = 0\ndomain_upper = inf",
     ])
     def test_nonfinite_value_exits_2(self, tmp_path, capsys, line):
         path = tmp_path / "bad.ini"
@@ -179,6 +180,18 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "config error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("line", [
+        "rho = 1e-160", "nu1 = 1e-200", "c1 = 1e308", "delta_conf = 1e-320",
+    ])
+    def test_overflowing_threshold_runs_clean(self, tmp_path, capsys, line):
+        # tau overflows at some depth; the saturated threshold is never reached
+        path = tmp_path / "edge.ini"
+        path.write_text(f"[experiment]\nobjective = garland\nclients = 3\nhorizon = 500\n{line}\n")
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert len(read_csv(tmp_path / "out" / "regret.csv")) == 51  # header + 50 checkpoints
 
     def test_parallel_workers_match_sequential(self, config_path, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "seq", tmp_path / "par"
@@ -211,6 +224,15 @@ class TestOracleCommand:
         glob = [l for l in out.splitlines() if l.startswith("global")][0]
         assert local.split("f*=")[1].split()[0] == glob.split("f*=")[1].split()[0]
 
+    @pytest.mark.parametrize("flags", [
+        ["--clients", "0"], ["--shift-std", "inf"], ["--shift-std", "-1"], ["--shift-std", "nan"],
+    ], ids=" ".join)
+    def test_bad_arguments_exit_2(self, capsys, flags):
+        code = main(["oracle", "--objective", "garland", *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and "Traceback" not in err
+
 
 class TestProfileCommand:
     def test_ladder_counts(self, capsys):
@@ -230,6 +252,9 @@ class TestProfileCommand:
         assert main(["profile", "--objective", "garland", "--eps", "-1.0",
                      "--grid-step", "0.1"]) == 2
         assert main(["profile", "--objective", "garland", "--eps", "0.5"]) == 2
+        for flags in (["--nu1", "0"], ["--nu1", "inf"], ["--rho", "2"], ["--rho", "0"],
+                      ["--eps", "0.5", "--grid-step", "nan"]):
+            assert main(["profile", "--objective", "garland", *flags]) == 2, flags
 
 
 class TestInstalledEntryPoint:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fedelim.fedcore import (
+    TAU_SATURATED,
     ClientReport,
     ConfParams,
     NodeStats,
@@ -96,6 +97,23 @@ class TestTau:
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
             tau(-1, CONF, SMOOTH)
+
+    @pytest.mark.parametrize("conf, smooth, h", [
+        (CONF, SmoothParams(1.0, 1e-160, 0.01), 1),   # rho^(-2h) overflows
+        (CONF, SmoothParams(1e-200, 0.5, 0.01), 0),   # nu1^2 underflows to 0
+        (ConfParams(0.1, 1e308, 0.01, 500), SMOOTH, 0),  # log term is inf
+        (ConfParams(1e-200, 1e308, 0.01, 500), SMOOTH, 0),  # 0 * inf
+    ])
+    def test_overflow_saturates_beyond_any_budget(self, conf, smooth, h):
+        t = tau(h, conf, smooth)
+        assert t == TAU_SATURATED
+        # unreachable in stage one (per-client share) and in a personal top-up
+        assert quota(t, 1000) > 10 ** 300
+
+    def test_saturation_sits_above_finite_thresholds(self):
+        smooth = SmoothParams(1.0, 1e-100, 0.01)
+        finite = tau(1, CONF, smooth)
+        assert finite < TAU_SATURATED == tau(2, CONF, smooth)
 
 
 class TestQuota:

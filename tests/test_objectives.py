@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from fedelim.objectives import (
+    OBJECTIVE_NAMES,
     BaseObjective,
     NoiseModel,
+    ObjectiveSuite,
+    OptimumCertificate,
     ORIENT_VALUE,
     OracleBudget,
     OracleFailure,
@@ -169,6 +172,27 @@ class TestSuite:
         with pytest.raises(ValueError):
             suite.eval_local(3, [0.5])
 
+    def test_constructor_certifies_on_its_own_evaluators(self):
+        # client 1's shifted optimum leaves the domain and falls back to the
+        # grid; client 2's translates
+        suite = ObjectiveSuite(ramp_base(), np.array([[0.1], [-0.2]]), NoiseModel(0.0),
+                               shift_std=0.1, seed=0)
+        first, second = suite.local_optima
+        assert first.method == "grid-zoom" and second.method == "shift-translation"
+        for m, cert in enumerate(suite.local_optima, start=1):
+            assert cert.value == suite.eval_local(m, cert.x)
+        assert first.value == pytest.approx(0.9, abs=1e-12)
+        assert second.value == 1.0
+        glob = suite.global_optimum
+        assert isinstance(glob, OptimumCertificate) and glob.method == "grid-zoom"
+        assert glob.value == suite.eval_global(glob.x)
+
+    def test_constructor_rejects_bad_shifts(self):
+        with pytest.raises(ValueError):
+            ObjectiveSuite(ramp_base(), np.zeros((0, 1)), NoiseModel(0.0), 0.0, 0)
+        with pytest.raises(ValueError):
+            ObjectiveSuite(ramp_base(), np.zeros((2, 2)), NoiseModel(0.0), 0.0, 0)
+
     def test_out_of_domain_point_rejected(self):
         suite = make_suite(ramp_base(), clients=2, shift_std=0.0,
                            noise_halfwidth=0.0, seed=1)
@@ -213,7 +237,9 @@ class TestSampling:
 class TestOracle:
     def test_constant_function(self):
         res = oracle_optimum(lambda X: np.full(len(X), 0.5), BoxDomain([0.0], [1.0]))
+        assert isinstance(res, OptimumCertificate)
         assert res.value == 0.5
+        assert res.method == "grid-zoom" and res.probes > 4096 and res.rounds > 0
 
     def test_ramp_boundary_maximum(self):
         res = oracle_optimum(lambda X: X[:, 0], BoxDomain([0.0], [1.0]))
@@ -249,6 +275,24 @@ class TestOracle:
             assert cert.method == "shift-translation"
             assert cert.value == 1.0
             assert np.array_equal(cert.x, suite.shifts[m - 1])
+
+    @pytest.mark.parametrize("name", OBJECTIVE_NAMES)
+    def test_local_certificates_dominate_translated_optimum(self, name):
+        # f_m(x* + s_m) is a probe every certificate must dominate, whichever
+        # path produced it; on ackley the base's own value at the origin is
+        # one ulp below 1, and the shortcut must still take it.
+        base = make_base(name)
+        suite = make_suite(base, clients=3, shift_std=0.05 * float(base.domain.widths[0]),
+                           noise_halfwidth=0.0, seed=1)
+        translated = 0
+        for m, cert in enumerate(suite.local_optima, start=1):
+            image = base.known_optimum + suite.shifts[m - 1]
+            if suite.domain.contains(image):
+                translated += 1
+                assert cert.value >= suite.eval_local(m, image)
+            if name == "ackley":
+                assert cert.method == "shift-translation"
+        assert translated >= 1
 
     def test_unconverged_budget_reports_failure(self):
         tight = OracleBudget(grid_points=64, zoom_rounds=1, max_zoom_rounds=1)

@@ -166,6 +166,13 @@ class TestDomainValidation:
         with pytest.raises(ValueError):
             BoxDomain([0.0, 1.0], [1.0])
 
+    @pytest.mark.parametrize("lower, upper", [
+        ([-np.inf], [1.0]), ([0.0], [np.inf]), ([0.0, np.nan], [1.0, 1.0]),
+    ])
+    def test_nonfinite_bounds_rejected(self, lower, upper):
+        with pytest.raises(ValueError, match="finite"):
+            BoxDomain(lower, upper)
+
     def test_clip_projects_per_dimension(self):
         clipped = SQUARE.clip(np.array([-7.0, 3.0]))
         assert clipped.tolist() == [-5.0, 3.0]
