@@ -15,10 +15,10 @@ print(f"stage transition depth: {metrics.h0}")
 print()
 
 print("=== collaborative stage (server view) ===")
-for event, rnd in zip(metrics.server_events, metrics.comm_rounds):
-    active = len(event.survivors) + len(event.eliminated)
-    print(f"depth {event.depth}: {active:3d} active cells, "
-          f"{len(event.eliminated):3d} eliminated, best {tuple(event.best)}; "
+for rnd in metrics.comm_rounds:
+    active = len(rnd.survivors) + len(rnd.eliminated)
+    print(f"depth {rnd.depth}: {active:3d} active cells, "
+          f"{len(rnd.eliminated):3d} eliminated, best {tuple(rnd.best)}; "
           f"round {rnd.round_index} moved {rnd.scalars_up}+{rnd.scalars_down} scalars "
           f"(clock {rnd.clock})")
 print(f"communication stops after round {metrics.comm_rounds_total} "

@@ -15,7 +15,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from .fedcore import ProtocolFault, format_float
+from .fedcore import ProtocolFault
 from .harness import (
     VARIANTS,
     AggregateMetrics,
@@ -54,6 +54,11 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def format_float(x: float) -> str:
+    """Decimal form with 17 significant digits (round-trips float64)."""
+    return format(float(x), ".17g")
 
 
 def load_config_file(path: str) -> dict:
@@ -181,14 +186,18 @@ def _run_one(payload):
 
 
 def _execute(configs: list[ExperimentConfig]) -> dict[str, AggregateMetrics]:
-    threads = int(os.environ.get("FEDELIM_THREADS", "1") or "1")
+    raw = os.environ.get("FEDELIM_THREADS") or "1"
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ConfigError(f"FEDELIM_THREADS must be an integer, got {raw!r}") from None
     results: dict[str, AggregateMetrics] = {}
     if threads <= 1:
         for config in configs:
             results[config.variant] = run_many(config)
         return results
     tasks = [(config, seed) for config in configs for seed in config.seeds]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
         metrics = list(pool.map(_run_one, tasks))
     for config in configs:
         runs = [metric for (owner, _), metric in zip(tasks, metrics) if owner is config]

@@ -1,8 +1,8 @@
 """Shared statistical machinery of the elimination protocol.
 
 Confidence bounds, per-depth sampling thresholds, the stage-transition depth,
-report/broadcast message types with a canonical text form, and the argmax /
-elimination rules used by both the server pass and the per-client pass.
+the report and broadcast message types, and the argmax / elimination rules
+used by both the server pass and the per-client pass.
 
 The confidence half-width for an ``n``-pull mean is ``c * sqrt(log(c1*T/d) / n)``
 and the depth-``h`` sampling threshold is the smallest pull count that drives
@@ -25,11 +25,6 @@ TAU_SATURATED = int(sys.float_info.max)
 
 class ProtocolFault(RuntimeError):
     """A message or state violated the protocol contract."""
-
-
-def format_float(x: float) -> str:
-    """Decimal form with 17 significant digits (round-trips float64)."""
-    return format(float(x), ".17g")
 
 
 @dataclass(frozen=True)
@@ -114,13 +109,6 @@ class ClientReport:
     depth: int
     entries: dict[NodeId, tuple[float, int]]
 
-    def canonical_text(self) -> str:
-        lines = [f"client-report client={self.client} depth={self.depth} entries={len(self.entries)}"]
-        for node in sorted(self.entries):
-            mean, pulls = self.entries[node]
-            lines.append(f"  node=({node.depth},{node.index}) mean={format_float(mean)} pulls={pulls}")
-        return "\n".join(lines)
-
 
 @dataclass
 class ServerBroadcast:
@@ -133,15 +121,6 @@ class ServerBroadcast:
     def __post_init__(self):
         if set(self.stats) != set(self.survivors):
             raise ProtocolFault("broadcast statistics must be keyed exactly by the survivors")
-
-    def canonical_text(self) -> str:
-        lines = [f"server-broadcast depth={self.depth} survivors={len(self.survivors)}"]
-        for node in sorted(self.survivors):
-            mean, bound = self.stats[node]
-            lines.append(
-                f"  node=({node.depth},{node.index}) mean={format_float(mean)} bound={format_float(bound)}"
-            )
-        return "\n".join(lines)
 
 
 def confidence_bound(pulls: int, conf: ConfParams) -> float:

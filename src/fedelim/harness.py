@@ -9,14 +9,14 @@ order or in parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fedcore import ConfParams, SmoothParams, transition_depth
 from .objectives import OBJECTIVE_NAMES, BaseObjective, ObjectiveSuite, make_base, make_suite
 from .partition import BoxDomain, PartitionSpec
-from .protocol import CommRound, EliminationEvent, ProtocolResult, PullLog, run_protocol
+from .protocol import ProtocolResult, PullLog, run_protocol
 
 VARIANTS = ("pfpne", "global-only", "local-only")
 
@@ -114,6 +114,8 @@ class ExperimentConfig:
             raise ConfigError("checkpoint_stride must be at least 1")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if min(self.seeds) < 0:
+            raise ConfigError("seeds must be nonnegative")
         self.conf_params()
         self.smooth_params()
         self.domain_override()
@@ -144,27 +146,15 @@ def variant_schedule(variant: str, smooth: SmoothParams, depth_cap: int) -> Vari
 
 
 @dataclass
-class RunMetrics:
-    """Metrics of one run plus enough raw material to recompute them."""
+class RunMetrics(ProtocolResult):
+    """One run's protocol result plus its regret accounting."""
 
     variant: str
     seed: int
-    clients: int
-    horizon: int
-    h0: int
     checkpoints: np.ndarray
     avg_cum_regret: np.ndarray
     final_regret_per_client: np.ndarray
-    comm_rounds: list[CommRound]
-    comm_rounds_total: int
-    scalars_up_total: int
-    scalars_down_total: int
-    stage_transition_t: int | None
-    server_events: list[EliminationEvent]
-    client_events: list[list[EliminationEvent]]
-    pull_logs: list[PullLog] | None
     suite: ObjectiveSuite
-    transcript: list[str] = field(default_factory=list)
 
     @property
     def final_avg_regret(self) -> float:
@@ -247,7 +237,7 @@ def _suite_for(config: ExperimentConfig, seed: int) -> ObjectiveSuite:
 
 
 def run(config: ExperimentConfig, seed: int, record_pulls: bool = True,
-        record_transcript: bool = False, suite: ObjectiveSuite | None = None) -> RunMetrics:
+        suite: ObjectiveSuite | None = None) -> RunMetrics:
     """Execute one variant run for one seed and account its metrics."""
     config.validate()
     suite = suite if suite is not None else _suite_for(config, seed)
@@ -263,31 +253,15 @@ def run(config: ExperimentConfig, seed: int, record_pulls: bool = True,
         pe_enabled=wiring.pe_enabled,
         depth_cap=config.depth_cap,
         seed=seed,
-        record_transcript=record_transcript,
     )
     checkpoints = checkpoint_grid(config.horizon, config.checkpoint_stride)
     trace = average_regret_trace(result.pull_logs, checkpoints)
     finals = np.asarray([float(np.sum(log.regret_array())) for log in result.pull_logs])
-    metrics = RunMetrics(
-        variant=config.variant,
-        seed=seed,
-        clients=config.clients,
-        horizon=config.horizon,
-        h0=result.h0,
-        checkpoints=checkpoints,
-        avg_cum_regret=trace,
-        final_regret_per_client=finals,
-        comm_rounds=result.comm_rounds,
-        comm_rounds_total=len(result.comm_rounds),
-        scalars_up_total=sum(r.scalars_up for r in result.comm_rounds),
-        scalars_down_total=sum(r.scalars_down for r in result.comm_rounds),
-        stage_transition_t=result.transition_clock,
-        server_events=result.server_events,
-        client_events=result.client_events,
-        pull_logs=result.pull_logs if record_pulls else None,
-        suite=suite,
-        transcript=result.transcript,
-    )
+    metrics = RunMetrics(**vars(result), variant=config.variant, seed=seed,
+                         checkpoints=checkpoints, avg_cum_regret=trace,
+                         final_regret_per_client=finals, suite=suite)
+    if not record_pulls:
+        metrics.pull_logs = None
     return metrics
 
 

@@ -25,7 +25,7 @@ array and their shared instant regret), not one entry per pull.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,25 +81,24 @@ class PullLog:
 
 
 @dataclass
-class CommRound:
-    """One server round: what moved up, what moved down, and when."""
-
-    round_index: int
-    depth: int
-    scalars_up: int
-    scalars_down: int
-    cumulative_scalars: int
-    clock: int
-
-
-@dataclass
 class EliminationEvent:
-    """One elimination decision (server pass or one client's personal pass)."""
+    """One elimination decision at one depth: a client's personal step, or a server round's."""
 
     depth: int
     best: NodeId | None
     eliminated: frozenset[NodeId]
     survivors: tuple[NodeId, ...]
+
+
+@dataclass
+class CommRound(EliminationEvent):
+    """One server round: its elimination decision, what moved up and down, and when."""
+
+    round_index: int
+    scalars_up: int
+    scalars_down: int
+    cumulative_scalars: int
+    clock: int
 
 
 class Server:
@@ -112,9 +111,7 @@ class Server:
         self.clients = clients
         self.depth = 0
         self.active: list[NodeId] = [ROOT]
-        self.events: list[EliminationEvent] = []
         self.comm_rounds: list[CommRound] = []
-        self.cumulative_scalars = 0
 
     def step(self, reports: list[ClientReport], clock: int) -> ServerBroadcast:
         """Process one depth: merge, eliminate, broadcast, expand."""
@@ -132,17 +129,19 @@ class Server:
         removed = eliminate(merged, set(self.active), best, self.depth, self.smooth)
         survivors = tuple(n for n in self.active if n not in removed)
         stats = {n: (merged[n].mean, merged[n].bound) for n in survivors}
-        self.events.append(EliminationEvent(self.depth, best, frozenset(removed), survivors))
 
         up = sum(len(r.entries) for r in reports) * 2
         down = len(survivors) * 3
-        self.cumulative_scalars += up + down
+        before = self.comm_rounds[-1].cumulative_scalars if self.comm_rounds else 0
         self.comm_rounds.append(CommRound(
-            round_index=len(self.comm_rounds) + 1,
             depth=self.depth,
+            best=best,
+            eliminated=frozenset(removed),
+            survivors=survivors,
+            round_index=len(self.comm_rounds) + 1,
             scalars_up=up,
             scalars_down=down,
-            cumulative_scalars=self.cumulative_scalars,
+            cumulative_scalars=before + up + down,
             clock=clock,
         ))
 
@@ -178,14 +177,14 @@ class Client:
         self.local_active: list[NodeId] = [ROOT]
         self.pull_log = PullLog(m)
         self.pe_events: list[EliminationEvent] = []
-        self.transition_clock: int | None = None
+        self.stage_transition_t: int | None = None
         self._cell_cache: dict[NodeId, tuple[np.ndarray, float]] = {}
 
         if h0 == 0 and pe_enabled:
             # The gap bound already swamps the root resolution: no
             # collaborative stage at all, personal elimination from pull one.
             self.stage = Stage.PE
-            self.transition_clock = 0
+            self.stage_transition_t = 0
         else:
             self.stage = Stage.STAGE1
 
@@ -268,7 +267,7 @@ class Client:
         self.stage = Stage.PE
         self.pe_depth = 0
         self.local_active = [ROOT]
-        self.transition_clock = self.clock
+        self.stage_transition_t = self.clock
 
     # ---- personalized elimination ----------------------------------------
 
@@ -383,22 +382,36 @@ class Client:
 
 @dataclass
 class ProtocolResult:
-    """Everything a run produced, sufficient to recompute every metric."""
+    """Everything a run produced, sufficient to recompute every metric.
+
+    ``comm_rounds`` holds one record per server round, elimination decision
+    included; ``client_events`` one record per personal step of each client.
+    """
 
     clients: int
     horizon: int
     h0: int
-    pull_logs: list[PullLog]
-    server_events: list[EliminationEvent]
+    pull_logs: list[PullLog] | None
     client_events: list[list[EliminationEvent]]
     comm_rounds: list[CommRound]
-    transition_clock: int | None
-    transcript: list[str] = field(default_factory=list)
+    stage_transition_t: int | None
+
+    @property
+    def comm_rounds_total(self) -> int:
+        return len(self.comm_rounds)
+
+    @property
+    def scalars_up_total(self) -> int:
+        return sum(r.scalars_up for r in self.comm_rounds)
+
+    @property
+    def scalars_down_total(self) -> int:
+        return sum(r.scalars_down for r in self.comm_rounds)
 
 
 def run_protocol(suite: ObjectiveSuite, spec: PartitionSpec, conf: ConfParams,
                  smooth: SmoothParams, h0: int, pe_enabled: bool, depth_cap: int,
-                 seed: int, record_transcript: bool = False) -> ProtocolResult:
+                 seed: int) -> ProtocolResult:
     """Drive a full run: synchronous stage-one rounds, then per-client PE.
 
     All clients advance through a stage-one phase before the server step;
@@ -413,7 +426,6 @@ def run_protocol(suite: ObjectiveSuite, spec: PartitionSpec, conf: ConfParams,
         for m in range(1, m_count + 1)
     ]
     server = Server(spec, conf, smooth, m_count)
-    transcript: list[str] = []
 
     if h0 >= 1:
         depth = 0
@@ -428,15 +440,11 @@ def run_protocol(suite: ObjectiveSuite, spec: PartitionSpec, conf: ConfParams,
                 report, ok = client.run_stage1_phase(active, per_node)
                 reports.append(report)
                 completed = completed and ok
-            if record_transcript:
-                transcript.extend(r.canonical_text() for r in reports)
             if not completed:
                 if any(c.stage != Stage.EXHAUSTED for c in clients):
                     raise ProtocolFault("clients exhausted asynchronously in stage one")
                 break
             broadcast = server.step(reports, clock=clients[0].clock)
-            if record_transcript:
-                transcript.append(broadcast.canonical_text())
             for client in clients:
                 client.absorb_broadcast(broadcast)
             active = server.active
@@ -456,8 +464,8 @@ def run_protocol(suite: ObjectiveSuite, spec: PartitionSpec, conf: ConfParams,
                 f"client {client.m} consumed {client.clock} pulls out of {conf.horizon_T}"
             )
 
-    transition_clocks = {c.transition_clock for c in clients}
-    if len(transition_clocks) != 1:
+    transitions = {c.stage_transition_t for c in clients}
+    if len(transitions) != 1:
         raise ProtocolFault("clients disagree on the stage transition time")
 
     return ProtocolResult(
@@ -465,9 +473,7 @@ def run_protocol(suite: ObjectiveSuite, spec: PartitionSpec, conf: ConfParams,
         horizon=conf.horizon_T,
         h0=h0,
         pull_logs=[c.pull_log for c in clients],
-        server_events=list(server.events),
         client_events=[list(c.pe_events) for c in clients],
         comm_rounds=list(server.comm_rounds),
-        transition_clock=transition_clocks.pop(),
-        transcript=transcript,
+        stage_transition_t=transitions.pop(),
     )

@@ -84,7 +84,7 @@ class TestCriterion01OptimumSafety:
                 metrics = cached_run(objective, "pfpne", seed, noise=0.0)
                 domain = metrics.suite.domain
                 gx = metrics.suite.global_optimum.x
-                for event in metrics.server_events:
+                for event in metrics.comm_rounds:
                     if node_containing(domain, gx, event.depth, SPEC) in event.eliminated:
                         violations.append((objective, seed, "global", event.depth))
                 for m, events in enumerate(metrics.client_events, start=1):

@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from fedelim import cli
 from fedelim.cli import (
     COMM_HEADER,
     REGRET_HEADER,
@@ -57,6 +58,32 @@ def config_path(tmp_path):
     path = tmp_path / "exp.ini"
     path.write_text(TINY_CONFIG)
     return str(path)
+
+
+@pytest.fixture()
+def pool_sizes(monkeypatch):
+    """Swap the process pool for an in-process one; the list of worker counts asked for."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+def config_errors(err):
+    return [line for line in err.splitlines() if "config error" in line]
 
 
 def read_csv(path):
@@ -181,6 +208,40 @@ class TestRunCommand:
         assert code == 2
         assert "config error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, source):
+        path = tmp_path / "neg.ini"
+        seeds = "seeds = -1\n" if source == "config" else ""
+        path.write_text(f"[experiment]\nobjective = garland\nclients = 2\nhorizon = 100\n{seeds}")
+        flags = ["--seed", "-1"] if source == "flag" else []
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out"), *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(config_errors(err)) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("threads, variants, workers", [
+        ("8", ["pfpne"], 2),                # two tasks: no idle worker is forked
+        ("2", ["pfpne", "local-only"], 2),  # four tasks on two workers
+    ])
+    def test_pool_never_exceeds_task_count(self, tmp_path, monkeypatch, pool_sizes,
+                                           threads, variants, workers):
+        monkeypatch.setenv("FEDELIM_THREADS", threads)
+        argv = ["run", "--objective", "garland", "--clients", "2", "--horizon", "100",
+                "--runs", "2", "--out", str(tmp_path / "out")]
+        for variant in variants:
+            argv += ["--variant", variant]
+        assert main(argv) == 0
+        assert pool_sizes == [workers]
+
+    def test_non_integer_threads_exits_2(self, tmp_path, capsys, monkeypatch, pool_sizes):
+        monkeypatch.setenv("FEDELIM_THREADS", "two")
+        code = main(["run", "--objective", "garland", "--clients", "2", "--horizon", "100",
+                     "--runs", "2", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(config_errors(err)) == 1 and "FEDELIM_THREADS" in err
+        assert "Traceback" not in err and pool_sizes == []
+
     @pytest.mark.parametrize("line", [
         "rho = 1e-160", "nu1 = 1e-200", "c1 = 1e308", "delta_conf = 1e-320",
     ])
@@ -226,6 +287,7 @@ class TestOracleCommand:
 
     @pytest.mark.parametrize("flags", [
         ["--clients", "0"], ["--shift-std", "inf"], ["--shift-std", "-1"], ["--shift-std", "nan"],
+        ["--seed", "-1"],
     ], ids=" ".join)
     def test_bad_arguments_exit_2(self, capsys, flags):
         code = main(["oracle", "--objective", "garland", *flags])

@@ -54,8 +54,8 @@ class TestRun:
         b = run(config, 3)
         assert np.array_equal(a.avg_cum_regret, b.avg_cum_regret)
         assert a.comm_rounds_total == b.comm_rounds_total
-        assert [len(e.eliminated) for e in a.server_events] == [
-            len(e.eliminated) for e in b.server_events
+        assert [len(e.eliminated) for e in a.comm_rounds] == [
+            len(e.eliminated) for e in b.comm_rounds
         ]
 
     def test_local_only_single_client_has_no_communication(self):

@@ -21,7 +21,7 @@ from fedelim.fedcore import (
     tau,
 )
 from fedelim.objectives import BaseObjective, ORIENT_VALUE, make_base, make_suite
-from fedelim.partition import ROOT, BoxDomain, NodeId, PartitionSpec, node_containing
+from fedelim.partition import ROOT, BoxDomain, NodeId, PartitionSpec, children, node_containing
 from fedelim.protocol import Client, Server, Stage, run_protocol
 from fedelim.seeding import PURPOSE_NOISE, substream
 from pull_helpers import expand_pulls
@@ -117,7 +117,7 @@ class TestServerStep:
         report = ClientReport(1, 3, {NodeId(3, 1): (0.9, pulls), NodeId(3, 2): (0.2, pulls)})
         broadcast = server.step([report], clock=pulls * 2)
         assert broadcast.survivors == (NodeId(3, 1),)
-        assert server.events[-1].eliminated == {NodeId(3, 2)}
+        assert server.comm_rounds[-1].eliminated == {NodeId(3, 2)}
         assert server.active == [NodeId(4, 1), NodeId(4, 2)]
 
     def test_equal_means_keep_everything(self):
@@ -129,9 +129,9 @@ class TestServerStep:
             ClientReport(m, 4, {n: (0.5, 7) for n in server.active}) for m in (1, 2)
         ]
         broadcast = server.step(reports, clock=0)
-        assert broadcast.survivors == server.events[-1].survivors
+        assert broadcast.survivors == server.comm_rounds[-1].survivors
         assert len(broadcast.survivors) == 3
-        assert server.events[-1].eliminated == frozenset()
+        assert server.comm_rounds[-1].eliminated == frozenset()
 
     def test_singleton_active_set(self):
         conf = ConfParams(0.1, 1.0, 0.1, 10_000)
@@ -197,7 +197,7 @@ class TestAbsorb:
         assert client.stage is Stage.PE
         assert client.pe_depth == 0
         assert client.local_active == [ROOT]
-        assert client.transition_clock == client.clock
+        assert client.stage_transition_t == client.clock
 
 
 class TestPersonalElimination:
@@ -206,7 +206,7 @@ class TestPersonalElimination:
         conf = ConfParams(0.1, 1.0, 0.1, 50)
         client = make_client(suite, conf, SMOOTH, h0=0)
         assert client.stage is Stage.PE
-        assert client.transition_clock == 0
+        assert client.stage_transition_t == 0
 
     def test_protected_root_needs_no_sampling(self):
         suite = ramp_suite()
@@ -318,31 +318,41 @@ class TestDrivenRuns:
                               depth_cap=40, seed=4)
         for log in result.pull_logs:
             assert len(log) == 300
-        assert result.transition_clock is not None
+        assert result.stage_transition_t is not None
 
-    def test_stage1_report_transcript_matches_direct_recomputation(self):
+    def test_stage1_report_transcript_matches_direct_recomputation(self, monkeypatch):
         # noiseless two-client run; every message is recomputable by hand:
         # depth-h cell centers are (2i-1)/2^(h+1) and the ramp value equals x.
+        # The messages are read where they exist, at the server step.
+        messages = []
+        step = Server.step
+
+        def recording_step(server, reports, clock):
+            broadcast = step(server, reports, clock)
+            messages.append((reports, broadcast))
+            return broadcast
+
+        monkeypatch.setattr(Server, "step", recording_step)
         suite = ramp_suite(clients=2, noise=0.0, seed=6)
         conf = ConfParams(0.2, 1.0, 0.5, 400)
         smooth = SmoothParams(1.0, 0.5, 0.26)  # transition depth 2
         result = run_protocol(suite, SPEC, conf, smooth, h0=2, pe_enabled=True,
-                              depth_cap=40, seed=6, record_transcript=True)
+                              depth_cap=40, seed=6)
         assert result.h0 == 2
-        active = [(0, [1])]
-        blocks = iter(result.transcript)
+        # messages cover exactly the three collaborative depths
+        assert [broadcast.depth for _, broadcast in messages] == [0, 1, 2]
+        assert len(result.comm_rounds) == 3
+        indices = [1]
         log_term = math.log(1.0 * 400 / 0.5)
-        survivors_by_depth = {}
-        for depth in (0, 1, 2):
-            indices = active[-1][1]
+        for depth, (reports, broadcast), rnd in zip((0, 1, 2), messages, result.comm_rounds):
             per_node = quota(tau(depth, conf, smooth), 2)
             centers = {i: (2 * i - 1) / 2 ** (depth + 1) for i in indices}
-            for m in (1, 2):
-                expected = [f"client-report client={m} depth={depth} entries={len(indices)}"]
-                for i in sorted(indices):
-                    mean = format(centers[i], ".17g")
-                    expected.append(f"  node=({depth},{i}) mean={mean} pulls={per_node}")
-                assert next(blocks) == "\n".join(expected)
+            assert [(r.client, r.depth) for r in reports] == [(1, depth), (2, depth)]
+            for report in reports:
+                # exact float equality: (mean, pulls) per cell, no other cells
+                assert report.entries == {
+                    NodeId(depth, i): (centers[i], per_node) for i in indices
+                }
             pooled = 2 * per_node
             bound = 0.2 * math.sqrt(log_term / pooled)
             best_value = max(centers.values())
@@ -350,21 +360,32 @@ class TestDrivenRuns:
                 i for i in indices
                 if not (centers[i] + bound + 0.5 ** depth < best_value - bound)
             ]
-            expected = [f"server-broadcast depth={depth} survivors={len(survivors)}"]
-            for i in sorted(survivors):
-                expected.append(
-                    f"  node=({depth},{i}) mean={format(centers[i], '.17g')}"
-                    f" bound={format(bound, '.17g')}"
-                )
-            assert next(blocks) == "\n".join(expected)
-            survivors_by_depth[depth] = survivors
-            active.append((depth + 1, [j for i in survivors for j in (2 * i - 1, 2 * i)]))
-        # transcript covers exactly the three collaborative depths
-        assert next(blocks, None) is None
-        for event, depth in zip(result.server_events, (0, 1, 2)):
-            assert tuple(event.survivors) == tuple(
-                NodeId(depth, i) for i in survivors_by_depth[depth]
-            )
+            assert broadcast.survivors == tuple(NodeId(depth, i) for i in survivors)
+            assert broadcast.stats == {NodeId(depth, i): (centers[i], bound) for i in survivors}
+            assert rnd.survivors == broadcast.survivors
+            indices = [j for i in survivors for j in (2 * i - 1, 2 * i)]
+
+    def test_round_records_are_self_consistent(self):
+        base = make_base("garland")
+        suite = make_suite(base, clients=3, shift_std=0.05, noise_halfwidth=0.1, seed=9)
+        conf = ConfParams(0.1, 1.0, 1 / 3, 1500)
+        result = run_protocol(suite, SPEC, conf, SMOOTH, h0=5, pe_enabled=True,
+                              depth_cap=40, seed=9)
+        assert result.stage_transition_t is not None and personal_eliminations(result) > 0
+        assert len(result.comm_rounds) == result.h0 + 1
+        active = [ROOT]
+        cumulative = 0
+        for position, rnd in enumerate(result.comm_rounds):
+            assert rnd.round_index == position + 1 and rnd.depth == position
+            assert set(rnd.survivors).isdisjoint(rnd.eliminated)
+            assert set(rnd.survivors) | rnd.eliminated == set(active)
+            assert len(rnd.survivors) + len(rnd.eliminated) == len(active)
+            assert rnd.scalars_up == 2 * 3 * len(active)
+            assert rnd.scalars_down == 3 * len(rnd.survivors)
+            cumulative += rnd.scalars_up + rnd.scalars_down
+            assert rnd.cumulative_scalars == cumulative
+            assert rnd.best in rnd.survivors
+            active = sorted(c for n in rnd.survivors for c in children(n, SPEC))
 
     def test_protection_invariant_across_run(self):
         base = make_base("garland")
@@ -373,7 +394,7 @@ class TestDrivenRuns:
         result = run_protocol(suite, SPEC, conf, SMOOTH, h0=5, pe_enabled=True,
                               depth_cap=40, seed=8)
         assert personal_eliminations(result) > 0
-        server_survivors = {e.depth: set(e.survivors) for e in result.server_events}
+        server_survivors = {e.depth: set(e.survivors) for e in result.comm_rounds}
         for events in result.client_events:
             for event in events:
                 protected = server_survivors.get(event.depth, set())
@@ -388,11 +409,11 @@ class TestDrivenRuns:
         assert personal_eliminations(result) > 0
         # own rewards per node per client, accumulated over the whole run
         own = [rewards_by_node(log) for log in result.pull_logs]
-        server = {e.depth: e for e in result.server_events}
+        server = {e.depth: e for e in result.comm_rounds}
         # the broadcast statistics, merged again from every client's pulls of the
         # survivors (protected cells are never pulled after stage one)
         merged = {}
-        for e in result.server_events:
+        for e in result.comm_rounds:
             reports = [ClientReport(m, e.depth, {n: (float(np.sum(rw[n])) / len(rw[n]), len(rw[n]))
                                                  for n in e.survivors})
                        for m, rw in enumerate(own, start=1)]
@@ -417,7 +438,7 @@ class TestDrivenRuns:
         for rewards in own:
             for node, rw in rewards.items():
                 pooled[node] = pooled.get(node, 0) + len(rw)
-        for event in result.server_events:
+        for event in result.comm_rounds:
             for node in event.eliminated:
                 assert pooled[node] >= tau(event.depth, conf, SMOOTH)
 
@@ -427,9 +448,9 @@ class TestDrivenRuns:
         conf = ConfParams(0.1, 1.0, 0.2, 5000)
         result = run_protocol(suite, SPEC, conf, SMOOTH, h0=5, pe_enabled=True,
                               depth_cap=40, seed=10)
-        assert result.transition_clock is not None
+        assert result.stage_transition_t is not None
         for rnd in result.comm_rounds:
-            assert rnd.clock <= result.transition_clock
+            assert rnd.clock <= result.stage_transition_t
 
     def test_noiseless_optimum_safety_small(self):
         base = make_base("garland")
@@ -440,7 +461,7 @@ class TestDrivenRuns:
                                   depth_cap=40, seed=seed)
             assert personal_eliminations(result) > 0
             gx = suite.global_optimum.x
-            for event in result.server_events:
+            for event in result.comm_rounds:
                 assert node_containing(base.domain, gx, event.depth, SPEC) not in event.eliminated
             for m, events in enumerate(result.client_events, start=1):
                 lx = suite.local_optima[m - 1].x
