@@ -39,12 +39,10 @@ from .objectives import (
     ObjectiveSuite,
     OBJECTIVE_NAMES,
     OptimumCertificate,
-    OracleBudget,
     OracleFailure,
     make_base,
     make_suite,
     near_optimality_profile,
-    optimality_difference_count,
     oracle_optimum,
     profile_ladder,
 )
@@ -63,7 +61,6 @@ from .protocol import (
     CommRound,
     EliminationEvent,
     PullLog,
-    Stage,
     run_protocol,
 )
 
@@ -85,7 +82,6 @@ __all__ = [
     "OBJECTIVE_NAMES",
     "ObjectiveSuite",
     "OptimumCertificate",
-    "OracleBudget",
     "OracleFailure",
     "PartitionSpec",
     "ProtocolFault",
@@ -94,7 +90,6 @@ __all__ = [
     "RunMetrics",
     "ServerBroadcast",
     "SmoothParams",
-    "Stage",
     "VARIANTS",
     "cell",
     "children",
@@ -105,7 +100,6 @@ __all__ = [
     "merge_global",
     "near_optimality_profile",
     "node_containing",
-    "optimality_difference_count",
     "oracle_optimum",
     "parent",
     "profile_ladder",

@@ -26,6 +26,7 @@ from .harness import (
 )
 from .objectives import (
     OBJECTIVE_NAMES,
+    PROFILE_CELL_LIMIT,
     OracleFailure,
     make_base,
     make_suite,
@@ -81,6 +82,7 @@ def load_config_file(path: str) -> dict:
             key = key.strip().lower()
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {key!r} in {path}")
+            key = "variants" if key == "variant" else key  # one key, two spellings
             if key in flat:
                 raise ConfigError(f"duplicate config key {key!r} in {path}")
             flat[key] = value.strip()
@@ -97,8 +99,8 @@ def _coerce_config(flat: dict, path: str) -> dict:
                 out[key] = float(raw)
             elif key == "seeds":
                 out[key] = tuple(int(tok) for tok in raw.replace(",", " ").split())
-            elif key in ("variant", "variants"):
-                out["variants"] = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+            elif key == "variants":
+                out[key] = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
             elif key in ("domain_lower", "domain_upper"):
                 out[key] = tuple(float(tok) for tok in raw.replace(",", " ").split())
             else:
@@ -106,21 +108,6 @@ def _coerce_config(flat: dict, path: str) -> dict:
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r} in {path}: {raw!r}") from exc
     return out
-
-
-def canonical_config_text(settings: dict) -> str:
-    """Canonical serialized form of a parsed config (sorted keys, 17 digits)."""
-    lines = ["[experiment]"]
-    for key in sorted(settings):
-        value = settings[key]
-        if isinstance(value, tuple):
-            body = ", ".join(format_float(v) if isinstance(v, float) else str(v) for v in value)
-        elif isinstance(value, float):
-            body = format_float(value)
-        else:
-            body = str(value)
-        lines.append(f"{key} = {body}")
-    return "\n".join(lines) + "\n"
 
 
 def build_parser() -> _Parser:
@@ -279,13 +266,18 @@ def cmd_profile(args) -> int:
     base = make_base(args.objective)
     fn = base.evaluate_batch
     if args.eps is not None:
-        count = near_optimality_profile(fn, base.domain, 1.0, args.eps, args.grid_step)
+        try:
+            count = near_optimality_profile(fn, base.domain, 1.0, args.eps, args.grid_step)
+        except ValueError as exc:  # the grid exceeds the cell cap
+            raise ConfigError(str(exc)) from exc
         print(f"{args.objective}: eps={format_float(args.eps)} "
               f"grid_step={format_float(args.grid_step)} cells={count}")
         return 0
     print(f"{args.objective}: near-optimal cell counts, eps=6*nu1*rho^h, step=rho^h")
     for h, eps, step, count in profile_ladder(fn, base.domain, 1.0, smooth.nu1, smooth.rho):
-        print(f"h={h} eps={format_float(eps)} grid_step={format_float(step)} cells={count}")
+        cells = f"cells={count}" if count is not None else (
+            f"exceeds the {PROFILE_CELL_LIMIT}-cell cap; the ladder stops here")
+        print(f"h={h} eps={format_float(eps)} grid_step={format_float(step)} {cells}")
     return 0
 
 

@@ -17,9 +17,6 @@ from typing import Iterable, Mapping
 
 from .partition import NodeId
 
-PROVENANCE_LOCAL = "local"
-PROVENANCE_GLOBAL = "global-substituted"
-
 TAU_SATURATED = int(sys.float_info.max)
 
 
@@ -76,9 +73,8 @@ class SmoothParams:
 class NodeStats:
     """Pull count, reward sum, mean estimate and confidence half-width.
 
-    ``provenance`` records whether the (mean, bound) pair was measured
-    locally or substituted from a server broadcast; only local entries
-    satisfy ``mean == reward_sum / pulls``.  ``reward_sum`` is None for
+    A client's entry for a cell the server kept carries the broadcast (mean,
+    bound) over its own pulls and reward sum.  ``reward_sum`` is None for
     server-side merged statistics.
     """
 
@@ -86,7 +82,6 @@ class NodeStats:
     reward_sum: float | None
     mean: float
     bound: float
-    provenance: str = PROVENANCE_LOCAL
 
     @classmethod
     def from_counts(cls, pulls: int, reward_sum: float, conf: ConfParams) -> "NodeStats":
@@ -97,7 +92,6 @@ class NodeStats:
             reward_sum=reward_sum,
             mean=reward_sum / pulls,
             bound=confidence_bound(pulls, conf),
-            provenance=PROVENANCE_LOCAL,
         )
 
 
@@ -160,11 +154,13 @@ def transition_depth(smooth: SmoothParams) -> int:
 
     The closed form ``ceil(log(nu1/delta) / log(1/rho))`` is adjusted by one
     step either way so exact boundary cases are decided by the predicate
-    itself rather than by floating-point log rounding.
+    itself rather than by floating-point log rounding.  The log ratio is a
+    difference of logs, since ``nu1 / delta`` can overflow to infinity.
     """
     if smooth.delta_gap >= smooth.nu1:
         return 0
-    h = max(0, math.ceil(math.log(smooth.nu1 / smooth.delta_gap) / math.log(1.0 / smooth.rho)))
+    log_ratio = math.log(smooth.nu1) - math.log(smooth.delta_gap)
+    h = max(0, math.ceil(log_ratio / math.log(1.0 / smooth.rho)))
     while h > 0 and smooth.nu1 * smooth.rho ** (h - 1) <= smooth.delta_gap:
         h -= 1
     while smooth.nu1 * smooth.rho ** h > smooth.delta_gap:
@@ -202,7 +198,6 @@ def merge_global(reports: list[ClientReport], conf: ConfParams) -> dict[NodeId, 
             reward_sum=None,
             mean=mean_sum / m,
             bound=confidence_bound(pulls, conf),
-            provenance=PROVENANCE_GLOBAL,
         )
     return merged
 

@@ -102,12 +102,14 @@ class ExperimentConfig:
             raise ConfigError("clients must be at least 1")
         if self.horizon < 1:
             raise ConfigError("horizon must be at least 1")
-        if not 0 <= self.noise < math.inf:
-            raise ConfigError("noise halfwidth must be finite and nonnegative")
+        if not 0 <= 2 * self.noise < math.inf:  # the draw's range, 2 * noise, must be finite
+            raise ConfigError("noise halfwidth must be nonnegative, with 2 * noise finite")
         if self.shift_std is not None and not 0 <= self.shift_std < math.inf:
             raise ConfigError("shift_std must be finite and nonnegative")
         if self.arity < 2:
             raise ConfigError("arity must be at least 2")
+        if self.arity > self.horizon:  # a depth-1 sweep pulls each of its cells once
+            raise ConfigError("arity must not exceed the horizon")
         if self.depth_cap < 1:
             raise ConfigError("depth_cap must be at least 1")
         if self.checkpoint_stride < 1:

@@ -23,7 +23,7 @@ from .seeding import PURPOSE_ORACLE, PURPOSE_SHIFTS, substream
 ORIENT_VALUE = "value"  # f = raw / normalization_max  (raw is a reward surface)
 ORIENT_COST = "cost"    # f = 1 - raw / normalization_max  (raw is a loss surface)
 
-_PROFILE_CELL_LIMIT = 50_000_000
+PROFILE_CELL_LIMIT = 50_000_000
 
 
 class OracleFailure(RuntimeError):
@@ -360,11 +360,11 @@ class NoiseModel:
     """Zero-mean noise uniform on [-halfwidth, +halfwidth]."""
 
     halfwidth: float
-    kind: str = "uniform-symmetric"
 
     def __post_init__(self):
-        if not 0 <= self.halfwidth < math.inf:
-            raise ValueError("noise halfwidth must be finite and nonnegative")
+        # rng.uniform(-h, h) overflows unless its range 2 * h is finite
+        if not 0 <= 2 * self.halfwidth < math.inf:
+            raise ValueError("noise halfwidth must be nonnegative, with 2 * halfwidth finite")
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
         if self.halfwidth == 0.0:
@@ -400,17 +400,15 @@ class ObjectiveSuite:
     Local objective m evaluates the base at ``clip(x - s_m)`` so shifted
     copies stay defined and bounded on the original domain; the global
     objective is the arithmetic mean of the locals, accumulated in client
-    order.  The single-point evaluators check the domain and then call the
-    batch paths, so both round identically.  The constructor certifies
+    order.  The single-point evaluator checks the domain and then calls the
+    batch path, so both round identically.  The constructor certifies
     every optimum on the batch evaluators themselves.
     """
 
-    def __init__(self, base: BaseObjective, shifts: np.ndarray, noise: NoiseModel,
-                 shift_std: float, seed: int):
+    def __init__(self, base: BaseObjective, shifts: np.ndarray, noise: NoiseModel, seed: int):
         self.base = base
         self.shifts = np.asarray(shifts, dtype=float)
         self.noise = noise
-        self.shift_std = float(shift_std)
         self.seed = int(seed)
         if self.shifts.ndim != 2 or len(self.shifts) < 1 or self.shifts.shape[1] != base.domain.dim:
             raise ValueError("shifts must have shape (clients, dim) with at least one client")
@@ -443,13 +441,6 @@ class ObjectiveSuite:
         if not 1 <= m <= self.clients:
             raise ValueError(f"client index {m} out of range 1..{self.clients}")
 
-    def _point_row(self, x) -> np.ndarray:
-        """An in-domain point as a one-row batch."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if not self.domain.contains(x, atol=1e-12):
-            raise ValueError("evaluation point lies outside the domain")
-        return x[None, :]
-
     def eval_local_batch(self, m: int, X: np.ndarray) -> np.ndarray:
         self._check_client(m)
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -457,7 +448,10 @@ class ObjectiveSuite:
 
     def eval_local(self, m: int, x) -> float:
         self._check_client(m)
-        return float(self.eval_local_batch(m, self._point_row(x))[0])
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if not self.domain.contains(x, atol=1e-12):
+            raise ValueError("evaluation point lies outside the domain")
+        return float(self.eval_local_batch(m, x[None, :])[0])
 
     def eval_global_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -466,19 +460,9 @@ class ObjectiveSuite:
             acc += self.base.evaluate_batch(self.domain.clip(X - shift))
         return acc / self.clients
 
-    def eval_global(self, x) -> float:
-        return float(self.eval_global_batch(self._point_row(x))[0])
-
-    def sample(self, m: int, x, rng: np.random.Generator) -> float:
-        """One noisy reward: f_m(x) plus bounded uniform noise, unclipped."""
-        return self.eval_local(m, x) + float(self.noise.draw(rng, 1)[0])
-
     def local_star(self, m: int) -> float:
         self._check_client(m)
         return self.local_optima[m - 1].value
-
-    def global_star(self) -> float:
-        return self.global_optimum.value
 
 
 def make_suite(base: BaseObjective, clients: int, shift_std: float,
@@ -497,22 +481,27 @@ def make_suite(base: BaseObjective, clients: int, shift_std: float,
         shifts = np.zeros(shape)
     else:
         shifts = substream(seed, PURPOSE_SHIFTS).normal(0.0, shift_std, size=shape)
-    return ObjectiveSuite(base, shifts, NoiseModel(halfwidth=noise_halfwidth), shift_std, seed)
+    return ObjectiveSuite(base, shifts, NoiseModel(halfwidth=noise_halfwidth), seed)
 
 
 # ---------------------------------------------------------------------------
 # Near-optimality profiling
 # ---------------------------------------------------------------------------
 
-def _profile_centers(domain: BoxDomain, grid_step: float):
-    """Cell centers of the profile grid, in blocks of at most a million points.
+def _profile_counts(domain: BoxDomain, grid_step: float) -> list[int] | None:
+    """ceil(width / grid_step) cells per dimension; None past ``PROFILE_CELL_LIMIT`` cells."""
+    # a ratio capped just past the limit still fails it, and never reaches ceil as inf
+    ratios = [min(float(w) / grid_step, PROFILE_CELL_LIMIT + 1) for w in domain.widths]
+    counts = [max(1, math.ceil(r - 1e-12)) for r in ratios]
+    return counts if math.prod(counts) <= PROFILE_CELL_LIMIT else None
 
-    The grid uses ceil(width / grid_step) equal cells per dimension.
-    """
-    counts = [max(1, math.ceil(w / grid_step - 1e-12)) for w in domain.widths]
+
+def _profile_centers(domain: BoxDomain, grid_step: float):
+    """Cell centers of the profile grid, in blocks of at most a million points."""
+    counts = _profile_counts(domain, grid_step)
+    if counts is None:
+        raise ValueError(f"profile grid step {grid_step:g} exceeds the {PROFILE_CELL_LIMIT}-cell cap")
     total = math.prod(counts)
-    if total > _PROFILE_CELL_LIMIT:
-        raise ValueError(f"profile grid of {total} cells exceeds the {_PROFILE_CELL_LIMIT} cap")
     chunk = 1_000_000
     for start in range(0, total, chunk):
         coords = np.unravel_index(np.arange(start, min(start + chunk, total)), counts)
@@ -534,30 +523,18 @@ def near_optimality_profile(fn: Callable[[np.ndarray], np.ndarray], domain: BoxD
     return sum(int((fn(X) >= f_star - eps).sum()) for X in _profile_centers(domain, grid_step))
 
 
-def optimality_difference_count(fn_local, local_star: float, fn_global, global_star: float,
-                                domain: BoxDomain, eps_local: float, eps_global: float,
-                                grid_step: float) -> int:
-    """Cells near-optimal for the local objective but not for the global one.
-
-    Evaluates both objectives on the same center grid and counts centers with
-    ``f_m >= f_m* - eps_local`` that fail ``fbar >= fbar* - eps_global``.
-    """
-    if eps_local <= 0 or eps_global <= 0 or grid_step <= 0:
-        raise ValueError("tolerances and grid_step must be positive")
-    hits = 0
-    for X in _profile_centers(domain, grid_step):
-        local_ok = fn_local(X) >= local_star - eps_local
-        global_ok = fn_global(X) >= global_star - eps_global
-        hits += int((local_ok & ~global_ok).sum())
-    return hits
-
-
 def profile_ladder(fn, domain: BoxDomain, f_star: float, nu1: float, rho: float,
-                   depths=range(7)) -> list[tuple[int, float, float, int]]:
-    """Near-optimality counts along the ladder eps=6*nu1*rho^h, step=rho^h."""
+                   depths=range(7)) -> list[tuple[int, float, float, int | None]]:
+    """Near-optimality counts along the ladder eps=6*nu1*rho^h, step=rho^h.
+
+    The first depth whose grid exceeds the cell cap ends the ladder, with count None.
+    """
     rows = []
     for h in depths:
         eps = 6.0 * nu1 * rho ** h
         step = rho ** h
+        if _profile_counts(domain, step) is None:
+            rows.append((h, eps, step, None))
+            break
         rows.append((h, eps, step, near_optimality_profile(fn, domain, f_star, eps, step)))
     return rows

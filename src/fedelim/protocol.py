@@ -30,14 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fedcore import (
-    PROVENANCE_GLOBAL,
     ClientReport,
     ConfParams,
     NodeStats,
     ProtocolFault,
     ServerBroadcast,
     SmoothParams,
-    confidence_bound,
     eliminate,
     merge_global,
     quota,
@@ -168,7 +166,6 @@ class Client:
         self.rng = rng
         self.f_star = suite.local_star(m)
 
-        self.budget = conf.horizon_T
         self.clock = 0
         self.depth = 0
         self.pe_depth = 0
@@ -188,6 +185,11 @@ class Client:
         else:
             self.stage = Stage.STAGE1
 
+    @property
+    def budget(self) -> int:
+        """Pulls left: the horizon minus the clock."""
+        return self.conf.horizon_T - self.clock
+
     # ---- shared pull machinery ------------------------------------------
 
     def _point_value(self, node: NodeId) -> tuple[np.ndarray, float]:
@@ -204,13 +206,12 @@ class Client:
         instant = self.f_star - value
         self.pull_log.append_batch(node, rewards, instant)
         prev = self.stats.get(node)
-        if prev is None or prev.pulls == 0:
+        if prev is None:
             pulls, total = n, float(rewards.sum())
         else:
             pulls, total = prev.pulls + n, prev.reward_sum + float(rewards.sum())
         self.stats[node] = NodeStats.from_counts(pulls, total, self.conf)
         self.clock += n
-        self.budget -= n
 
     # ---- collaborative stage --------------------------------------------
 
@@ -251,13 +252,8 @@ class Client:
             if prev is None:
                 raise ProtocolFault(f"broadcast names unknown node {node}")
             mean, bound = broadcast.stats[node]
-            self.stats[node] = NodeStats(
-                pulls=prev.pulls,
-                reward_sum=prev.reward_sum,
-                mean=mean,
-                bound=bound,
-                provenance=PROVENANCE_GLOBAL,
-            )
+            self.stats[node] = NodeStats(pulls=prev.pulls, reward_sum=prev.reward_sum,
+                                         mean=mean, bound=bound)
         self.protected[self.depth] = frozenset(broadcast.survivors)
         self.depth += 1
         if self.depth > self.h0 and self.pe_enabled:
@@ -272,12 +268,7 @@ class Client:
     # ---- personalized elimination ----------------------------------------
 
     def _stats_view(self, nodes: list[NodeId]) -> dict[NodeId, NodeStats]:
-        view = {}
-        for node in nodes:
-            s = self.stats.get(node)
-            if s is not None and s.pulls > 0:
-                view[node] = s
-        return view
+        return {node: self.stats[node] for node in nodes if node in self.stats}
 
     def pe_step(self) -> bool:
         """One personal depth: settle, top up unprotected cells, eliminate, expand.
@@ -343,7 +334,7 @@ class Client:
         current = node
         while True:
             s = self.stats.get(current)
-            if s is not None and s.pulls > 0:
+            if s is not None:
                 return s.mean
             if current.depth == 0:
                 return float("-inf")
@@ -428,16 +419,12 @@ def run_protocol(suite: ObjectiveSuite, spec: PartitionSpec, conf: ConfParams,
     server = Server(spec, conf, smooth, m_count)
 
     if h0 >= 1:
-        depth = 0
-        active = [ROOT]
-        while depth <= h0:
-            if clients[0].budget <= 0:
-                break
-            per_node = quota(tau(depth, conf, smooth), m_count)
+        while server.depth <= h0 and clients[0].budget > 0:
+            per_node = quota(tau(server.depth, conf, smooth), m_count)
             reports = []
             completed = True
             for client in clients:
-                report, ok = client.run_stage1_phase(active, per_node)
+                report, ok = client.run_stage1_phase(server.active, per_node)
                 reports.append(report)
                 completed = completed and ok
             if not completed:
@@ -447,8 +434,6 @@ def run_protocol(suite: ObjectiveSuite, spec: PartitionSpec, conf: ConfParams,
             broadcast = server.step(reports, clock=clients[0].clock)
             for client in clients:
                 client.absorb_broadcast(broadcast)
-            active = server.active
-            depth += 1
 
     if pe_enabled:
         for client in clients:

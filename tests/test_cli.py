@@ -12,7 +12,6 @@ from fedelim import cli
 from fedelim.cli import (
     COMM_HEADER,
     REGRET_HEADER,
-    canonical_config_text,
     load_config_file,
     main,
 )
@@ -110,14 +109,6 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="no/such/file.ini"):
             load_config_file("no/such/file.ini")
 
-    def test_canonical_roundtrip(self, config_path, tmp_path):
-        settings = load_config_file(config_path)
-        text = canonical_config_text(settings)
-        back = tmp_path / "canon.ini"
-        back.write_text(text)
-        assert load_config_file(str(back)) == settings
-        assert canonical_config_text(load_config_file(str(back))) == text
-
 
 class TestRunCommand:
     def test_outputs_and_schema(self, config_path, tmp_path):
@@ -207,6 +198,27 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "config error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("lines", [
+        "variant = pfpne\nvariants = local-only", "variants = local-only\nvariant = pfpne",
+    ])
+    def test_variant_and_variants_are_one_key(self, tmp_path, capsys, lines):
+        path = tmp_path / "dup.ini"
+        path.write_text(f"[experiment]\nobjective = garland\nclients = 2\nhorizon = 100\n{lines}\n")
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "duplicate config key" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "", "1e308", "-0"])
+    @pytest.mark.parametrize("key", sorted(cli._CONFIG_KEYS))
+    def test_edge_value_exits_0_or_2(self, tmp_path, capsys, key, value):
+        settings = {"objective": "garland", "clients": "2", "horizon": "200", key: value}
+        path = tmp_path / "edge.ini"
+        path.write_text("[experiment]\n" + "".join(f"{k} = {v}\n" for k, v in settings.items()))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code in (0, 2)
+        assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, source):
@@ -303,6 +315,22 @@ class TestProfileCommand:
         lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("h=")]
         assert len(lines) == 7
         assert "cells=1" in lines[0]  # eps = 6 covers everything in one cell
+
+    def test_ladder_stops_at_the_cell_cap(self, capsys):
+        # rastrigin's depth-2 grid is 8**10 cells, past the cap
+        code = main(["profile", "--objective", "rastrigin"])
+        assert code == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("h=")]
+        assert len(lines) == 3
+        assert "cells=1024" in lines[0] and "cells=" in lines[1]
+        assert lines[2].startswith("h=2 ") and "cap" in lines[2] and "cells=" not in lines[2]
+
+    @pytest.mark.parametrize("step", ["1e-9", "1e-320"])
+    def test_single_count_over_the_cap_exits_2(self, capsys, step):
+        code = main(["profile", "--objective", "garland", "--eps", "0.1", "--grid-step", step])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error" in err and "cap" in err and "Traceback" not in err
 
     def test_single_count(self, capsys):
         code = main(["profile", "--objective", "garland", "--eps", "1.0",

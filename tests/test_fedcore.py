@@ -154,6 +154,13 @@ class TestTransitionDepth:
             if h > 0:
                 assert smooth.nu1 * smooth.rho ** (h - 1) > smooth.delta_gap
 
+    def test_huge_ratio_does_not_overflow(self):
+        # nu1 / delta_gap is infinite here; the depth is still the smallest satisfying one
+        smooth = SmoothParams(1e308, 0.5, 0.01)
+        h = transition_depth(smooth)
+        assert smooth.nu1 * smooth.rho ** h <= smooth.delta_gap
+        assert smooth.nu1 * smooth.rho ** (h - 1) > smooth.delta_gap
+
 
 class TestMergeGlobal:
     def test_two_client_average(self):
@@ -291,6 +298,12 @@ class TestEliminate:
 
 
 class TestParamValidation:
+    def test_local_stats_need_one_pull(self):
+        # clients never hold zero-pull statistics, so nothing downstream filters them
+        with pytest.raises(ValueError):
+            NodeStats.from_counts(0, 0.0, CONF)
+        assert NodeStats.from_counts(1, 0.5, CONF).mean == 0.5
+
     def test_conf_log_floor(self):
         with pytest.raises(ValueError):
             ConfParams(c=0.1, c1=1.0, delta=0.9, horizon_T=2)  # c1*T/delta < e

@@ -187,6 +187,11 @@ class TestConfigValidation:
         base = config.resolve_base()
         assert config.resolved_shift_std(base) == pytest.approx(0.5)
 
+    def test_arity_bounded_by_horizon(self):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(horizon=100, arity=101).validate()
+        ExperimentConfig(horizon=100, arity=100).validate()
+
     def test_empty_seeds_rejected(self):
         with pytest.raises(ConfigError):
             small_config(seeds=()).validate()

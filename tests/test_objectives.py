@@ -16,7 +16,6 @@ from fedelim.objectives import (
     make_base,
     make_suite,
     near_optimality_profile,
-    optimality_difference_count,
     oracle_optimum,
     profile_ladder,
 )
@@ -119,14 +118,14 @@ class TestSuite:
         suite = make_suite(make_base("doublesine"), clients=4, shift_std=0.0,
                            noise_halfwidth=0.1, seed=2)
         for m in range(1, 5):
-            assert abs(suite.global_star() - suite.local_star(m)) <= 1e-12
+            assert abs(suite.global_optimum.value - suite.local_star(m)) <= 1e-12
 
     def test_single_client_average_is_identity(self):
         suite = make_suite(make_base("garland"), clients=1, shift_std=0.05,
                            noise_halfwidth=0.0, seed=3)
         rng = np.random.default_rng(4)
         for x in rng.uniform(0, 1, size=10):
-            assert suite.eval_global([x]) == suite.eval_local(1, [x])
+            assert suite.eval_global_batch([[x]])[0] == suite.eval_local(1, [x])
 
     def test_distinct_shifts_and_unit_optima(self):
         suite = make_suite(make_base("garland"), clients=2, shift_std=0.05,
@@ -162,7 +161,7 @@ class TestSuite:
             acc = 0.0
             for m in range(1, 5):
                 acc += suite.eval_local(m, x)
-            assert suite.eval_global(x) == acc / 4
+            assert suite.eval_global_batch(x[None, :])[0] == acc / 4
 
     def test_bad_client_index_rejected(self):
         suite = make_suite(ramp_base(), clients=2, shift_std=0.0,
@@ -175,8 +174,7 @@ class TestSuite:
     def test_constructor_certifies_on_its_own_evaluators(self):
         # client 1's shifted optimum leaves the domain and falls back to the
         # grid; client 2's translates
-        suite = ObjectiveSuite(ramp_base(), np.array([[0.1], [-0.2]]), NoiseModel(0.0),
-                               shift_std=0.1, seed=0)
+        suite = ObjectiveSuite(ramp_base(), np.array([[0.1], [-0.2]]), NoiseModel(0.0), seed=0)
         first, second = suite.local_optima
         assert first.method == "grid-zoom" and second.method == "shift-translation"
         for m, cert in enumerate(suite.local_optima, start=1):
@@ -185,21 +183,19 @@ class TestSuite:
         assert second.value == 1.0
         glob = suite.global_optimum
         assert isinstance(glob, OptimumCertificate) and glob.method == "grid-zoom"
-        assert glob.value == suite.eval_global(glob.x)
+        assert glob.value == suite.eval_global_batch(glob.x[None, :])[0]
 
     def test_constructor_rejects_bad_shifts(self):
         with pytest.raises(ValueError):
-            ObjectiveSuite(ramp_base(), np.zeros((0, 1)), NoiseModel(0.0), 0.0, 0)
+            ObjectiveSuite(ramp_base(), np.zeros((0, 1)), NoiseModel(0.0), 0)
         with pytest.raises(ValueError):
-            ObjectiveSuite(ramp_base(), np.zeros((2, 2)), NoiseModel(0.0), 0.0, 0)
+            ObjectiveSuite(ramp_base(), np.zeros((2, 2)), NoiseModel(0.0), 0)
 
     def test_out_of_domain_point_rejected(self):
         suite = make_suite(ramp_base(), clients=2, shift_std=0.0,
                            noise_halfwidth=0.0, seed=1)
         with pytest.raises(ValueError):
             suite.eval_local(1, [1.5])
-        with pytest.raises(ValueError):
-            suite.eval_global([1.5])
 
 
 class TestSampling:
@@ -207,14 +203,15 @@ class TestSampling:
         suite = make_suite(ramp_base(), clients=1, shift_std=0.0,
                            noise_halfwidth=0.0, seed=1)
         rng = np.random.default_rng(0)
-        assert suite.sample(1, [0.25], rng) == suite.eval_local(1, [0.25])
+        reward = suite.eval_local(1, [0.25]) + suite.noise.draw(rng, 1)[0]
+        assert reward == suite.eval_local(1, [0.25])
 
     def test_rewards_stay_in_noise_band(self):
         suite = make_suite(ramp_base(), clients=1, shift_std=0.0,
                            noise_halfwidth=0.2, seed=1)
         rng = np.random.default_rng(1)
         value = suite.eval_local(1, [0.6])
-        rewards = np.array([suite.sample(1, [0.6], rng) for _ in range(1000)])
+        rewards = value + suite.noise.draw(rng, 1000)
         assert np.all(rewards >= value - 0.2)
         assert np.all(rewards <= value + 0.2)
 
@@ -232,6 +229,8 @@ class TestSampling:
     def test_noise_model_validation(self):
         with pytest.raises(ValueError):
             NoiseModel(halfwidth=-0.1)
+        with pytest.raises(ValueError):
+            NoiseModel(halfwidth=1e308)  # the draw's range, 2 * halfwidth, overflows
 
 
 class TestOracle:
@@ -339,32 +338,6 @@ class TestProfile:
         h0, eps0, step0, count0 = rows[0]
         assert (h0, eps0, step0) == (0, 6.0, 1.0)
         assert count0 == 1  # a single cell covers the whole domain
-
-    def test_difference_count_vanishes_when_local_set_is_tighter(self):
-        base = make_base("garland")
-        fn = base.evaluate_batch
-        diff = optimality_difference_count(fn, 1.0, fn, 1.0, base.domain,
-                                           eps_local=0.05, eps_global=0.1,
-                                           grid_step=2 ** -6)
-        assert diff == 0
-
-    def test_difference_count_matches_enumeration(self):
-        base = make_base("garland")
-        suite = make_suite(base, clients=3, shift_std=0.05, noise_halfwidth=0.0, seed=17)
-        step = 2 ** -6
-        f_local = lambda X: suite.eval_local_batch(1, X)
-        f_global = suite.eval_global_batch
-        got = optimality_difference_count(f_local, suite.local_star(1),
-                                          f_global, suite.global_star(),
-                                          base.domain, 0.375, 0.1875, step)
-        expected = 0
-        for i in range(64):
-            center = np.array([(i + 0.5) * step])
-            lq = suite.eval_local(1, center) >= suite.local_star(1) - 0.375
-            gq = suite.eval_global(center) >= suite.global_star() - 0.1875
-            if lq and not gq:
-                expected += 1
-        assert got == expected
 
     def test_invalid_parameters_rejected(self):
         base = make_base("garland")

@@ -8,8 +8,6 @@ from fedelim.fedcore import (
     ClientReport,
     ConfParams,
     NodeStats,
-    PROVENANCE_GLOBAL,
-    PROVENANCE_LOCAL,
     ProtocolFault,
     ServerBroadcast,
     SmoothParams,
@@ -172,7 +170,6 @@ class TestAbsorb:
         client.absorb_broadcast(broadcast)
         stats = client.stats[ROOT]
         assert stats.mean == 0.42 and stats.bound == 0.05
-        assert stats.provenance == PROVENANCE_GLOBAL
         assert stats.pulls == 2  # local counts retained
         assert client.protected[0] == frozenset({ROOT})
         assert client.depth == 1
@@ -244,7 +241,7 @@ class TestPersonalElimination:
         good, bad = NodeId(3, 1), NodeId(3, 2)
         client.local_active = [good, bad]
         client.protected[3] = frozenset({good})
-        client.stats[good] = NodeStats(40, None, 0.9, 0.02, PROVENANCE_GLOBAL)
+        client.stats[good] = NodeStats(40, None, 0.9, 0.02)
         pulls = tau(3, conf, SMOOTH)
         client.stats[bad] = NodeStats.from_counts(pulls, 0.3 * pulls, conf)
         assert client.stats[bad].bound + 0.3 + SMOOTH.slack(3) < 0.9 - 0.02
@@ -259,7 +256,7 @@ class TestPersonalElimination:
         conf = ConfParams(0.1, 1.0, 0.1, 1000)
         client = make_client(suite, conf, SMOOTH, h0=0)
         client.protected[0] = frozenset({ROOT})
-        client.stats[ROOT] = NodeStats(5, None, 0.5, 0.1, PROVENANCE_GLOBAL)
+        client.stats[ROOT] = NodeStats(5, None, 0.5, 0.1)
         assert client.pe_step()
         assert client.clock == 0
         assert client.pe_events[-1].best is None
