@@ -73,8 +73,8 @@ def load_config_file(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser()
     try:
-        parser.read_string(file.read_text())
-    except configparser.Error as exc:
+        parser.read_string(file.read_text(encoding="utf-8"))
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
     flat: dict = {}
     for section in parser.sections():
@@ -145,6 +145,8 @@ def _configs_from_args(args) -> list[ExperimentConfig]:
     variants = settings.pop("variants", ("pfpne",))
     if args.variant:
         variants = tuple(args.variant)
+    if not variants:
+        raise ConfigError("at least one variant is required")
     if args.objective:
         settings["objective"] = args.objective
     if args.clients is not None:
@@ -157,7 +159,7 @@ def _configs_from_args(args) -> list[ExperimentConfig]:
     elif args.runs is not None:
         settings["seeds"] = tuple(range(args.runs))
     configs = []
-    for variant in variants:
+    for variant in dict.fromkeys(variants):  # a repeated variant runs once
         try:
             config = ExperimentConfig(variant=variant, **settings)
         except TypeError as exc:
@@ -225,6 +227,10 @@ def write_outputs(results: dict[str, AggregateMetrics], out_dir: Path) -> None:
 
 def cmd_run(args) -> int:
     configs = _configs_from_args(args)
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {args.out}: {exc}") from exc
     results = _execute(configs)
     write_outputs(results, Path(args.out))
     for variant in sorted(results):

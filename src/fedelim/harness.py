@@ -267,8 +267,8 @@ def run(config: ExperimentConfig, seed: int, record_pulls: bool = True,
     return metrics
 
 
-def run_many(config: ExperimentConfig, record_pulls: bool = False) -> AggregateMetrics:
-    """Independent runs over config.seeds, aggregated per checkpoint."""
+def run_many(config: ExperimentConfig) -> AggregateMetrics:
+    """Independent runs over config.seeds, aggregated per checkpoint, pull logs dropped."""
     config.validate()
-    runs = [run(config, seed, record_pulls=record_pulls) for seed in config.seeds]
+    runs = [run(config, seed, record_pulls=False) for seed in config.seeds]
     return AggregateMetrics.from_runs(config.variant, runs)

@@ -75,18 +75,15 @@ OBJECTIVE_NAMES = tuple(sorted(_CATALOG))
 # Optimum oracle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OracleBudget:
-    """Resolution budget for the optimum search."""
-
-    grid_points: int = 4096        # per dimension, exhaustive grid (dim <= 2)
-    random_samples: int = 1_000_000  # uniform probes (dim > 2)
-    zoom_points: int = 65          # per dimension per refinement round
-    zoom_rounds: int = 3           # minimum refinement rounds
-    max_zoom_rounds: int = 48
-    shrink: float = 10.0
-    top_candidates: int = 16
-    tol: float = 1e-9
+# Resolution of the optimum search.
+ORACLE_GRID_POINTS = 4096          # per dimension, exhaustive grid (dim <= 2)
+ORACLE_RANDOM_SAMPLES = 1_000_000  # uniform probes (dim > 2)
+ORACLE_ZOOM_POINTS = 65            # per dimension per refinement round
+ORACLE_ZOOM_ROUNDS = 3             # minimum refinement rounds
+ORACLE_MAX_ZOOM_ROUNDS = 48
+ORACLE_SHRINK = 10.0
+ORACLE_TOP_CANDIDATES = 16
+ORACLE_TOL = 1e-9
 
 
 @dataclass
@@ -130,11 +127,11 @@ def _top_separated(points: np.ndarray, values: np.ndarray, count: int, min_sep: 
     return [(points[i].copy(), float(values[i])) for i in kept]
 
 
-def _zoom_refine(fn, domain, x0, v0, half_width, budget):
+def _zoom_refine(fn, domain, x0, v0, half_width):
     """Repeated local grid zoom around an incumbent, shrinking each round.
 
     Returns (x, value, probes, rounds, converged); convergence means the
-    incumbent value moved by at most ``budget.tol`` in the last round after
+    incumbent value moved by at most ``ORACLE_TOL`` in the last round after
     the mandatory minimum number of rounds.
     """
     x, v = np.array(x0, dtype=float), float(v0)
@@ -143,11 +140,11 @@ def _zoom_refine(fn, domain, x0, v0, half_width, budget):
     rounds = 0
     quiet = 0  # consecutive sub-tolerance rounds; one alone can be a grid
     converged = False  # alignment artifact near a cusp, two are conclusive
-    while rounds < budget.max_zoom_rounds:
+    while rounds < ORACLE_MAX_ZOOM_ROUNDS:
         axes = [
             np.linspace(max(domain.lower[j], x[j] - w[j]),
                         min(domain.upper[j], x[j] + w[j]),
-                        budget.zoom_points)
+                        ORACLE_ZOOM_POINTS)
             for j in range(domain.dim)
         ]
         mesh = np.meshgrid(*axes, indexing="ij")
@@ -158,16 +155,16 @@ def _zoom_refine(fn, domain, x0, v0, half_width, budget):
         improvement = float(vals[k]) - v
         if improvement > 0:
             x, v = pts[k].copy(), float(vals[k])
-        w /= budget.shrink
+        w /= ORACLE_SHRINK
         rounds += 1
-        quiet = quiet + 1 if abs(improvement) <= budget.tol else 0
-        if rounds >= budget.zoom_rounds and quiet >= 2:
+        quiet = quiet + 1 if abs(improvement) <= ORACLE_TOL else 0
+        if rounds >= ORACLE_ZOOM_ROUNDS and quiet >= 2:
             converged = True
             break
     return x, v, probes, rounds, converged
 
 
-def _coordinate_refine(fn, domain, x0, v0, budget):
+def _coordinate_refine(fn, domain, x0, v0):
     """Cyclic per-dimension line searches for dim > 2 incumbents.
 
     The first sweep scans each full coordinate range (so a random-search
@@ -180,12 +177,12 @@ def _coordinate_refine(fn, domain, x0, v0, budget):
     sweeps = 0
     quiet = 0
     converged = False
-    while sweeps < budget.max_zoom_rounds:
+    while sweeps < ORACLE_MAX_ZOOM_ROUNDS:
         start = v
         for j in range(domain.dim):
             grid = np.linspace(max(domain.lower[j], x[j] - w[j]),
                                min(domain.upper[j], x[j] + w[j]),
-                               budget.zoom_points)
+                               ORACLE_ZOOM_POINTS)
             rows = np.tile(x, (len(grid), 1))
             rows[:, j] = grid
             vals = fn(rows)
@@ -193,10 +190,10 @@ def _coordinate_refine(fn, domain, x0, v0, budget):
             k = int(np.argmax(vals))
             if vals[k] > v:
                 x, v = rows[k].copy(), float(vals[k])
-        w /= budget.shrink
+        w /= ORACLE_SHRINK
         sweeps += 1
-        quiet = quiet + 1 if v - start <= budget.tol else 0
-        if sweeps >= budget.zoom_rounds and quiet >= 2:
+        quiet = quiet + 1 if v - start <= ORACLE_TOL else 0
+        if sweeps >= ORACLE_ZOOM_ROUNDS and quiet >= 2:
             converged = True
             break
     return x, v, probes, sweeps, converged
@@ -205,7 +202,6 @@ def _coordinate_refine(fn, domain, x0, v0, budget):
 def oracle_optimum(
     fn: Callable[[np.ndarray], np.ndarray],
     domain: BoxDomain,
-    budget: OracleBudget | None = None,
     rng: np.random.Generator | None = None,
     hints: Sequence[np.ndarray] = (),
 ) -> OptimumCertificate:
@@ -217,36 +213,35 @@ def oracle_optimum(
     ``hints`` join the candidates.  The returned value is the maximum over
     every probed point, so the certificate dominates all probes by
     construction.  Raises ``OracleFailure`` when the incumbent has not
-    converged to ``budget.tol`` within the round budget.
+    converged to ``ORACLE_TOL`` within ``ORACLE_MAX_ZOOM_ROUNDS`` rounds.
     """
-    budget = budget or OracleBudget()
     d = domain.dim
-    keep = 4 * budget.top_candidates
+    keep = 4 * ORACLE_TOP_CANDIDATES
     if d <= 2:
-        axes = [np.linspace(domain.lower[j], domain.upper[j], budget.grid_points) for j in range(d)]
+        axes = [np.linspace(domain.lower[j], domain.upper[j], ORACLE_GRID_POINTS) for j in range(d)]
         if d == 1:
             pts = axes[0][:, None]
             vals = fn(pts)
             probes = len(pts)
         else:
-            step = max(1, 2_000_000 // budget.grid_points)
+            step = max(1, 2_000_000 // ORACLE_GRID_POINTS)
             blocks = (np.stack([g.ravel() for g in np.meshgrid(axes[0][i:i + step], axes[1],
                                                                indexing="ij")], axis=1)
-                      for i in range(0, budget.grid_points, step))
+                      for i in range(0, ORACLE_GRID_POINTS, step))
             pts, vals, probes = _screen(fn, blocks, keep)
-        spacing = domain.widths / (budget.grid_points - 1)
-        candidates = _top_separated(pts, vals, budget.top_candidates, 2 * spacing)
+        spacing = domain.widths / (ORACLE_GRID_POINTS - 1)
+        candidates = _top_separated(pts, vals, ORACLE_TOP_CANDIDATES, 2 * spacing)
         method = "grid-zoom"
-        refine = lambda x0, v0: _zoom_refine(fn, domain, x0, v0, 2 * spacing, budget)
+        refine = lambda x0, v0: _zoom_refine(fn, domain, x0, v0, 2 * spacing)
     else:
         rng = rng if rng is not None else np.random.default_rng(0)
-        n, step = budget.random_samples, 250_000
+        n, step = ORACLE_RANDOM_SAMPLES, 250_000
         blocks = (rng.uniform(domain.lower, domain.upper, size=(min(step, n - i), d))
                   for i in range(0, n, step))
         pts, vals, probes = _screen(fn, blocks, keep)
-        candidates = _top_separated(pts, vals, budget.top_candidates, domain.widths / 16)
+        candidates = _top_separated(pts, vals, ORACLE_TOP_CANDIDATES, domain.widths / 16)
         method = "random-zoom"
-        refine = lambda x0, v0: _coordinate_refine(fn, domain, x0, v0, budget)
+        refine = lambda x0, v0: _coordinate_refine(fn, domain, x0, v0)
 
     for h in hints:
         h = np.atleast_1d(np.asarray(h, dtype=float))
@@ -263,8 +258,8 @@ def oracle_optimum(
             best_x, best_v, best_converged = x, v, ok
     if not best_converged:
         raise OracleFailure(
-            f"optimum search did not converge to {budget.tol:g} within "
-            f"{budget.max_zoom_rounds} refinement rounds"
+            f"optimum search did not converge to {ORACLE_TOL:g} within "
+            f"{ORACLE_MAX_ZOOM_ROUNDS} refinement rounds"
         )
     return OptimumCertificate(x=best_x, value=best_v, method=method, probes=probes, rounds=rounds)
 
@@ -523,14 +518,14 @@ def near_optimality_profile(fn: Callable[[np.ndarray], np.ndarray], domain: BoxD
     return sum(int((fn(X) >= f_star - eps).sum()) for X in _profile_centers(domain, grid_step))
 
 
-def profile_ladder(fn, domain: BoxDomain, f_star: float, nu1: float, rho: float,
-                   depths=range(7)) -> list[tuple[int, float, float, int | None]]:
-    """Near-optimality counts along the ladder eps=6*nu1*rho^h, step=rho^h.
+def profile_ladder(fn, domain: BoxDomain, f_star: float, nu1: float,
+                   rho: float) -> list[tuple[int, float, float, int | None]]:
+    """Near-optimality counts along the ladder eps=6*nu1*rho^h, step=rho^h, h = 0..6.
 
     The first depth whose grid exceeds the cell cap ends the ladder, with count None.
     """
     rows = []
-    for h in depths:
+    for h in range(7):
         eps = 6.0 * nu1 * rho ** h
         step = rho ** h
         if _profile_counts(domain, step) is None:

@@ -61,8 +61,7 @@ class PullLog:
     Per-pull sequences are expanded only when asked for.
     """
 
-    def __init__(self, client: int):
-        self.client = client
+    def __init__(self):
         self.segments: list[tuple[NodeId, np.ndarray, float]] = []
 
     def append_batch(self, node: NodeId, rewards: np.ndarray, instant_regret: float) -> None:
@@ -172,18 +171,16 @@ class Client:
         self.stats: dict[NodeId, NodeStats] = {}
         self.protected: dict[int, frozenset[NodeId]] = {}
         self.local_active: list[NodeId] = [ROOT]
-        self.pull_log = PullLog(m)
+        self.pull_log = PullLog()
         self.pe_events: list[EliminationEvent] = []
+        self.stage = Stage.STAGE1
         self.stage_transition_t: int | None = None
-        self._cell_cache: dict[NodeId, tuple[np.ndarray, float]] = {}
+        self._cell_values: dict[NodeId, float] = {}
 
         if h0 == 0 and pe_enabled:
             # The gap bound already swamps the root resolution: no
             # collaborative stage at all, personal elimination from pull one.
-            self.stage = Stage.PE
-            self.stage_transition_t = 0
-        else:
-            self.stage = Stage.STAGE1
+            self._enter_pe()
 
     @property
     def budget(self) -> int:
@@ -192,16 +189,15 @@ class Client:
 
     # ---- shared pull machinery ------------------------------------------
 
-    def _point_value(self, node: NodeId) -> tuple[np.ndarray, float]:
-        cached = self._cell_cache.get(node)
-        if cached is None:
+    def _cell_value(self, node: NodeId) -> float:
+        value = self._cell_values.get(node)
+        if value is None:
             point = representative(self.suite.domain, node, self.spec)
-            cached = (point, self.suite.eval_local(self.m, point))
-            self._cell_cache[node] = cached
-        return cached
+            value = self._cell_values[node] = self.suite.eval_local(self.m, point)
+        return value
 
     def _pull_batch(self, node: NodeId, n: int) -> None:
-        point, value = self._point_value(node)
+        value = self._cell_value(node)
         rewards = value + self.suite.noise.draw(self.rng, n)
         instant = self.f_star - value
         self.pull_log.append_batch(node, rewards, instant)
@@ -212,6 +208,25 @@ class Client:
             pulls, total = prev.pulls + n, prev.reward_sum + float(rewards.sum())
         self.stats[node] = NodeStats.from_counts(pulls, total, self.conf)
         self.clock += n
+
+    def _pull_up_to(self, node: NodeId, n: int) -> bool:
+        """Pull ``node`` up to ``n`` times; False, and exhausted, if the budget fell short."""
+        k = min(n, self.budget)
+        if k > 0:
+            self._pull_batch(node, k)
+        if k < n:
+            self.stage = Stage.EXHAUSTED
+            return False
+        return True
+
+    def _spend_rest(self, frontier: list[NodeId]) -> None:
+        """Spend the remaining budget on the frontier cell with the best ancestor mean.
+
+        Ties go to the first cell of ``frontier``.
+        """
+        if self.budget > 0:
+            self._pull_batch(max(frontier, key=self._ancestor_mean), self.budget)
+        self.stage = Stage.EXHAUSTED
 
     # ---- collaborative stage --------------------------------------------
 
@@ -226,18 +241,14 @@ class Client:
         if self.stage != Stage.STAGE1:
             raise ProtocolFault(f"client {self.m} cannot sample stage one in stage {self.stage}")
         entries: dict[NodeId, tuple[float, int]] = {}
-        completed = True
         for node in active:
-            n = min(per_node_quota, self.budget)
-            if n > 0:
-                self._pull_batch(node, n)
+            completed = self._pull_up_to(node, per_node_quota)
+            if node in self.stats:
                 s = self.stats[node]
                 entries[node] = (s.mean, s.pulls)
-            if n < per_node_quota:
-                completed = False
-                self.stage = Stage.EXHAUSTED
+            if not completed:
                 break
-        return ClientReport(client=self.m, depth=self.depth, entries=entries), completed
+        return ClientReport(client=self.m, depth=self.depth, entries=entries), self.stage == Stage.STAGE1
 
     def absorb_broadcast(self, broadcast: ServerBroadcast) -> None:
         """Adopt merged statistics for survivors and advance one depth."""
@@ -296,14 +307,8 @@ class Client:
             to_sample = [n for n in to_sample if n not in settled]
         for node in to_sample:
             have = self.stats[node].pulls if node in self.stats else 0
-            need = tau_h - have
-            if need > 0:
-                n = min(need, self.budget)
-                if n > 0:
-                    self._pull_batch(node, n)
-                if n < need:
-                    self.stage = Stage.EXHAUSTED
-                    return False
+            if not self._pull_up_to(node, tau_h - have):
+                return False
         view = self._stats_view(self.local_active)
         if to_sample or settled:
             best = select_best(view)
@@ -319,56 +324,27 @@ class Client:
         return True
 
     def run_pe(self) -> None:
+        """Personal steps down to the depth cap, then the rest of the budget on the best cell."""
         if self.stage != Stage.PE:
             return
-        while self.stage == Stage.PE and self.pe_depth < self.depth_cap:
+        while self.pe_depth < self.depth_cap:
             if not self.pe_step():
                 return
-        if self.budget > 0:
-            self._max_depth_fallback()
-        else:
-            self.stage = Stage.EXHAUSTED
+        self._spend_rest(self.local_active)
 
     def _ancestor_mean(self, node: NodeId) -> float:
         """Mean of the nearest ancestor-or-self with recorded statistics."""
-        current = node
-        while True:
-            s = self.stats.get(current)
-            if s is not None:
-                return s.mean
-            if current.depth == 0:
+        while node not in self.stats:
+            if node.depth == 0:
                 return float("-inf")
-            current = parent(current, self.spec)
-
-    def _max_depth_fallback(self) -> None:
-        """Depth cap reached with budget left: exploit the best-looking cell.
-
-        Cells at the cap are generally unsampled, so each is scored by its
-        nearest sampled ancestor; the whole remaining budget goes to the
-        winner's representative (ties to the smallest index).
-        """
-        best_node = None
-        best_score = float("-inf")
-        for node in self.local_active:
-            score = self._ancestor_mean(node)
-            if score > best_score:
-                best_node, best_score = node, score
-        if best_node is None:
-            best_node = self.local_active[0]
-        self._pull_batch(best_node, self.budget)
-        self.stage = Stage.EXHAUSTED
+            node = parent(node, self.spec)
+        return self.stats[node].mean
 
     def finish_stage1_only(self) -> None:
-        """No personal stage: dump any remaining budget on the best survivor."""
-        deepest = max(self.protected) if self.protected else None
-        if self.budget <= 0 or deepest is None:
-            if self.budget == 0:
-                self.stage = Stage.EXHAUSTED
-            return
-        view = self._stats_view(sorted(self.protected[deepest]))
-        node = select_best(view)
-        self._pull_batch(node, self.budget)
-        self.stage = Stage.EXHAUSTED
+        """No personal stage: the rest of the budget goes to the server's best last survivor."""
+        if not self.protected:
+            raise ProtocolFault(f"client {self.m} finished stage one without a server round")
+        self._spend_rest(sorted(self.protected[max(self.protected)]))
 
 
 @dataclass

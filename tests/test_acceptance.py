@@ -191,13 +191,13 @@ class TestCriterion06DegenerationIdentities:
             if a.comm_rounds_total != 0:
                 mismatches.append(f"seed {seed}: unexpected communication")
                 continue
-            for la, lb in zip(a.pull_logs, b.pull_logs):
+            for m, (la, lb) in enumerate(zip(a.pull_logs, b.pull_logs), start=1):
                 depths_a, indices_a, rewards_a, regrets_a = expand_pulls(la)
                 depths_b, indices_b, rewards_b, regrets_b = expand_pulls(lb)
                 if (depths_a != depths_b or indices_a != indices_b
                         or not np.array_equal(rewards_a, rewards_b)
                         or not np.array_equal(regrets_a, regrets_b)):
-                    mismatches.append(f"seed {seed}: pull logs differ for client {la.client}")
+                    mismatches.append(f"seed {seed}: pull logs differ for client {m}")
                     break
         ok_identity = not mismatches
         go_pe_events = []

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from fedelim import cli
+from fedelim import cli, harness
 from fedelim.cli import (
     COMM_HEADER,
     REGRET_HEADER,
@@ -51,6 +51,25 @@ FIXED_DIGESTS = {
     "summary.json": "1046101da2894541b312aac40542d2d77eace1a5188cd9a68162974e5427c04b",
 }
 
+# With depth_cap = 2 every client has budget left when its last phase ends:
+# global-only spends it on the server's best last survivor, pfpne and
+# local-only on the best cell of their depth-cap frontier.
+LEFTOVER_CONFIG = """
+[experiment]
+objective = garland
+clients = 3
+horizon = 2000
+depth_cap = 2
+seeds = 0, 1, 2
+variants = pfpne, global-only, local-only
+"""
+
+LEFTOVER_DIGESTS = {
+    "regret.csv": "04234360c336fcd500ab22021f6c63293ec4ca4010071042647f15edaa36dc5a",
+    "comm.csv": "9305099e7fa6067cfb709a68c06ab7f13127cb7a84b36d7dd8d576ff4e307caf",
+    "summary.json": "d730b237c99f0d08848927b6f2120f1a8dbf1c16e8086ce4012e24c1933c38fa",
+}
+
 
 @pytest.fixture()
 def config_path(tmp_path):
@@ -79,6 +98,16 @@ def pool_sizes(monkeypatch):
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
     return sizes
+
+
+def assert_digests(tmp_path, monkeypatch, threads, config, digests):
+    path = tmp_path / "fixed.ini"
+    path.write_text(config)
+    monkeypatch.setenv("FEDELIM_THREADS", threads)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    for name, digest in digests.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def config_errors(err):
@@ -178,13 +207,59 @@ class TestRunCommand:
     def test_outputs_match_recorded_hashes(self, tmp_path, monkeypatch, threads):
         # Digests recorded before the pull log stored segments; serial and
         # pool runs must both reproduce them.
-        path = tmp_path / "fixed.ini"
-        path.write_text(FIXED_CONFIG)
+        assert_digests(tmp_path, monkeypatch, threads, FIXED_CONFIG, FIXED_DIGESTS)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_leftover_budget_outputs_match_recorded_hashes(self, tmp_path, monkeypatch, threads):
+        # Digests recorded before the two leftover-budget paths became one.
+        assert_digests(tmp_path, monkeypatch, threads, LEFTOVER_CONFIG, LEFTOVER_DIGESTS)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_empty_variant_list_exits_2(self, tmp_path, capsys, monkeypatch, threads):
         monkeypatch.setenv("FEDELIM_THREADS", threads)
-        out = tmp_path / "out"
-        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
-        for name, digest in FIXED_DIGESTS.items():
-            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+        path = tmp_path / "empty.ini"
+        path.write_text("[experiment]\nobjective = garland\nclients = 2\nhorizon = 100\nvariants = ,\n")
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "at least one variant" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_repeated_variant_runs_once(self, tmp_path, monkeypatch, pool_sizes, threads):
+        monkeypatch.setenv("FEDELIM_THREADS", threads)
+        calls = []
+        run_protocol = harness.run_protocol
+        monkeypatch.setattr(harness, "run_protocol",
+                            lambda *a, **k: calls.append(a) or run_protocol(*a, **k))
+        argv = ["run", "--objective", "garland", "--clients", "2", "--horizon", "100",
+                "--runs", "2", "--variant", "pfpne"]
+        once, twice = tmp_path / "once", tmp_path / "twice"
+        assert main([*argv, "--out", str(once)]) == 0
+        assert main([*argv, "--variant", "pfpne", "--out", str(twice)]) == 0
+        assert len(calls) == 4  # two seeds per command
+        for name in ("regret.csv", "comm.csv", "summary.json"):
+            assert (once / name).read_bytes() == (twice / name).read_bytes()
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.ini"
+        path.write_bytes("[experiment]\nobjective = garland\n# caf\u00e9\n".encode("latin-1"))
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "cannot parse config file" in err and "Traceback" not in err
+
+    def test_out_naming_a_file_exits_2_before_any_run(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "taken"
+        out.write_text("")
+        executed = []
+        monkeypatch.setattr(cli, "_execute", executed.append)
+        code = main(["run", "--objective", "garland", "--clients", "2", "--horizon", "100",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "cannot create output directory" in err and "Traceback" not in err
+        assert executed == []
 
     @pytest.mark.parametrize("line", [
         "noise = nan", "noise = inf", "nu1 = inf", "nu1 = nan", "c1 = inf", "c1 = nan",

@@ -125,7 +125,7 @@ class TestRunMany:
         assert np.all(agg.std_curve == 0.0)
 
     def test_mean_within_envelope(self):
-        agg = run_many(small_config(seeds=(0, 1, 2), noise=0.1), record_pulls=False)
+        agg = run_many(small_config(seeds=(0, 1, 2), noise=0.1))
         curves = np.stack([r.avg_cum_regret for r in agg.runs])
         assert np.all(agg.mean_curve <= curves.max(axis=0) + 1e-12)
         assert np.all(agg.mean_curve >= curves.min(axis=0) - 1e-12)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from fedelim import objectives
 from fedelim.objectives import (
     OBJECTIVE_NAMES,
     BaseObjective,
@@ -11,7 +12,6 @@ from fedelim.objectives import (
     ObjectiveSuite,
     OptimumCertificate,
     ORIENT_VALUE,
-    OracleBudget,
     OracleFailure,
     make_base,
     make_suite,
@@ -293,10 +293,12 @@ class TestOracle:
                 assert cert.method == "shift-translation"
         assert translated >= 1
 
-    def test_unconverged_budget_reports_failure(self):
-        tight = OracleBudget(grid_points=64, zoom_rounds=1, max_zoom_rounds=1)
+    def test_unconverged_budget_reports_failure(self, monkeypatch):
+        monkeypatch.setattr(objectives, "ORACLE_GRID_POINTS", 64)
+        monkeypatch.setattr(objectives, "ORACLE_ZOOM_ROUNDS", 1)
+        monkeypatch.setattr(objectives, "ORACLE_MAX_ZOOM_ROUNDS", 1)
         with pytest.raises(OracleFailure):
-            oracle_optimum(lambda X: X[:, 0], BoxDomain([0.0], [1.0]), tight)
+            oracle_optimum(lambda X: X[:, 0], BoxDomain([0.0], [1.0]))
 
 
 class TestProfile:
