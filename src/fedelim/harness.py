@@ -1,10 +1,10 @@
 """Experiment orchestration: configs, single runs, and multi-seed aggregates.
 
-A run builds the shifted objective suite (certificates included), wires the
-requested protocol variant, drives it to budget exhaustion, and accounts
-per-client regret plus communication.  Runs are bit-deterministic for a
-fixed (config, seed) pair; seeds are independent and may be executed in any
-order or in parallel.
+A run builds the shifted objective suite (local certificates only; no run
+reads the global one), wires the requested protocol variant, drives it to
+budget exhaustion, and accounts per-client regret plus communication.  Runs
+are bit-deterministic for a fixed (config, seed) pair; seeds are independent
+and may be executed in any order or in parallel.
 """
 from __future__ import annotations
 

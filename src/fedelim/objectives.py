@@ -395,9 +395,11 @@ class ObjectiveSuite:
     Local objective m evaluates the base at ``clip(x - s_m)`` so shifted
     copies stay defined and bounded on the original domain; the global
     objective is the arithmetic mean of the locals, accumulated in client
-    order.  The single-point evaluator checks the domain and then calls the
-    batch path, so both round identically.  The constructor certifies
-    every optimum on the batch evaluators themselves.
+    order.  ``eval_clients`` gives every client's value at one in-domain
+    point; the single-point evaluator and the protocol's cell values both
+    come from it.  The constructor certifies each local optimum; the global
+    optimum is certified on first read, which a run never makes.  Both are
+    certified on the batch evaluators themselves.
     """
 
     def __init__(self, base: BaseObjective, shifts: np.ndarray, noise: NoiseModel, seed: int):
@@ -412,17 +414,18 @@ class ObjectiveSuite:
                              substream(self.seed, PURPOSE_ORACLE, m))
             for m in range(1, self.clients + 1)
         ]
+
+    @functools.cached_property
+    def global_optimum(self) -> OptimumCertificate:
+        """Certificate of the average, searched on first read; for one client, that client's."""
         if self.clients == 1:
-            # the average of one client is that client
-            self.global_optimum = self.local_optima[0]
-        else:
-            known = base.known_optimum
-            hints = []
-            if known is not None and base.domain.dim > 2:
-                hints = [base.domain.clip(known + self.shifts.mean(axis=0))]
-            self.global_optimum = oracle_optimum(self.eval_global_batch, base.domain,
-                                                 rng=substream(self.seed, PURPOSE_ORACLE, 0),
-                                                 hints=hints)
+            return self.local_optima[0]
+        known = self.base.known_optimum
+        hints = []
+        if known is not None and self.domain.dim > 2:
+            hints = [self.domain.clip(known + self.shifts.mean(axis=0))]
+        return oracle_optimum(self.eval_global_batch, self.domain,
+                              rng=substream(self.seed, PURPOSE_ORACLE, 0), hints=hints)
 
     @property
     def clients(self) -> int:
@@ -441,12 +444,16 @@ class ObjectiveSuite:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return self.base.evaluate_batch(self.domain.clip(X - self.shifts[m - 1]))
 
-    def eval_local(self, m: int, x) -> float:
-        self._check_client(m)
+    def eval_clients(self, x) -> np.ndarray:
+        """Every client's value at one in-domain point, in client order."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if not self.domain.contains(x, atol=1e-12):
             raise ValueError("evaluation point lies outside the domain")
-        return float(self.eval_local_batch(m, x[None, :])[0])
+        return self.base.evaluate_batch(self.domain.clip(x - self.shifts))
+
+    def eval_local(self, m: int, x) -> float:
+        self._check_client(m)
+        return float(self.eval_clients(x)[m - 1])
 
     def eval_global_batch(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -462,7 +469,7 @@ class ObjectiveSuite:
 
 def make_suite(base: BaseObjective, clients: int, shift_std: float,
                noise_halfwidth: float, seed: int) -> ObjectiveSuite:
-    """Draw per-client shifts and build the suite, which certifies every optimum.
+    """Draw per-client shifts and build the suite, which certifies the local optima.
 
     Shifts are N(0, shift_std^2) per client per dimension, drawn from the
     dedicated substream of the master seed.

@@ -153,7 +153,8 @@ class Client:
 
     def __init__(self, m: int, suite: ObjectiveSuite, spec: PartitionSpec,
                  conf: ConfParams, smooth: SmoothParams, h0: int, depth_cap: int,
-                 pe_enabled: bool, rng: np.random.Generator):
+                 pe_enabled: bool, rng: np.random.Generator,
+                 cell_values: dict[NodeId, np.ndarray]):
         self.m = m
         self.suite = suite
         self.spec = spec
@@ -175,7 +176,7 @@ class Client:
         self.pe_events: list[EliminationEvent] = []
         self.stage = Stage.STAGE1
         self.stage_transition_t: int | None = None
-        self._cell_values: dict[NodeId, float] = {}
+        self.cell_values = cell_values  # the run's table: cell -> every client's value
 
         if h0 == 0 and pe_enabled:
             # The gap bound already swamps the root resolution: no
@@ -190,11 +191,11 @@ class Client:
     # ---- shared pull machinery ------------------------------------------
 
     def _cell_value(self, node: NodeId) -> float:
-        value = self._cell_values.get(node)
-        if value is None:
+        values = self.cell_values.get(node)
+        if values is None:
             point = representative(self.suite.domain, node, self.spec)
-            value = self._cell_values[node] = self.suite.eval_local(self.m, point)
-        return value
+            values = self.cell_values[node] = self.suite.eval_clients(point)
+        return float(values[self.m - 1])
 
     def _pull_batch(self, node: NodeId, n: int) -> None:
         value = self._cell_value(node)
@@ -387,9 +388,10 @@ def run_protocol(suite: ObjectiveSuite, spec: PartitionSpec, conf: ConfParams,
     its budget independently.
     """
     m_count = suite.clients
+    cell_values: dict[NodeId, np.ndarray] = {}  # each cell evaluated once, for every client
     clients = [
         Client(m, suite, spec, conf, smooth, h0, depth_cap, pe_enabled,
-               substream(seed, PURPOSE_NOISE, m))
+               substream(seed, PURPOSE_NOISE, m), cell_values)
         for m in range(1, m_count + 1)
     ]
     server = Server(spec, conf, smooth, m_count)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from fedelim import cli, harness
+from fedelim import cli, harness, objectives
 from fedelim.cli import (
     COMM_HEADER,
     REGRET_HEADER,
@@ -68,6 +68,18 @@ LEFTOVER_DIGESTS = {
     "regret.csv": "04234360c336fcd500ab22021f6c63293ec4ca4010071042647f15edaa36dc5a",
     "comm.csv": "9305099e7fa6067cfb709a68c06ab7f13127cb7a84b36d7dd8d576ff4e307caf",
     "summary.json": "d730b237c99f0d08848927b6f2120f1a8dbf1c16e8086ce4012e24c1933c38fa",
+}
+
+# SHA-256 of `fedelim oracle` stdout, recorded while the suite still
+# certified its global optimum at construction.
+ORACLE_DIGESTS = {
+    ("garland", "3", "0"): "ba51dcf8a30487fe59412a0925bf1e69d7d3a433e5bb8d4a8110c2f87ab586bf",
+    ("garland", "3", "1"): "06360df902b643f324f92136d9e56c31a7f1897bc25053843f98abc10bdb354f",
+    ("doublesine", "3", "0"): "3c6a9fe30cc3704f8e7fcd43589574ed87af2083392245d065675e8484f24a9e",
+    ("doublesine", "3", "1"): "b321e9d23c4930ef82d46c338d8d0460842885144a9b5b6b99d018763c7ced11",
+    ("himmelblau", "3", "0"): "87fa9c5a8682953c3ce2b96e3e089ff3d8fe0858093fcec2b6c903e4640d9c1e",
+    ("himmelblau", "3", "1"): "9528a3561b9244d75bacaa89120978cdc6eff7275f726ccb2ffa1121d1bd9d70",
+    ("garland", "1", "0"): "0b5dd07f6a5e760755c0618b2dd8c1fe33d62c3c9551d77703c06e105be90fa5",
 }
 
 
@@ -213,6 +225,21 @@ class TestRunCommand:
     def test_leftover_budget_outputs_match_recorded_hashes(self, tmp_path, monkeypatch, threads):
         # Digests recorded before the two leftover-budget paths became one.
         assert_digests(tmp_path, monkeypatch, threads, LEFTOVER_CONFIG, LEFTOVER_DIGESTS)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_global_certificate_failure_does_not_fail_a_run(self, tmp_path, monkeypatch,
+                                                           capsys, threads):
+        # Every garland local certificate of FIXED_CONFIG translates, so once
+        # the base is cached only the global search reaches the oracle.
+        objectives.make_base("garland")
+
+        def fail(*args, **kwargs):
+            raise objectives.OracleFailure("global search did not converge")
+
+        monkeypatch.setattr(objectives, "oracle_optimum", fail)
+        assert_digests(tmp_path, monkeypatch, threads, FIXED_CONFIG, FIXED_DIGESTS)
+        assert main(["oracle", "--objective", "garland", "--clients", "3", "--seed", "0"]) == 3
+        assert "runtime fault: global search did not converge" in capsys.readouterr().err
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_empty_variant_list_exits_2(self, tmp_path, capsys, monkeypatch, threads):
@@ -371,6 +398,14 @@ class TestOracleCommand:
         local = [l for l in out.splitlines() if l.startswith("client 1")][0]
         glob = [l for l in out.splitlines() if l.startswith("global")][0]
         assert local.split("f*=")[1].split()[0] == glob.split("f*=")[1].split()[0]
+
+    @pytest.mark.parametrize("objective,clients,seed", sorted(ORACLE_DIGESTS),
+                             ids=["-".join(case) for case in sorted(ORACLE_DIGESTS)])
+    def test_output_matches_recorded_digests(self, capsys, objective, clients, seed):
+        code = main(["oracle", "--objective", objective, "--clients", clients, "--seed", seed])
+        assert code == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == ORACLE_DIGESTS[objective, clients, seed]
 
     @pytest.mark.parametrize("flags", [
         ["--clients", "0"], ["--shift-std", "inf"], ["--shift-std", "-1"], ["--shift-std", "nan"],

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from fedelim import protocol
 from fedelim.fedcore import SmoothParams
 from fedelim.harness import (
     AggregateMetrics,
@@ -112,6 +113,24 @@ class TestRun:
         metrics = run(small_config(clients=3), 4)
         for final, log in zip(metrics.final_regret_per_client, metrics.pull_logs):
             assert final == float(np.sum(log.regret_array()))
+
+    def test_each_cell_is_evaluated_once_for_every_client(self, monkeypatch):
+        calls = []
+        representative = protocol.representative
+        monkeypatch.setattr(protocol, "representative",
+                            lambda *a: calls.append(a[1]) or representative(*a))
+        metrics = run(small_config(clients=4, horizon=3000, delta_gap=0.05), 2, record_pulls=True)
+        assert metrics.stage_transition_t is not None
+        per_client = [{node for node, _, _ in log.segments} for log in metrics.pull_logs]
+        cells = set().union(*per_client)
+        assert sorted(calls) == sorted(cells)
+        # personal stages revisit cells: one table per client would evaluate more
+        assert len(cells) < sum(len(c) for c in per_client)
+
+    def test_run_never_certifies_the_global_optimum(self):
+        for variant in ("pfpne", "global-only", "local-only"):
+            metrics = run(small_config(variant=variant), 0)
+            assert "global_optimum" not in vars(metrics.suite)
 
 
 class TestRunMany:

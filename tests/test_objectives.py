@@ -163,6 +163,25 @@ class TestSuite:
                 acc += suite.eval_local(m, x)
             assert suite.eval_global_batch(x[None, :])[0] == acc / 4
 
+    @pytest.mark.parametrize("name", OBJECTIVE_NAMES)
+    def test_client_values_match_the_batch_path_bit_for_bit(self, name):
+        # The protocol's cell table holds eval_clients rows; each entry must
+        # round exactly as one-row evaluation does, clipped shifts and
+        # rastrigin's 10-term row sum included.
+        base = make_base(name)
+        domain = base.domain
+        rng = np.random.default_rng(13)
+        shifts = rng.uniform(-0.2, 0.2, size=(5, domain.dim)) * domain.widths
+        suite = ObjectiveSuite(base, shifts, NoiseModel(0.0), seed=0)
+        clipped = 0
+        for x in rng.uniform(domain.lower, domain.upper, size=(40, domain.dim)):
+            values = suite.eval_clients(x)
+            for m in range(1, 6):
+                assert values[m - 1] == suite.eval_local_batch(m, x[None])[0]
+                assert suite.eval_local(m, x) == values[m - 1]
+                clipped += not domain.contains(x - shifts[m - 1])
+        assert clipped > 0
+
     def test_bad_client_index_rejected(self):
         suite = make_suite(ramp_base(), clients=2, shift_std=0.0,
                            noise_halfwidth=0.0, seed=1)
@@ -196,6 +215,8 @@ class TestSuite:
                            noise_halfwidth=0.0, seed=1)
         with pytest.raises(ValueError):
             suite.eval_local(1, [1.5])
+        with pytest.raises(ValueError):
+            suite.eval_clients([1.5])
 
 
 class TestSampling:

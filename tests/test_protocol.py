@@ -42,7 +42,7 @@ def ramp_suite(clients=1, noise=0.0, seed=1, shift_std=0.0):
 
 def make_client(suite, conf, smooth, h0=3, depth_cap=40, pe_enabled=True, m=1, seed=1):
     return Client(m, suite, SPEC, conf, smooth, h0, depth_cap, pe_enabled,
-                  substream(seed, PURPOSE_NOISE, m))
+                  substream(seed, PURPOSE_NOISE, m), {})
 
 
 SMOOTH = SmoothParams(nu1=1.0, rho=0.5, delta_gap=0.01)
