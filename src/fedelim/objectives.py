@@ -60,12 +60,62 @@ def _ackley_raw(X: np.ndarray) -> np.ndarray:
     return -20.0 * np.exp(-0.2 * quad) - np.exp(cosm) + 20.0 + math.e
 
 
+# ---------------------------------------------------------------------------
+# Lipschitz bounds of the raw forms: max ||grad raw|| over a box domain
+# ---------------------------------------------------------------------------
+
+def _himmelblau_partial_max(xlo, xhi, ylo, yhi, a, b) -> float:
+    """max |d/dx [(x^2 + y - a)^2 + (x + y^2 - b)^2]| over [xlo, xhi] x [ylo, yhi].
+
+    The partial g = 4x^3 + 4xy - (4a - 2)x + 2y^2 - 2b is a polynomial, so
+    its extremes lie at a corner or where its restriction to an edge or to
+    the interior is stationary: on y = -x (dg/dy = 0) or where
+    12x^2 = 4a - 2 - 4y (dg/dx = 0).  The grid of those coordinates, clipped
+    into the box, holds every such point.
+    """
+    xs = [xlo, xhi]
+    for c in (ylo, yhi):
+        r = math.sqrt(max(0.0, (4.0 * a - 2.0 - 4.0 * c) / 12.0))
+        xs += [r, -r]
+    disc = math.sqrt(16.0 + 48.0 * (4.0 * a - 2.0))
+    xs += [(4.0 + disc) / 24.0, (4.0 - disc) / 24.0]
+    ys = [ylo, yhi] + [-v for v in xs]
+    x = np.clip(np.array(xs), xlo, xhi)[:, None]
+    y = np.clip(np.array(ys), ylo, yhi)[None, :]
+    g = 4.0 * x * (x * x + y - a) + 2.0 * (x + y * y - b)
+    return float(np.max(np.abs(g)))
+
+
+def _himmelblau_lipschitz(domain: BoxDomain) -> float:
+    # d/dy of himmelblau is d/dx with the axes and the constants (11, 7) swapped
+    (xlo, ylo), (xhi, yhi) = domain.lower, domain.upper
+    return math.hypot(_himmelblau_partial_max(xlo, xhi, ylo, yhi, 11.0, 7.0),
+                      _himmelblau_partial_max(ylo, yhi, xlo, xhi, 7.0, 11.0))
+
+
+def _rastrigin_lipschitz(domain: BoxDomain) -> float:
+    # |d/dx_j| = |2 x_j + 20 pi sin(2 pi x_j)| <= 2 max|x_j| + 20 pi
+    reach = np.maximum(np.abs(domain.lower), np.abs(domain.upper))
+    return float(np.sqrt(((2.0 * reach + 20.0 * math.pi) ** 2).sum()))
+
+
+def _ackley_lipschitz(domain: BoxDomain) -> float:
+    # the exp(-0.2 ||x|| / sqrt(d)) term moves at most 4 / sqrt(d) per unit
+    # step, the exp(mean cos) term at most e * 2 pi / sqrt(d)
+    return (4.0 + 2.0 * math.pi * math.e) / math.sqrt(domain.dim)
+
+
+# name: (raw form, orientation, default box, fixed dimension, Lipschitz bound)
+# The 1-D forms have no bound: garland's sqrt|sin 60x| cusp admits none, and
+# a 1-D grid is scanned whole anyway.
 _CATALOG = {
-    "garland": (_garland_raw, ORIENT_VALUE, ([0.0], [1.0]), 1),
-    "doublesine": (_doublesine_raw, ORIENT_VALUE, ([0.0], [1.0]), 1),
-    "himmelblau": (_himmelblau_raw, ORIENT_COST, ([-5.0, -5.0], [5.0, 5.0]), 2),
-    "rastrigin": (_rastrigin_raw, ORIENT_COST, ([-1.0] * 10, [1.0] * 10), None),
-    "ackley": (_ackley_raw, ORIENT_COST, ([-1.0, -1.0], [1.0, 1.0]), None),
+    "garland": (_garland_raw, ORIENT_VALUE, ([0.0], [1.0]), 1, None),
+    "doublesine": (_doublesine_raw, ORIENT_VALUE, ([0.0], [1.0]), 1, None),
+    "himmelblau": (_himmelblau_raw, ORIENT_COST, ([-5.0, -5.0], [5.0, 5.0]), 2,
+                   _himmelblau_lipschitz),
+    "rastrigin": (_rastrigin_raw, ORIENT_COST, ([-1.0] * 10, [1.0] * 10), None,
+                  _rastrigin_lipschitz),
+    "ackley": (_ackley_raw, ORIENT_COST, ([-1.0, -1.0], [1.0, 1.0]), None, _ackley_lipschitz),
 }
 
 OBJECTIVE_NAMES = tuple(sorted(_CATALOG))
@@ -84,17 +134,26 @@ ORACLE_MAX_ZOOM_ROUNDS = 48
 ORACLE_SHRINK = 10.0
 ORACLE_TOP_CANDIDATES = 16
 ORACLE_TOL = 1e-9
+ORACLE_TILE_POINTS = 8             # grid points per tile side in the 2-D screen
+ORACLE_PRUNE_MARGIN = 1e-12        # relative slack before a tile bound rules a tile out
 
 
 @dataclass
 class OptimumCertificate:
-    """Certified optimum: best probed point, its value, and search metadata."""
+    """Certified optimum: best probed point, its value, and search metadata.
+
+    ``probes`` counts the points the value dominates: every grid or random
+    point screened, whether evaluated or ruled out by a Lipschitz bound,
+    plus hints and refinement probes.  ``gap``, where a bound applies,
+    bounds how far the objective's supremum can lie above ``value``.
+    """
 
     x: np.ndarray
     value: float
     method: str
     probes: int = 0
     rounds: int = 0
+    gap: float | None = None
 
 
 def _screen(fn, blocks, keep: int):
@@ -110,6 +169,50 @@ def _screen(fn, blocks, keep: int):
         rows.append(pts[top])
         vals.append(v[top])
     return np.concatenate(rows), np.concatenate(vals), probes
+
+
+def _grid_screen(fn, domain: BoxDomain, keep: int, lipschitz: float | None, zoom_width):
+    """Tiled screen of the 2-D grid: (kept points, their values, largest tile bound).
+
+    With a ``lipschitz`` bound, the middle grid point of each tile of
+    ``ORACLE_TILE_POINTS`` per side is probed first.  A tile's bound is that
+    value plus ``lipschitz`` times the tile's reach: from the representative
+    to the tile's far edge, plus the farthest a zoom refinement of first
+    half-width ``zoom_width``, shrinking by ``ORACLE_SHRINK``, can travel.
+    A tile whose bound lies below the best representative is skipped, so no
+    skipped point, and no zoom started at one, can beat it; a NaN or an
+    infinity in the comparison keeps the tile.  The surviving points are
+    screened in row blocks of about 2M points, keeping each block's ``keep``
+    best.  Without a bound every tile survives and the bound is None.
+    """
+    n, t = ORACLE_GRID_POINTS, ORACLE_TILE_POINTS  # t divides n
+    spacing = domain.widths / (n - 1)
+    axes = [np.linspace(domain.lower[j], domain.upper[j], n) for j in range(2)]
+    alive = np.ones((n // t, n // t), dtype=bool)
+    top_bound = None
+    if lipschitz is not None:
+        mid = np.arange(t // 2, n, t)
+        reps = np.stack([g.ravel() for g in np.meshgrid(axes[0][mid], axes[1][mid],
+                                                        indexing="ij")], axis=1)
+        rep_vals = fn(reps)
+        travel = zoom_width * ORACLE_SHRINK / (ORACLE_SHRINK - 1.0)
+        reach = math.hypot(*((t - t // 2) * spacing + travel))
+        bounds = rep_vals + lipschitz * reach
+        best = float(np.max(rep_vals))
+        alive = ~(bounds < best - ORACLE_PRUNE_MARGIN * max(1.0, abs(best))).reshape(alive.shape)
+        top_bound = float(np.max(bounds))
+
+    def blocks():
+        step = max(1, 2_000_000 // n)
+        tile_of_col = np.arange(n) // t
+        for start in range(0, n, step):
+            rows = np.arange(start, min(start + step, n))
+            i, j = np.nonzero(alive[rows // t][:, tile_of_col])
+            if len(i):
+                yield np.stack([axes[0][rows[i]], axes[1][j]], axis=1)
+
+    pts, vals, _ = _screen(fn, blocks(), keep)
+    return pts, vals, top_bound
 
 
 def _top_separated(points: np.ndarray, values: np.ndarray, count: int, min_sep: np.ndarray):
@@ -204,32 +307,32 @@ def oracle_optimum(
     domain: BoxDomain,
     rng: np.random.Generator | None = None,
     hints: Sequence[np.ndarray] = (),
+    lipschitz: float | None = None,
 ) -> OptimumCertificate:
     """Certified maximum of a batched objective over a box domain.
 
-    Dimensions up to 2 get an exhaustive uniform grid (endpoints included)
-    with local zoom refinement around the top candidates; higher dimensions
+    Dimensions up to 2 get a uniform grid (endpoints included) with local
+    zoom refinement around the top candidates; in two dimensions the grid
+    skips the tiles that ``lipschitz``, a bound on the gradient norm of
+    ``fn`` over the domain, rules out (``_grid_screen``).  Higher dimensions
     get uniform random search plus coordinate-descent refinement.  In-domain
     ``hints`` join the candidates.  The returned value is the maximum over
     every probed point, so the certificate dominates all probes by
-    construction.  Raises ``OracleFailure`` when the incumbent has not
-    converged to ``ORACLE_TOL`` within ``ORACLE_MAX_ZOOM_ROUNDS`` rounds.
+    construction, and skipped grid points by the bound.  Raises
+    ``OracleFailure`` when the incumbent has not converged to ``ORACLE_TOL``
+    within ``ORACLE_MAX_ZOOM_ROUNDS`` rounds.
     """
     d = domain.dim
     keep = 4 * ORACLE_TOP_CANDIDATES
+    top_bound = None
     if d <= 2:
-        axes = [np.linspace(domain.lower[j], domain.upper[j], ORACLE_GRID_POINTS) for j in range(d)]
-        if d == 1:
-            pts = axes[0][:, None]
-            vals = fn(pts)
-            probes = len(pts)
-        else:
-            step = max(1, 2_000_000 // ORACLE_GRID_POINTS)
-            blocks = (np.stack([g.ravel() for g in np.meshgrid(axes[0][i:i + step], axes[1],
-                                                               indexing="ij")], axis=1)
-                      for i in range(0, ORACLE_GRID_POINTS, step))
-            pts, vals, probes = _screen(fn, blocks, keep)
         spacing = domain.widths / (ORACLE_GRID_POINTS - 1)
+        if d == 1:
+            pts = np.linspace(domain.lower[0], domain.upper[0], ORACLE_GRID_POINTS)[:, None]
+            vals = fn(pts)
+        else:
+            pts, vals, top_bound = _grid_screen(fn, domain, keep, lipschitz, 2 * spacing)
+        probes = ORACLE_GRID_POINTS ** d
         candidates = _top_separated(pts, vals, ORACLE_TOP_CANDIDATES, 2 * spacing)
         method = "grid-zoom"
         refine = lambda x0, v0: _zoom_refine(fn, domain, x0, v0, 2 * spacing)
@@ -261,7 +364,9 @@ def oracle_optimum(
             f"optimum search did not converge to {ORACLE_TOL:g} within "
             f"{ORACLE_MAX_ZOOM_ROUNDS} refinement rounds"
         )
-    return OptimumCertificate(x=best_x, value=best_v, method=method, probes=probes, rounds=rounds)
+    gap = None if top_bound is None else top_bound - best_v
+    return OptimumCertificate(x=best_x, value=best_v, method=method, probes=probes, rounds=rounds,
+                              gap=gap)
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +382,8 @@ class BaseObjective:
     ``1 - raw / max``, so values land in [0, 1] with the peak at 1.
     ``known_optimum`` is the analytically known argmax of the normalized
     form where one exists (used for translation shortcuts on shifted copies).
+    ``lipschitz`` bounds the raw form's gradient norm over the domain, where
+    an analytic bound exists; the grid oracle prunes with it.
     """
 
     name: str
@@ -285,6 +392,12 @@ class BaseObjective:
     orientation: str
     raw_fn: Callable[[np.ndarray], np.ndarray]
     known_optimum: np.ndarray | None = None
+    lipschitz: float | None = None
+
+    @property
+    def value_lipschitz(self) -> float | None:
+        """Bound for the normalized form; clipped shifts and their mean keep it."""
+        return None if self.lipschitz is None else self.lipschitz / self.normalization_max
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
         raw = self.raw_fn(np.atleast_2d(np.asarray(X, dtype=float)))
@@ -310,18 +423,28 @@ def make_base(name: str, domain: BoxDomain | None = None) -> BaseObjective:
     """Build a named objective, certifying its normalization constant.
 
     The raw extreme is certified by the grid oracle (per dimension for the
-    separable rastrigin sum, jointly otherwise).  Results are cached per
-    (name, domain).
+    separable rastrigin sum, jointly otherwise), pruned by the objective's
+    Lipschitz bound.  A domain on which that bound times the diameter is not
+    finite, where the raw form can overflow, is rejected.  Results are
+    cached per (name, domain).
     """
     if name not in _CATALOG:
         raise ValueError(f"unknown objective {name!r}; expected one of {OBJECTIVE_NAMES}")
-    raw_fn, orientation, (dlo, dup), rigid_dim = _CATALOG[name]
+    raw_fn, orientation, (dlo, dup), rigid_dim, lipschitz_fn = _CATALOG[name]
     domain = domain or BoxDomain(dlo, dup)
     if rigid_dim is not None and domain.dim != rigid_dim:
         raise ValueError(f"{name} is defined on a {rigid_dim}-dimensional domain")
     key = (name, domain.bounds_key())
     if key in _BASE_CACHE:
         return _BASE_CACHE[key]
+    lipschitz = None
+    if lipschitz_fn is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            lipschitz = lipschitz_fn(domain)
+        # raw varies by at most L * diameter over the box
+        if not math.isfinite(lipschitz * math.hypot(*domain.widths)):
+            box = " x ".join(f"[{lo:g}, {hi:g}]" for lo, hi in zip(domain.lower, domain.upper))
+            raise ValueError(f"{name} overflows on the domain {box}")
 
     if name == "rastrigin":
         # 10*d + sum_j g(x_j) is separable: certify max(g) one dimension at a time.
@@ -331,7 +454,7 @@ def make_base(name: str, domain: BoxDomain | None = None) -> BaseObjective:
             norm_max += oracle_optimum(_rastrigin_term, line).value
         known = np.zeros(domain.dim) if domain.contains(np.zeros(domain.dim)) else None
     else:
-        res = oracle_optimum(raw_fn, domain)
+        res = oracle_optimum(raw_fn, domain, lipschitz=lipschitz)
         norm_max = res.value
         if orientation == ORIENT_VALUE:
             known = res.x
@@ -341,7 +464,8 @@ def make_base(name: str, domain: BoxDomain | None = None) -> BaseObjective:
             known = np.zeros(domain.dim) if domain.contains(np.zeros(domain.dim)) else None
 
     obj = BaseObjective(name=name, domain=domain, normalization_max=norm_max,
-                        orientation=orientation, raw_fn=raw_fn, known_optimum=known)
+                        orientation=orientation, raw_fn=raw_fn, known_optimum=known,
+                        lipschitz=lipschitz)
     _BASE_CACHE[key] = obj
     return obj
 
@@ -386,7 +510,7 @@ def _certify_shifted(base: BaseObjective, shift: np.ndarray, fn,
             if val >= float(base.evaluate_batch(known[None, :])[0]):
                 return OptimumCertificate(x=cand, value=val, method="shift-translation", probes=1)
     hints = [known + shift] if known is not None and base.domain.dim > 2 else []
-    return oracle_optimum(fn, base.domain, rng=rng, hints=hints)
+    return oracle_optimum(fn, base.domain, rng=rng, hints=hints, lipschitz=base.value_lipschitz)
 
 
 class ObjectiveSuite:
@@ -425,7 +549,8 @@ class ObjectiveSuite:
         if known is not None and self.domain.dim > 2:
             hints = [self.domain.clip(known + self.shifts.mean(axis=0))]
         return oracle_optimum(self.eval_global_batch, self.domain,
-                              rng=substream(self.seed, PURPOSE_ORACLE, 0), hints=hints)
+                              rng=substream(self.seed, PURPOSE_ORACLE, 0), hints=hints,
+                              lipschitz=self.base.value_lipschitz)
 
     @property
     def clients(self) -> int:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -300,6 +301,20 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "config error" in err and "Traceback" not in err
+
+    def test_objective_that_overflows_on_its_domain_exits_2(self, tmp_path, capsys):
+        # himmelblau's raw form exceeds the float range on this box; its
+        # certification must be refused, not attempted
+        path = tmp_path / "huge.ini"
+        path.write_text("[experiment]\nobjective = himmelblau\nclients = 2\nhorizon = 100\n"
+                        "domain_lower = -1e200, -1e200\ndomain_upper = 1e200, 1e200\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "config error: himmelblau overflows on the domain" in err
+        assert "[-1e+200, 1e+200] x [-1e+200, 1e+200]" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("lines", [
         "variant = pfpne\nvariants = local-only", "variants = local-only\nvariant = pfpne",

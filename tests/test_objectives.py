@@ -1,4 +1,6 @@
 """Objective normalization, suites, the optimum oracle, and profiling."""
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -320,6 +322,110 @@ class TestOracle:
         monkeypatch.setattr(objectives, "ORACLE_MAX_ZOOM_ROUNDS", 1)
         with pytest.raises(OracleFailure):
             oracle_optimum(lambda X: X[:, 0], BoxDomain([0.0], [1.0]))
+
+
+def two_dim_bases():
+    """The objectives with a Lipschitz bound, on 2-D boxes; rastrigin's is asymmetric."""
+    return [make_base("himmelblau"), make_base("ackley"),
+            make_base("rastrigin", BoxDomain([-2.0, -1.0], [1.0, 3.0]))]
+
+
+def counting(fn):
+    """``fn`` and a one-element list that accumulates the rows it evaluates."""
+    rows = [0]
+
+    def counted(X):
+        rows[0] += len(X)
+        return fn(X)
+
+    return counted, rows
+
+
+class TestLipschitz:
+    @staticmethod
+    def assert_lipschitz(fn, domain, lipschitz, rng):
+        lo, hi = domain.lower, domain.upper
+        x = rng.uniform(lo, hi, size=(20_000, 2))
+        y = rng.uniform(lo, hi, size=(20_000, 2))
+        # short steps along the gradient, where the bound is tightest, from
+        # every corner and from random points
+        starts = np.concatenate([np.array(list(itertools.product(*zip(lo, hi)))),
+                                 rng.uniform(lo, hi, size=(2_000, 2))])
+        h = 1e-7 * domain.widths
+        grad = np.empty_like(starts)
+        for j, e in enumerate(np.eye(2)):
+            up, down = domain.clip(starts + h * e), domain.clip(starts - h * e)
+            grad[:, j] = (fn(up) - fn(down)) / (up[:, j] - down[:, j])
+        unit = grad / np.maximum(np.linalg.norm(grad, axis=1), 1e-300)[:, None]
+        step = 1e-5 * float(np.linalg.norm(domain.widths))
+        for sign in (1.0, -1.0):
+            x = np.concatenate([x, starts])
+            y = np.concatenate([y, domain.clip(starts + sign * step * unit)])
+        dist = np.linalg.norm(x - y, axis=1)
+        assert np.all(np.abs(fn(x) - fn(y)) <= lipschitz * dist * (1 + 1e-9))
+
+    @pytest.mark.parametrize("index", range(3), ids=["himmelblau", "ackley", "rastrigin-2d"])
+    def test_bounds_are_sound(self, index):
+        base = two_dim_bases()[index]
+        rng = np.random.default_rng(31 + index)
+        self.assert_lipschitz(base.raw_fn, base.domain, base.lipschitz, rng)
+        # shifts up to a third of the width, so that clipping bites
+        shifts = rng.uniform(-1 / 3, 1 / 3, size=(3, 2)) * base.domain.widths
+        suite = ObjectiveSuite(base, shifts, NoiseModel(0.0), seed=0)
+        for m in (1, 2, 3):
+            self.assert_lipschitz(functools.partial(suite.eval_local_batch, m), base.domain,
+                                  base.value_lipschitz, rng)
+        self.assert_lipschitz(suite.eval_global_batch, base.domain, base.value_lipschitz, rng)
+
+    def test_one_dimensional_objectives_have_no_bound(self):
+        assert make_base("garland").lipschitz is None
+        assert make_base("doublesine").value_lipschitz is None
+
+
+class TestPrunedScreen:
+    @pytest.mark.parametrize("case", ["himmelblau", "ackley", "himmelblau-global"])
+    def test_pruning_keeps_the_certificate(self, case):
+        if case == "himmelblau-global":
+            base = make_base("himmelblau")
+            suite = make_suite(base, clients=3, shift_std=0.5, noise_halfwidth=0.0, seed=0)
+            fn, lipschitz = suite.eval_global_batch, base.value_lipschitz
+        else:
+            base = make_base(case)
+            fn, lipschitz = base.raw_fn, base.lipschitz
+        pruned_fn, pruned_rows = counting(fn)
+        full_fn, full_rows = counting(fn)
+        pruned = oracle_optimum(pruned_fn, base.domain, lipschitz=lipschitz)
+        full = oracle_optimum(full_fn, base.domain)
+        assert pruned.value == full.value
+        if case == "ackley":
+            # eight symmetric raw maxima at (+-1, +-0.5588) and (+-0.5588, +-1)
+            # tie exactly; the screens may pick different ones
+            assert sorted(np.abs(pruned.x)) == sorted(np.abs(full.x))
+        else:
+            assert np.array_equal(pruned.x, full.x)
+        assert full.gap is None and pruned.gap >= 0.0
+        assert pruned_rows[0] < full_rows[0] / 10
+
+    @pytest.mark.parametrize("index", range(3), ids=["himmelblau", "ackley", "rastrigin-2d"])
+    def test_gap_bounds_every_point(self, index):
+        base = two_dim_bases()[index]
+        cert = oracle_optimum(base.raw_fn, base.domain, lipschitz=base.lipschitz)
+        cloud = np.random.default_rng(41).uniform(base.domain.lower, base.domain.upper,
+                                                   size=(100_000, 2))
+        assert 0.0 <= cert.gap and np.max(base.raw_fn(cloud)) <= cert.value + cert.gap
+
+    @pytest.mark.parametrize("lipschitz", [math.nan, math.inf])
+    def test_non_finite_bound_keeps_every_tile(self, monkeypatch, lipschitz):
+        monkeypatch.setattr(objectives, "ORACLE_GRID_POINTS", 256)
+        fn = lambda X: 1.0 - (X[:, 0] - 0.3) ** 2 - (X[:, 1] + 0.4) ** 2
+        domain = BoxDomain([-1.0, -1.0], [1.0, 1.0])
+        counted, rows = counting(fn)
+        res = oracle_optimum(counted, domain, lipschitz=lipschitz)
+        ref = oracle_optimum(fn, domain)
+        assert res.value == ref.value and np.array_equal(res.x, ref.x)
+        assert res.probes == ref.probes and not math.isfinite(res.gap)
+        # every representative, then every grid point, then the zoom
+        assert rows[0] == (256 // objectives.ORACLE_TILE_POINTS) ** 2 + ref.probes
 
 
 class TestProfile:
