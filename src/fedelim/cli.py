@@ -201,8 +201,12 @@ def write_outputs(results: dict[str, AggregateMetrics], out_dir: Path) -> None:
         writer.writerow(REGRET_HEADER)
         for variant in sorted(results):
             for metrics in sorted(results[variant].runs, key=lambda r: r.seed):
-                for t, value in zip(metrics.checkpoints, metrics.avg_cum_regret):
-                    writer.writerow([variant, metrics.seed, int(t), format_float(value)])
+                # One format per run: %.17g is format_float's, \r\n is csv's terminator.
+                n = len(metrics.checkpoints)
+                cells = [None] * (2 * n)
+                cells[::2] = metrics.checkpoints.tolist()
+                cells[1::2] = metrics.avg_cum_regret.tolist()
+                fh.write((f"{variant},{metrics.seed},%d,%.17g\r\n" * n) % tuple(cells))
     with open(out_dir / "comm.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(COMM_HEADER)
@@ -231,6 +235,9 @@ def cmd_run(args) -> int:
         Path(args.out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {args.out}: {exc}") from exc
+    for path in (Path(args.out) / name for name in ("regret.csv", "comm.csv", "summary.json")):
+        if path.exists() and not path.is_file():
+            raise ConfigError(f"output path {path} exists and is not a regular file")
     results = _execute(configs)
     write_outputs(results, Path(args.out))
     for variant in sorted(results):
@@ -304,7 +311,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"fedelim: config error: {exc}", file=sys.stderr)
         return 2
-    except (OracleFailure, ProtocolFault, ValueError) as exc:
+    except (OracleFailure, ProtocolFault, ValueError, OSError) as exc:
         print(f"fedelim: runtime fault: {exc}", file=sys.stderr)
         return 3
     except SystemExit as exc:

@@ -19,8 +19,8 @@ the collaborative test and a personal test on the client's own rewards.
 
 The driver is synchronous and deterministic: given a suite and a master
 seed, every pull, message and elimination event is reproducible.  Each
-client's pull log keeps one segment per batch (the cell, the batch's reward
-array and their shared instant regret), not one entry per pull.
+client's pull log keeps one segment per batch (the cell, the pull count, the
+reward sum and their shared instant regret), not one entry per pull.
 """
 from __future__ import annotations
 
@@ -57,23 +57,27 @@ class PullLog:
     """One client's pulls, stored as one segment per batch.
 
     Every pull of a batch hits the same cell, so a segment is the cell, the
-    batch's reward array and the instant regret shared by all its pulls.
-    Per-pull sequences are expanded only when asked for.
+    pull count, the reward sum and the instant regret shared by all its
+    pulls.  The rewards themselves are not kept: elimination reads only
+    counts and sums.
     """
 
     def __init__(self):
-        self.segments: list[tuple[NodeId, np.ndarray, float]] = []
+        self.segments: list[tuple[NodeId, int, float, float]] = []
 
-    def append_batch(self, node: NodeId, rewards: np.ndarray, instant_regret: float) -> None:
-        self.segments.append((node, rewards, instant_regret))
+    def append_batch(self, node: NodeId, rewards: np.ndarray, instant_regret: float) -> float:
+        """Log one batch of pulls of ``node`` and return its reward sum."""
+        total = float(rewards.sum())
+        self.segments.append((node, len(rewards), total, instant_regret))
+        return total
 
     def __len__(self) -> int:
-        return sum(len(rewards) for _, rewards, _ in self.segments)
+        return sum(pulls for _, pulls, _, _ in self.segments)
 
     def regret_array(self) -> np.ndarray:
         """Instant regret of every pull, in pull order."""
-        regrets = [regret for _, _, regret in self.segments]
-        counts = [len(rewards) for _, rewards, _ in self.segments]
+        regrets = [regret for _, _, _, regret in self.segments]
+        counts = [pulls for _, pulls, _, _ in self.segments]
         return np.repeat(np.asarray(regrets, dtype=float), counts)
 
 
@@ -200,13 +204,10 @@ class Client:
     def _pull_batch(self, node: NodeId, n: int) -> None:
         value = self._cell_value(node)
         rewards = value + self.suite.noise.draw(self.rng, n)
-        instant = self.f_star - value
-        self.pull_log.append_batch(node, rewards, instant)
+        pulls, total = n, self.pull_log.append_batch(node, rewards, self.f_star - value)
         prev = self.stats.get(node)
-        if prev is None:
-            pulls, total = n, float(rewards.sum())
-        else:
-            pulls, total = prev.pulls + n, prev.reward_sum + float(rewards.sum())
+        if prev is not None:
+            pulls, total = prev.pulls + n, prev.reward_sum + total
         self.stats[node] = NodeStats.from_counts(pulls, total, self.conf)
         self.clock += n
 

@@ -1,15 +1,32 @@
-"""Per-pull views of a segment pull log, for tests that compare pulls one by one."""
+"""Per-pull views of a segment pull log, for tests that compare pulls one by one.
+
+A segment keeps a batch's pull count and reward sum, not its rewards.  The
+rewards are re-drawn here exactly as the protocol drew them: each client's
+noise substream, one draw per segment in segment order, added to the cell's
+value for that client.
+"""
 import numpy as np
 
+from fedelim.partition import PartitionSpec, representative
+from fedelim.seeding import PURPOSE_NOISE, substream
 
-def expand_pulls(log):
-    """(depths, indices, rewards, instant regrets) of every pull, in pull order.
 
-    Depths and indices are lists; rewards and instant regrets are arrays.
+def expand_pulls(log, suite, m, seed, spec=PartitionSpec(2)):
+    """(depths, indices, rewards, instant regrets) of every pull of client ``m``, in pull order.
+
+    ``suite``, ``seed`` and ``spec`` are the run's.  Depths and indices are
+    lists; rewards and instant regrets are arrays.  Every re-drawn batch must
+    sum, bit for bit, to its segment's stored reward sum.
     """
-    depths, indices = [], []
-    for node, rewards, _ in log.segments:
-        depths += [node.depth] * len(rewards)
-        indices += [node.index] * len(rewards)
-    rewards = np.concatenate([rewards for _, rewards, _ in log.segments])
-    return depths, indices, rewards, log.regret_array()
+    rng = substream(seed, PURPOSE_NOISE, m)
+    depths, indices, batches = [], [], []
+    for k, (node, pulls, reward_sum, _) in enumerate(log.segments):
+        value = float(suite.eval_clients(representative(suite.domain, node, spec))[m - 1])
+        rewards = value + suite.noise.draw(rng, pulls)
+        assert float(rewards.sum()) == reward_sum, (
+            f"client {m}, segment {k} ({node}): replayed sum {float(rewards.sum())!r} "
+            f"!= stored {reward_sum!r}")
+        depths += [node.depth] * pulls
+        indices += [node.index] * pulls
+        batches.append(rewards)
+    return depths, indices, np.concatenate(batches), log.regret_array()

@@ -192,8 +192,8 @@ class TestCriterion06DegenerationIdentities:
                 mismatches.append(f"seed {seed}: unexpected communication")
                 continue
             for m, (la, lb) in enumerate(zip(a.pull_logs, b.pull_logs), start=1):
-                depths_a, indices_a, rewards_a, regrets_a = expand_pulls(la)
-                depths_b, indices_b, rewards_b, regrets_b = expand_pulls(lb)
+                depths_a, indices_a, rewards_a, regrets_a = expand_pulls(la, a.suite, m, seed)
+                depths_b, indices_b, rewards_b, regrets_b = expand_pulls(lb, b.suite, m, seed)
                 if (depths_a != depths_b or indices_a != indices_b
                         or not np.array_equal(rewards_a, rewards_b)
                         or not np.array_equal(regrets_a, regrets_b)):

@@ -289,6 +289,31 @@ class TestRunCommand:
         assert "cannot create output directory" in err and "Traceback" not in err
         assert executed == []
 
+    @pytest.mark.parametrize("name", ["regret.csv", "comm.csv", "summary.json"])
+    def test_output_file_that_is_a_directory_exits_2_before_any_run(
+            self, tmp_path, capsys, monkeypatch, name):
+        (tmp_path / name).mkdir()
+        executed = []
+        monkeypatch.setattr(cli, "_execute", executed.append)
+        code = main(["run", "--objective", "garland", "--clients", "2", "--horizon", "100",
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(tmp_path / name) in err and "Traceback" not in err
+        assert executed == []
+
+    def test_write_failure_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch):
+        def fail(results, out_dir):
+            raise PermissionError(f"[Errno 13] Permission denied: '{out_dir / 'regret.csv'}'")
+
+        monkeypatch.setattr(cli, "write_outputs", fail)
+        code = main(["run", "--objective", "garland", "--clients", "2", "--horizon", "100",
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("fedelim: runtime fault:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("line", [
         "noise = nan", "noise = inf", "nu1 = inf", "nu1 = nan", "c1 = inf", "c1 = nan",
         "c = nan", "c = inf", "shift_std = inf", "shift_std = nan",

@@ -1,4 +1,6 @@
 """Experiment orchestration: configs, variants, determinism, aggregation."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from fedelim.harness import (
     run_many,
     variant_schedule,
 )
+from fedelim.seeding import substream
+import pull_helpers
 from pull_helpers import expand_pulls
 
 SMOOTH = SmoothParams(1.0, 0.5, 0.01)
@@ -71,9 +75,9 @@ class TestRun:
         a = run(small_config(variant="pfpne", **kwargs), 5)
         b = run(small_config(variant="local-only", **kwargs), 5)
         assert a.comm_rounds_total == 0
-        for la, lb in zip(a.pull_logs, b.pull_logs):
-            depths_a, indices_a, rewards_a, _ = expand_pulls(la)
-            depths_b, indices_b, rewards_b, _ = expand_pulls(lb)
+        for m, (la, lb) in enumerate(zip(a.pull_logs, b.pull_logs), start=1):
+            depths_a, indices_a, rewards_a, _ = expand_pulls(la, a.suite, m, a.seed)
+            depths_b, indices_b, rewards_b, _ = expand_pulls(lb, b.suite, m, b.seed)
             assert depths_a == depths_b
             assert indices_a == indices_b
             assert np.array_equal(rewards_a, rewards_b)
@@ -93,9 +97,9 @@ class TestRun:
         cut = a.stage_transition_t
         if cut is None:
             cut = a.horizon
-        for la, lb in zip(a.pull_logs, b.pull_logs):
-            _, indices_a, rewards_a, _ = expand_pulls(la)
-            _, indices_b, rewards_b, _ = expand_pulls(lb)
+        for m, (la, lb) in enumerate(zip(a.pull_logs, b.pull_logs), start=1):
+            _, indices_a, rewards_a, _ = expand_pulls(la, a.suite, m, a.seed)
+            _, indices_b, rewards_b, _ = expand_pulls(lb, b.suite, m, b.seed)
             assert indices_a[:cut] == indices_b[:cut]
             assert np.array_equal(rewards_a[:cut], rewards_b[:cut])
 
@@ -121,7 +125,7 @@ class TestRun:
                             lambda *a: calls.append(a[1]) or representative(*a))
         metrics = run(small_config(clients=4, horizon=3000, delta_gap=0.05), 2, record_pulls=True)
         assert metrics.stage_transition_t is not None
-        per_client = [{node for node, _, _ in log.segments} for log in metrics.pull_logs]
+        per_client = [{node for node, *_ in log.segments} for log in metrics.pull_logs]
         cells = set().union(*per_client)
         assert sorted(calls) == sorted(cells)
         # personal stages revisit cells: one table per client would evaluate more
@@ -131,6 +135,58 @@ class TestRun:
         for variant in ("pfpne", "global-only", "local-only"):
             metrics = run(small_config(variant=variant), 0)
             assert "global_optimum" not in vars(metrics.suite)
+
+
+class TestPullLog:
+    def test_memory_held_by_a_run_does_not_grow_with_pulls(self):
+        config = small_config(clients=5, horizon=200_000)
+        run(config, 1)  # warm-up: imports and the cached base certificate
+        tracemalloc.start()
+        try:
+            metrics = run(config, 1)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a million pulls; eight bytes of reward each would hold 8 MB
+        assert sum(len(log) for log in metrics.pull_logs) == 1_000_000
+        assert held < 1 << 20, held
+        for log in metrics.pull_logs:
+            assert not any(isinstance(field, np.ndarray)
+                           for segment in log.segments for field in segment)
+
+    @pytest.mark.parametrize("noise", [0.1, 0.0])
+    @pytest.mark.parametrize("variant", ["pfpne", "global-only", "local-only"])
+    @pytest.mark.parametrize("objective", ["garland", "doublesine"])
+    def test_replay_redraws_every_segment(self, objective, variant, noise, monkeypatch):
+        leftovers = []
+        spend_rest = protocol.Client._spend_rest
+        monkeypatch.setattr(protocol.Client, "_spend_rest",
+                            lambda c, frontier: leftovers.append(c.budget) or spend_rest(c, frontier))
+        config = small_config(objective=objective, variant=variant, clients=3, horizon=1000,
+                              noise=noise, depth_cap=5)
+        metrics = run(config, 4)
+        # the depth cap leaves budget over for every client
+        assert len(leftovers) == 3 and min(leftovers) > 0
+        for m, log in enumerate(metrics.pull_logs, start=1):
+            depths, indices, rewards, regrets = expand_pulls(log, metrics.suite, m, 4)
+            assert len(depths) == len(indices) == len(rewards) == len(regrets) == 1000
+            if noise == 0.0:  # every reward is the cell's value
+                assert np.array_equal(regrets, metrics.suite.local_star(m) - rewards)
+
+    def test_shifted_replay_fails(self, monkeypatch):
+        metrics = run(small_config(clients=3, horizon=1000, noise=0.1, depth_cap=5), 4)
+        draw = metrics.suite.noise.draw
+
+        def skipping_substream(seed, purpose, m):
+            rng = substream(seed, purpose, m)
+            draw(rng, 1)  # one draw skipped
+            return rng
+
+        expand_pulls(metrics.pull_logs[0], metrics.suite, 1, 4)
+        with monkeypatch.context() as patched:
+            patched.setattr(pull_helpers, "substream", skipping_substream)
+            with pytest.raises(AssertionError, match="replayed sum"):
+                expand_pulls(metrics.pull_logs[0], metrics.suite, 1, 4)
 
 
 class TestRunMany:

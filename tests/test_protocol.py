@@ -52,10 +52,10 @@ def personal_eliminations(result):
     return sum(len(e.eliminated) for events in result.client_events for e in events)
 
 
-def rewards_by_node(log):
+def rewards_by_node(log, suite, m, seed):
     """One client's rewards per node, in pull order."""
     out: dict[NodeId, list[float]] = {}
-    depths, indices, rewards, _ = expand_pulls(log)
+    depths, indices, rewards, _ = expand_pulls(log, suite, m, seed)
     for d, i, r in zip(depths, indices, rewards.tolist()):
         out.setdefault(NodeId(d, i), []).append(r)
     return out
@@ -286,7 +286,7 @@ class TestFallback:
         client.run_pe()
         assert client.stage is Stage.EXHAUSTED
         assert client.budget == 0
-        depths, indices, _, _ = expand_pulls(client.pull_log)
+        depths, indices, _, _ = expand_pulls(client.pull_log, suite, 1, 1)
         tail_nodes = set(zip(depths[-37:], indices[-37:]))
         assert len(tail_nodes) == 1
         (depth, index), = tail_nodes
@@ -302,7 +302,7 @@ class TestFallback:
         conf = ConfParams(0.1, 1.0, 0.1, horizon)
         client = make_client(suite, conf, smooth, h0=0, depth_cap=2)
         client.run_pe()
-        _, _, _, regrets = expand_pulls(client.pull_log)
+        _, _, _, regrets = expand_pulls(client.pull_log, suite, 1, 1)
         tail = regrets[-12:]
         assert len(tail) == 12 and len(set(tail.tolist())) == 1
 
@@ -405,7 +405,7 @@ class TestDrivenRuns:
                               depth_cap=40, seed=9)
         assert personal_eliminations(result) > 0
         # own rewards per node per client, accumulated over the whole run
-        own = [rewards_by_node(log) for log in result.pull_logs]
+        own = [rewards_by_node(log, suite, m, 9) for m, log in enumerate(result.pull_logs, start=1)]
         server = {e.depth: e for e in result.comm_rounds}
         # the broadcast statistics, merged again from every client's pulls of the
         # survivors (protected cells are never pulled after stage one)
@@ -471,6 +471,6 @@ class TestDrivenRuns:
         conf = ConfParams(0.1, 1.0, 1 / 3, 1000)
         result = run_protocol(suite, SPEC, conf, SMOOTH, h0=7, pe_enabled=True,
                               depth_cap=40, seed=12)
-        for log in result.pull_logs:
-            _, _, _, regrets = expand_pulls(log)
+        for m, log in enumerate(result.pull_logs, start=1):
+            _, _, _, regrets = expand_pulls(log, suite, m, 12)
             assert len(regrets) == 1000 and np.all(regrets >= -1e-9)
