@@ -155,7 +155,6 @@ class RunMetrics(ProtocolResult):
     seed: int
     checkpoints: np.ndarray
     avg_cum_regret: np.ndarray
-    final_regret_per_client: np.ndarray
     suite: ObjectiveSuite
 
     @property
@@ -258,10 +257,8 @@ def run(config: ExperimentConfig, seed: int, record_pulls: bool = True,
     )
     checkpoints = checkpoint_grid(config.horizon, config.checkpoint_stride)
     trace = average_regret_trace(result.pull_logs, checkpoints)
-    finals = np.asarray([float(np.sum(log.regret_array())) for log in result.pull_logs])
     metrics = RunMetrics(**vars(result), variant=config.variant, seed=seed,
-                         checkpoints=checkpoints, avg_cum_regret=trace,
-                         final_regret_per_client=finals, suite=suite)
+                         checkpoints=checkpoints, avg_cum_regret=trace, suite=suite)
     if not record_pulls:
         metrics.pull_logs = None
     return metrics

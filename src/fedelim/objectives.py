@@ -3,22 +3,24 @@
 Five named benchmark objectives are normalized so their values lie in [0, 1]
 with a maximum of 1 at the certified optimizer.  A suite holds M shifted
 copies ``f_m(x) = base(clip(x - s_m))`` plus their average, a symmetric
-bounded noise model, and brute-force optimum certificates computed by the
-grid / random-search oracle below.  The near-optimality profiler counts
-grid cells whose center clears a value threshold, a diagnostic proxy for
-covering numbers of near-optimal sets.
+bounded noise model, and brute-force optimum certificates: the grid oracle
+below on domains of up to two dimensions, and, for rastrigin in any
+dimension, the same oracle run one coordinate at a time on its separable
+sum.  The near-optimality profiler counts grid cells whose center clears a
+value threshold, a diagnostic proxy for covering numbers of near-optimal
+sets.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .partition import BoxDomain
-from .seeding import PURPOSE_ORACLE, PURPOSE_SHIFTS, substream
+from .seeding import PURPOSE_SHIFTS, substream
 
 ORIENT_VALUE = "value"  # f = raw / normalization_max  (raw is a reward surface)
 ORIENT_COST = "cost"    # f = 1 - raw / normalization_max  (raw is a loss surface)
@@ -49,9 +51,13 @@ def _himmelblau_raw(X: np.ndarray) -> np.ndarray:
     return (x * x + y - 11.0) ** 2 + (x + y * y - 7.0) ** 2
 
 
+def _rastrigin_term(U: np.ndarray) -> np.ndarray:
+    """Rastrigin's per-coordinate term, elementwise."""
+    return U * U - 10.0 * np.cos(2.0 * math.pi * U)
+
+
 def _rastrigin_raw(X: np.ndarray) -> np.ndarray:
-    d = X.shape[1]
-    return 10.0 * d + (X * X - 10.0 * np.cos(2.0 * math.pi * X)).sum(axis=1)
+    return 10.0 * X.shape[1] + _rastrigin_term(X).sum(axis=1)
 
 
 def _ackley_raw(X: np.ndarray) -> np.ndarray:
@@ -93,10 +99,14 @@ def _himmelblau_lipschitz(domain: BoxDomain) -> float:
                       _himmelblau_partial_max(ylo, yhi, xlo, xhi, 7.0, 11.0))
 
 
-def _rastrigin_lipschitz(domain: BoxDomain) -> float:
+def _rastrigin_slopes(domain: BoxDomain) -> np.ndarray:
     # |d/dx_j| = |2 x_j + 20 pi sin(2 pi x_j)| <= 2 max|x_j| + 20 pi
     reach = np.maximum(np.abs(domain.lower), np.abs(domain.upper))
-    return float(np.sqrt(((2.0 * reach + 20.0 * math.pi) ** 2).sum()))
+    return 2.0 * reach + 20.0 * math.pi
+
+
+def _rastrigin_lipschitz(domain: BoxDomain) -> float:
+    return float(np.sqrt((_rastrigin_slopes(domain) ** 2).sum()))
 
 
 def _ackley_lipschitz(domain: BoxDomain) -> float:
@@ -115,7 +125,7 @@ _CATALOG = {
                    _himmelblau_lipschitz),
     "rastrigin": (_rastrigin_raw, ORIENT_COST, ([-1.0] * 10, [1.0] * 10), None,
                   _rastrigin_lipschitz),
-    "ackley": (_ackley_raw, ORIENT_COST, ([-1.0, -1.0], [1.0, 1.0]), None, _ackley_lipschitz),
+    "ackley": (_ackley_raw, ORIENT_COST, ([-1.0, -1.0], [1.0, 1.0]), 2, _ackley_lipschitz),
 }
 
 OBJECTIVE_NAMES = tuple(sorted(_CATALOG))
@@ -127,7 +137,6 @@ OBJECTIVE_NAMES = tuple(sorted(_CATALOG))
 
 # Resolution of the optimum search.
 ORACLE_GRID_POINTS = 4096          # per dimension, exhaustive grid (dim <= 2)
-ORACLE_RANDOM_SAMPLES = 1_000_000  # uniform probes (dim > 2)
 ORACLE_ZOOM_POINTS = 65            # per dimension per refinement round
 ORACLE_ZOOM_ROUNDS = 3             # minimum refinement rounds
 ORACLE_MAX_ZOOM_ROUNDS = 48
@@ -142,10 +151,11 @@ ORACLE_PRUNE_MARGIN = 1e-12        # relative slack before a tile bound rules a 
 class OptimumCertificate:
     """Certified optimum: best probed point, its value, and search metadata.
 
-    ``probes`` counts the points the value dominates: every grid or random
-    point screened, whether evaluated or ruled out by a Lipschitz bound,
-    plus hints and refinement probes.  ``gap``, where a bound applies,
-    bounds how far the objective's supremum can lie above ``value``.
+    ``probes`` counts the points the value dominates: every grid point
+    screened, whether evaluated or ruled out by a Lipschitz bound, plus
+    refinement probes; a separable certificate counts the probes of its
+    coordinate searches.  ``gap``, where a bound applies, bounds how far the
+    objective's supremum can lie above ``value``.
     """
 
     x: np.ndarray
@@ -154,21 +164,6 @@ class OptimumCertificate:
     probes: int = 0
     rounds: int = 0
     gap: float | None = None
-
-
-def _screen(fn, blocks, keep: int):
-    """Evaluate point blocks, keeping the ``keep`` best rows of each block.
-
-    Returns (kept points, their values, number of points evaluated).
-    """
-    rows, vals, probes = [], [], 0
-    for pts in blocks:
-        v = fn(pts)
-        probes += len(pts)
-        top = np.argsort(v)[-keep:]
-        rows.append(pts[top])
-        vals.append(v[top])
-    return np.concatenate(rows), np.concatenate(vals), probes
 
 
 def _grid_screen(fn, domain: BoxDomain, keep: int, lipschitz: float | None, zoom_width):
@@ -202,17 +197,19 @@ def _grid_screen(fn, domain: BoxDomain, keep: int, lipschitz: float | None, zoom
         alive = ~(bounds < best - ORACLE_PRUNE_MARGIN * max(1.0, abs(best))).reshape(alive.shape)
         top_bound = float(np.max(bounds))
 
-    def blocks():
-        step = max(1, 2_000_000 // n)
-        tile_of_col = np.arange(n) // t
-        for start in range(0, n, step):
-            rows = np.arange(start, min(start + step, n))
-            i, j = np.nonzero(alive[rows // t][:, tile_of_col])
-            if len(i):
-                yield np.stack([axes[0][rows[i]], axes[1][j]], axis=1)
-
-    pts, vals, _ = _screen(fn, blocks(), keep)
-    return pts, vals, top_bound
+    kept_pts, kept_vals = [], []
+    step = max(1, 2_000_000 // n)
+    tile_of_col = np.arange(n) // t
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        i, j = np.nonzero(alive[rows // t][:, tile_of_col])
+        if len(i):
+            pts = np.stack([axes[0][rows[i]], axes[1][j]], axis=1)
+            vals = fn(pts)
+            top = np.argsort(vals)[-keep:]
+            kept_pts.append(pts[top])
+            kept_vals.append(vals[top])
+    return np.concatenate(kept_pts), np.concatenate(kept_vals), top_bound
 
 
 def _top_separated(points: np.ndarray, values: np.ndarray, count: int, min_sep: np.ndarray):
@@ -267,94 +264,40 @@ def _zoom_refine(fn, domain, x0, v0, half_width):
     return x, v, probes, rounds, converged
 
 
-def _coordinate_refine(fn, domain, x0, v0):
-    """Cyclic per-dimension line searches for dim > 2 incumbents.
-
-    The first sweep scans each full coordinate range (so a random-search
-    incumbent can escape a wrong basin); later sweeps zoom in around the
-    incumbent with the usual shrink factor.  Exact for separable surfaces.
-    """
-    x, v = np.array(x0, dtype=float), float(v0)
-    w = domain.widths / 2.0
-    probes = 0
-    sweeps = 0
-    quiet = 0
-    converged = False
-    while sweeps < ORACLE_MAX_ZOOM_ROUNDS:
-        start = v
-        for j in range(domain.dim):
-            grid = np.linspace(max(domain.lower[j], x[j] - w[j]),
-                               min(domain.upper[j], x[j] + w[j]),
-                               ORACLE_ZOOM_POINTS)
-            rows = np.tile(x, (len(grid), 1))
-            rows[:, j] = grid
-            vals = fn(rows)
-            probes += len(rows)
-            k = int(np.argmax(vals))
-            if vals[k] > v:
-                x, v = rows[k].copy(), float(vals[k])
-        w /= ORACLE_SHRINK
-        sweeps += 1
-        quiet = quiet + 1 if v - start <= ORACLE_TOL else 0
-        if sweeps >= ORACLE_ZOOM_ROUNDS and quiet >= 2:
-            converged = True
-            break
-    return x, v, probes, sweeps, converged
-
-
 def oracle_optimum(
     fn: Callable[[np.ndarray], np.ndarray],
     domain: BoxDomain,
-    rng: np.random.Generator | None = None,
-    hints: Sequence[np.ndarray] = (),
     lipschitz: float | None = None,
 ) -> OptimumCertificate:
-    """Certified maximum of a batched objective over a box domain.
+    """Certified maximum of a batched objective over a box of at most two dimensions.
 
-    Dimensions up to 2 get a uniform grid (endpoints included) with local
-    zoom refinement around the top candidates; in two dimensions the grid
-    skips the tiles that ``lipschitz``, a bound on the gradient norm of
-    ``fn`` over the domain, rules out (``_grid_screen``).  Higher dimensions
-    get uniform random search plus coordinate-descent refinement.  In-domain
-    ``hints`` join the candidates.  The returned value is the maximum over
-    every probed point, so the certificate dominates all probes by
-    construction, and skipped grid points by the bound.  Raises
-    ``OracleFailure`` when the incumbent has not converged to ``ORACLE_TOL``
-    within ``ORACLE_MAX_ZOOM_ROUNDS`` rounds.
+    The domain gets a uniform grid (endpoints included) with local zoom
+    refinement around the top candidates.  ``lipschitz``, a bound on the
+    gradient norm of ``fn`` over the domain, yields a ``gap``: in one
+    dimension every point lies within half a spacing of a grid point, and
+    in two the grid skips the tiles that the bound rules out
+    (``_grid_screen``).  The returned value is the maximum over every probed
+    point, so the certificate dominates all probes by construction, and
+    skipped grid points by the bound.  Raises ``ValueError`` above two
+    dimensions, and ``OracleFailure`` when the incumbent has not converged
+    to ``ORACLE_TOL`` within ``ORACLE_MAX_ZOOM_ROUNDS`` rounds.
     """
     d = domain.dim
-    keep = 4 * ORACLE_TOP_CANDIDATES
-    top_bound = None
-    if d <= 2:
-        spacing = domain.widths / (ORACLE_GRID_POINTS - 1)
-        if d == 1:
-            pts = np.linspace(domain.lower[0], domain.upper[0], ORACLE_GRID_POINTS)[:, None]
-            vals = fn(pts)
-        else:
-            pts, vals, top_bound = _grid_screen(fn, domain, keep, lipschitz, 2 * spacing)
-        probes = ORACLE_GRID_POINTS ** d
-        candidates = _top_separated(pts, vals, ORACLE_TOP_CANDIDATES, 2 * spacing)
-        method = "grid-zoom"
-        refine = lambda x0, v0: _zoom_refine(fn, domain, x0, v0, 2 * spacing)
+    if d > 2:
+        raise ValueError(f"the grid oracle covers at most 2 dimensions, not {d}")
+    spacing = domain.widths / (ORACLE_GRID_POINTS - 1)
+    if d == 1:
+        pts = np.linspace(domain.lower[0], domain.upper[0], ORACLE_GRID_POINTS)[:, None]
+        vals = fn(pts)
+        top_bound = None if lipschitz is None else (
+            float(np.max(vals)) + lipschitz * float(spacing[0]) / 2.0)
     else:
-        rng = rng if rng is not None else np.random.default_rng(0)
-        n, step = ORACLE_RANDOM_SAMPLES, 250_000
-        blocks = (rng.uniform(domain.lower, domain.upper, size=(min(step, n - i), d))
-                  for i in range(0, n, step))
-        pts, vals, probes = _screen(fn, blocks, keep)
-        candidates = _top_separated(pts, vals, ORACLE_TOP_CANDIDATES, domain.widths / 16)
-        method = "random-zoom"
-        refine = lambda x0, v0: _coordinate_refine(fn, domain, x0, v0)
-
-    for h in hints:
-        h = np.atleast_1d(np.asarray(h, dtype=float))
-        if domain.contains(h, atol=0.0):
-            candidates.append((h, float(fn(h[None, :])[0])))
-            probes += 1
-
+        pts, vals, top_bound = _grid_screen(fn, domain, 4 * ORACLE_TOP_CANDIDATES, lipschitz,
+                                            2 * spacing)
+    probes = ORACLE_GRID_POINTS ** d
     best_x, best_v, best_converged, rounds = None, -math.inf, False, 0
-    for x0, v0 in candidates:
-        x, v, p, r, ok = refine(x0, v0)
+    for x0, v0 in _top_separated(pts, vals, ORACLE_TOP_CANDIDATES, 2 * spacing):
+        x, v, p, r, ok = _zoom_refine(fn, domain, x0, v0, 2 * spacing)
         probes += p
         rounds += r
         if v > best_v:
@@ -365,8 +308,36 @@ def oracle_optimum(
             f"{ORACLE_MAX_ZOOM_ROUNDS} refinement rounds"
         )
     gap = None if top_bound is None else top_bound - best_v
-    return OptimumCertificate(x=best_x, value=best_v, method=method, probes=probes, rounds=rounds,
-                              gap=gap)
+    return OptimumCertificate(x=best_x, value=best_v, method="grid-zoom", probes=probes,
+                              rounds=rounds, gap=gap)
+
+
+def _certify_separable(fn, domain: BoxDomain, shifts: np.ndarray,
+                       scale: float) -> OptimumCertificate:
+    """Certificate of ``fn(x) = c + scale * sum_j mean_m t(clip(x_j - shifts[m, j]))``.
+
+    ``t(u) = u^2 - 10 cos(2 pi u)`` is rastrigin's term, and every rastrigin
+    local objective, their mean and the raw form itself take this form.  So
+    each coordinate's scaled mean term is certified on its own by the 1-D
+    grid oracle, with the bound ``|scale| (2 max|x_j| + 20 pi)`` on its
+    slope, and the coordinate optima assemble ``x*``.  The value is
+    ``fn(x*)`` itself, not the sum of the 1-D values, which can differ from
+    it in the last bits; ``gap`` is the sum of the 1-D gaps, so that
+    ``value + gap`` bounds the supremum of ``fn`` up to rounding.
+    """
+    slopes = abs(scale) * _rastrigin_slopes(domain)
+    xs, probes, rounds, gap = [], 0, 0, 0.0
+    for j, (lo, hi) in enumerate(zip(domain.lower, domain.upper)):
+        s = shifts[:, j]
+        term = lambda X: scale * _rastrigin_term(np.clip(X - s, lo, hi)).mean(axis=1)
+        cert = oracle_optimum(term, BoxDomain([lo], [hi]), lipschitz=slopes[j])
+        xs.append(cert.x[0])
+        probes += cert.probes
+        rounds += cert.rounds
+        gap += cert.gap
+    x = np.array(xs)
+    return OptimumCertificate(x=x, value=float(fn(x[None, :])[0]), method="separable",
+                              probes=probes, rounds=rounds, gap=gap)
 
 
 # ---------------------------------------------------------------------------
@@ -415,18 +386,14 @@ class BaseObjective:
 _BASE_CACHE: dict[tuple, BaseObjective] = {}
 
 
-def _rastrigin_term(X: np.ndarray) -> np.ndarray:
-    return X[:, 0] ** 2 - 10.0 * np.cos(2.0 * math.pi * X[:, 0])
-
-
 def make_base(name: str, domain: BoxDomain | None = None) -> BaseObjective:
     """Build a named objective, certifying its normalization constant.
 
-    The raw extreme is certified by the grid oracle (per dimension for the
-    separable rastrigin sum, jointly otherwise), pruned by the objective's
-    Lipschitz bound.  A domain on which that bound times the diameter is not
-    finite, where the raw form can overflow, is rejected.  Results are
-    cached per (name, domain).
+    The raw extreme is certified by the grid oracle, pruned by the
+    objective's Lipschitz bound, or for rastrigin one coordinate at a time
+    (``_certify_separable``).  A domain on which that bound times the
+    diameter is not finite, where the raw form can overflow, is rejected.
+    Results are cached per (name, domain).
     """
     if name not in _CATALOG:
         raise ValueError(f"unknown objective {name!r}; expected one of {OBJECTIVE_NAMES}")
@@ -447,21 +414,19 @@ def make_base(name: str, domain: BoxDomain | None = None) -> BaseObjective:
             raise ValueError(f"{name} overflows on the domain {box}")
 
     if name == "rastrigin":
-        # 10*d + sum_j g(x_j) is separable: certify max(g) one dimension at a time.
-        norm_max = 10.0 * domain.dim
-        for j in range(domain.dim):
-            line = BoxDomain([domain.lower[j]], [domain.upper[j]])
-            norm_max += oracle_optimum(_rastrigin_term, line).value
-        known = np.zeros(domain.dim) if domain.contains(np.zeros(domain.dim)) else None
+        # the raw form summed in coordinate order: its pairwise sum can round
+        # differently, and this constant's last bit reaches every value
+        in_order = lambda X: functools.reduce(np.add, _rastrigin_term(X).T, 10.0 * domain.dim)
+        res = _certify_separable(in_order, domain, np.zeros((1, domain.dim)), 1.0)
     else:
         res = oracle_optimum(raw_fn, domain, lipschitz=lipschitz)
-        norm_max = res.value
-        if orientation == ORIENT_VALUE:
-            known = res.x
-        elif name == "himmelblau":
-            known = np.array([3.0, 2.0]) if domain.contains(np.array([3.0, 2.0])) else None
-        else:  # ackley: raw minimum 0 at the origin
-            known = np.zeros(domain.dim) if domain.contains(np.zeros(domain.dim)) else None
+    norm_max = res.value
+    if orientation == ORIENT_VALUE:
+        known = res.x
+    elif name == "himmelblau":
+        known = np.array([3.0, 2.0]) if domain.contains(np.array([3.0, 2.0])) else None
+    else:  # ackley and rastrigin: raw minimum 0 at the origin
+        known = np.zeros(domain.dim) if domain.contains(np.zeros(domain.dim)) else None
 
     obj = BaseObjective(name=name, domain=domain, normalization_max=norm_max,
                         orientation=orientation, raw_fn=raw_fn, known_optimum=known,
@@ -491,16 +456,22 @@ class NoiseModel:
         return rng.uniform(-self.halfwidth, self.halfwidth, size=n)
 
 
-def _certify_shifted(base: BaseObjective, shift: np.ndarray, fn,
-                     rng: np.random.Generator) -> OptimumCertificate:
+def _search(base: BaseObjective, fn, shifts: np.ndarray) -> OptimumCertificate:
+    """Searched certificate of ``fn``, the mean of the base's copies shifted by ``shifts`` rows."""
+    if base.name == "rastrigin":
+        return _certify_separable(fn, base.domain, shifts, -1.0 / base.normalization_max)
+    return oracle_optimum(fn, base.domain, lipschitz=base.value_lipschitz)
+
+
+def _certify_shifted(base: BaseObjective, shift: np.ndarray, fn) -> OptimumCertificate:
     """Optimum certificate for one shifted local objective ``fn``.
 
     When the base optimum is known and its shifted image stays inside the
     domain, the clip is the identity there and translation preserves the
     maximum: the image is certified without any search, provided it
     evaluates to at least the base's own value at its optimum (rounding in
-    ``x + s - s`` can move it off by an ulp).  Otherwise the grid or random
-    search oracle runs, with the shifted image as a hint above two dimensions.
+    ``x + s - s`` can move it off by an ulp).  Otherwise the search runs:
+    one coordinate at a time for rastrigin, the grid oracle for the rest.
     """
     known = base.known_optimum
     if known is not None:
@@ -509,8 +480,7 @@ def _certify_shifted(base: BaseObjective, shift: np.ndarray, fn,
             val = float(fn(cand[None, :])[0])
             if val >= float(base.evaluate_batch(known[None, :])[0]):
                 return OptimumCertificate(x=cand, value=val, method="shift-translation", probes=1)
-    hints = [known + shift] if known is not None and base.domain.dim > 2 else []
-    return oracle_optimum(fn, base.domain, rng=rng, hints=hints, lipschitz=base.value_lipschitz)
+    return _search(base, fn, shift[None, :])
 
 
 class ObjectiveSuite:
@@ -534,8 +504,7 @@ class ObjectiveSuite:
         if self.shifts.ndim != 2 or len(self.shifts) < 1 or self.shifts.shape[1] != base.domain.dim:
             raise ValueError("shifts must have shape (clients, dim) with at least one client")
         self.local_optima = [
-            _certify_shifted(base, self.shifts[m - 1], functools.partial(self.eval_local_batch, m),
-                             substream(self.seed, PURPOSE_ORACLE, m))
+            _certify_shifted(base, self.shifts[m - 1], functools.partial(self.eval_local_batch, m))
             for m in range(1, self.clients + 1)
         ]
 
@@ -544,13 +513,7 @@ class ObjectiveSuite:
         """Certificate of the average, searched on first read; for one client, that client's."""
         if self.clients == 1:
             return self.local_optima[0]
-        known = self.base.known_optimum
-        hints = []
-        if known is not None and self.domain.dim > 2:
-            hints = [self.domain.clip(known + self.shifts.mean(axis=0))]
-        return oracle_optimum(self.eval_global_batch, self.domain,
-                              rng=substream(self.seed, PURPOSE_ORACLE, 0), hints=hints,
-                              lipschitz=self.base.value_lipschitz)
+        return _search(self.base, self.eval_global_batch, self.shifts)
 
     @property
     def clients(self) -> int:

@@ -1,10 +1,9 @@
 """Deterministic RNG substreams derived from a single master seed.
 
-Every source of randomness in a run (client shifts, per-client reward noise,
-oracle random search) draws from its own generator, keyed by a ``(purpose,
-index)`` spawn key on top of the master seed.  Adding draws to one stream
-therefore never perturbs any other, and a run is reproducible from the master
-seed alone.
+Every source of randomness in a run (client shifts, per-client reward noise)
+draws from its own generator, keyed by a ``(purpose, index)`` spawn key on
+top of the master seed.  Adding draws to one stream therefore never perturbs
+any other, and a run is reproducible from the master seed alone.
 """
 from __future__ import annotations
 
@@ -12,7 +11,6 @@ import numpy as np
 
 PURPOSE_SHIFTS = 0
 PURPOSE_NOISE = 1
-PURPOSE_ORACLE = 2
 
 
 def substream(master_seed: int, purpose: int, index: int = 0) -> np.random.Generator:

@@ -341,6 +341,15 @@ class TestRunCommand:
         assert "config error: himmelblau overflows on the domain" in err
         assert "[-1e+200, 1e+200] x [-1e+200, 1e+200]" in err and "Traceback" not in err
 
+    def test_ackley_beyond_two_dimensions_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "ackley3.ini"
+        path.write_text("[experiment]\nobjective = ackley\nclients = 2\nhorizon = 100\n"
+                        "domain_lower = -1, -1, -1\ndomain_upper = 1, 1, 1\n")
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "fedelim: config error: ackley is defined on a 2-dimensional domain\n"
+
     @pytest.mark.parametrize("lines", [
         "variant = pfpne\nvariants = local-only", "variants = local-only\nvariant = pfpne",
     ])

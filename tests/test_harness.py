@@ -113,11 +113,6 @@ class TestRun:
         metrics = run(small_config(noise=0.1), 11)
         assert np.all(np.diff(metrics.avg_cum_regret) >= -1e-9)
 
-    def test_final_regret_per_client_matches_logs(self):
-        metrics = run(small_config(clients=3), 4)
-        for final, log in zip(metrics.final_regret_per_client, metrics.pull_logs):
-            assert final == float(np.sum(log.regret_array()))
-
     def test_each_cell_is_evaluated_once_for_every_client(self, monkeypatch):
         calls = []
         representative = protocol.representative

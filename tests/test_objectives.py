@@ -75,6 +75,15 @@ class TestBaseValues:
         rastrigin = make_base("rastrigin")
         assert rastrigin.normalization_max == pytest.approx(100.0 + 10 * per_dim, abs=1e-6)
 
+    @pytest.mark.parametrize("domain, expected", [
+        (None, 202.51272990990117),
+        (BoxDomain([-2.0, -1.0], [1.0, 3.0]), 48.54330006231793),
+    ])
+    def test_rastrigin_normalization_bits_are_pinned(self, domain, expected):
+        # every rastrigin value is 1 - raw / normalization_max, so its last
+        # bit reaches every output; these are the recorded constants
+        assert make_base("rastrigin", domain).normalization_max == expected
+
     def test_doublesine_normalization_against_fine_grid(self):
         xs = np.linspace(0.0, 1.0, 2_000_001)
         raw = 0.5 * (np.sin(13.0 * xs) * np.sin(27.0 * xs) + 1.0)
@@ -103,6 +112,8 @@ class TestBaseValues:
     def test_rigid_dimension_enforced(self):
         with pytest.raises(ValueError):
             make_base("himmelblau", BoxDomain([0.0], [1.0]))
+        with pytest.raises(ValueError):
+            make_base("ackley", BoxDomain([-1.0] * 3, [1.0] * 3))
 
 
 class TestSuite:
@@ -282,12 +293,10 @@ class TestOracle:
         assert res.value == pytest.approx(1.0, abs=1e-9)
         assert res.x[0] == pytest.approx(0.2, abs=1e-6)
 
-    def test_high_dim_separable(self):
+    def test_more_than_two_dimensions_rejected(self):
         fn = lambda X: 1.0 - ((X - 0.25) ** 2).sum(axis=1)
-        res = oracle_optimum(fn, BoxDomain([0.0] * 4, [1.0] * 4),
-                             rng=np.random.default_rng(3))
-        assert res.value == pytest.approx(1.0, abs=1e-9)
-        assert res.method == "random-zoom"
+        with pytest.raises(ValueError):
+            oracle_optimum(fn, BoxDomain([0.0] * 4, [1.0] * 4))
 
     def test_shifted_rastrigin_translation_certificate(self):
         base = make_base("rastrigin")
@@ -322,6 +331,55 @@ class TestOracle:
         monkeypatch.setattr(objectives, "ORACLE_MAX_ZOOM_ROUNDS", 1)
         with pytest.raises(OracleFailure):
             oracle_optimum(lambda X: X[:, 0], BoxDomain([0.0], [1.0]))
+
+
+def rastrigin_term(u):
+    return u * u - 10.0 * np.cos(2.0 * math.pi * u)
+
+
+def coordinate_brute_force(fn, domain, shifts, points=1_000_001):
+    """``fn`` at the point whose coordinates each minimize the rastrigin terms' shift mean.
+
+    Each coordinate is searched on its own grid of ``points`` points.
+    """
+    x = np.empty(domain.dim)
+    for j in range(domain.dim):
+        xs = np.linspace(domain.lower[j], domain.upper[j], points)
+        acc = np.zeros(points)
+        for s in shifts[:, j]:
+            acc += rastrigin_term(np.clip(xs - s, domain.lower[j], domain.upper[j]))
+        x[j] = xs[np.argmin(acc)]
+    return float(fn(x[None, :])[0])
+
+
+class TestSeparable:
+    def test_certificates_dominate_coordinate_brute_force(self):
+        # large shifts push two of the three translated optima out of the box
+        suite = make_suite(make_base("rastrigin"), 3, 0.8, 0.0, 0)
+        searched = [(functools.partial(suite.eval_local_batch, m), suite.shifts[m - 1:m], cert)
+                    for m, cert in enumerate(suite.local_optima, start=1)
+                    if cert.method != "shift-translation"]
+        assert len(searched) >= 1
+        searched.append((suite.eval_global_batch, suite.shifts, suite.global_optimum))
+        for fn, shifts, cert in searched:
+            brute = coordinate_brute_force(fn, suite.domain, shifts)
+            assert cert.value >= brute - objectives.ORACLE_TOL
+            assert math.isfinite(cert.gap) and cert.gap >= 0.0
+            assert cert.value + cert.gap >= brute
+            assert cert.value == fn(cert.x[None, :])[0] and cert.method == "separable"
+
+    def test_two_dim_override_agrees_with_tiled_screen(self):
+        base = make_base("rastrigin", BoxDomain([-2.0, -1.0], [1.0, 3.0]))
+        # every shifted image of the optimum at the origin leaves the box
+        shifts = np.array([[1.5, 0.5], [-0.5, -1.8], [0.3, 3.4]])
+        suite = ObjectiveSuite(base, shifts, NoiseModel(0.0), seed=0)
+        fns = [functools.partial(suite.eval_local_batch, m) for m in (1, 2, 3)]
+        certs = [*suite.local_optima, suite.global_optimum]
+        for fn, cert in zip([*fns, suite.eval_global_batch], certs):
+            tiled = oracle_optimum(fn, base.domain, lipschitz=base.value_lipschitz)
+            assert cert.method == "separable" and tiled.method == "grid-zoom"
+            assert abs(cert.value - tiled.value) <= objectives.ORACLE_TOL
+            assert cert.value + cert.gap >= tiled.value
 
 
 def two_dim_bases():

@@ -1,4 +1,4 @@
-"""The package's public names: importable, resolvable, sorted and unique."""
+"""The package's public names: importable, resolvable, sorted and unique, and no dead code."""
 import ast
 from pathlib import Path
 
@@ -49,3 +49,44 @@ def test_no_module_imports_an_unused_name():
     unused = {path.name: names for path in sorted(package.glob("*.py"))
               if (names := unused_imports(path.read_text()))}
     assert unused == {}
+
+
+def unreferenced_definitions(sources: list[str]) -> list[str]:
+    """Module-level functions, classes and constants that no module references.
+
+    A reference is a loaded name or an attribute of that name anywhere in
+    the given sources; a name listed in some module's ``__all__`` counts as
+    referenced, and dunder names are exempt.
+    """
+    defined, used, exported = set(), set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = {t.id for t in targets if isinstance(t, ast.Name)}
+                if "__all__" in names:
+                    exported |= set(ast.literal_eval(node.value))
+                defined |= names
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                used.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                used.add(n.attr)
+    return sorted(name for name in defined - used - exported
+                  if not (name.startswith("__") and name.endswith("__")))
+
+
+def test_unreferenced_definition_detector():
+    assert unreferenced_definitions(["def f(): pass\ndef g(): f()\n"]) == ["g"]
+    assert unreferenced_definitions(["LIMIT = 3\nclass C: pass\n__all__ = ['C']\n",
+                                     "import m\nm.LIMIT\n"]) == []
+    assert unreferenced_definitions(["X = 1\nX = 2\n__version__ = '0'\n"]) == ["X"]
+
+
+def test_every_module_level_definition_is_referenced():
+    package = Path(fedelim.__file__).parent
+    sources = [path.read_text() for path in sorted(package.glob("*.py"))]
+    assert unreferenced_definitions(sources) == []
