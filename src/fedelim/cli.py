@@ -1,5 +1,12 @@
 """Command-line entry point: run experiments, print certificates, profile.
 
+A config file sets fields of ``harness.ExperimentConfig``: its keys and their
+types are the dataclass's fields, plus ``variants``, a list of ``variant``
+values.  Keys may sit in any section, ``[DEFAULT]`` included, and values are
+read literally (no ``%`` interpolation).  ``ExperimentConfig.validate``
+checks every setting, and ``run`` raises every configuration error before it
+creates its output directory.
+
 Exit codes: 0 success, 1 usage error, 2 configuration error, 3 runtime
 fault.  ``FEDELIM_THREADS`` caps how many (variant, seed) runs execute in
 parallel worker processes.
@@ -12,6 +19,8 @@ import csv
 import json
 import os
 import sys
+import types
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -38,14 +47,11 @@ REGRET_HEADER = ["variant", "seed", "t", "avg_cum_regret"]
 COMM_HEADER = ["variant", "seed", "round_index", "depth", "scalars_up", "scalars_down",
                "cumulative_scalars"]
 
-_CONFIG_KEYS = {
-    "objective", "clients", "horizon", "shift_std", "noise", "nu1", "rho", "c", "c1",
-    "delta_conf", "delta_gap", "arity", "depth_cap", "variant", "variants", "seeds",
-    "checkpoint_stride", "domain_lower", "domain_upper",
-}
-
-_INT_KEYS = {"clients", "horizon", "arity", "depth_cap", "checkpoint_stride"}
-_FLOAT_KEYS = {"shift_std", "noise", "nu1", "rho", "c", "c1", "delta_conf", "delta_gap"}
+# A config file's keys and their types: ExperimentConfig's fields, plus
+# `variants`, which lists several `variant` values.
+_KEY_TYPES = typing.get_type_hints(ExperimentConfig)
+_KEY_TYPES["variants"] = tuple[_KEY_TYPES["variant"], ...]
+_CONFIG_KEYS = set(_KEY_TYPES)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,7 +69,7 @@ def format_float(x: float) -> str:
 
 
 def load_config_file(path: str) -> dict:
-    """Parse a key = value config document into a flat dict.
+    """Parse a key = value config document into a flat dict of typed values.
 
     Keys may live in any section; unknown keys are rejected so typos fail
     loudly instead of silently falling back to defaults.
@@ -71,43 +77,39 @@ def load_config_file(path: str) -> dict:
     file = Path(path)
     if not file.is_file():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    # No header can name the empty section, so [DEFAULT] is read as a plain one.
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         parser.read_string(file.read_text(encoding="utf-8"))
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}") from exc
-    flat: dict = {}
+    settings: dict = {}
     for section in parser.sections():
         for key, value in parser.items(section):
             key = key.strip().lower()
             if key not in _CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {key!r} in {path}")
             key = "variants" if key == "variant" else key  # one key, two spellings
-            if key in flat:
+            if key in settings:
                 raise ConfigError(f"duplicate config key {key!r} in {path}")
-            flat[key] = value.strip()
-    return _coerce_config(flat, path)
+            value = value.strip()
+            try:
+                settings[key] = _parse_value(_KEY_TYPES[key], value)
+            except ValueError as exc:
+                raise ConfigError(f"bad value for {key!r} in {path}: {value!r}") from exc
+    return settings
 
 
-def _coerce_config(flat: dict, path: str) -> dict:
-    out: dict = {}
-    for key, raw in flat.items():
-        try:
-            if key in _INT_KEYS:
-                out[key] = int(raw)
-            elif key in _FLOAT_KEYS:
-                out[key] = float(raw)
-            elif key == "seeds":
-                out[key] = tuple(int(tok) for tok in raw.replace(",", " ").split())
-            elif key == "variants":
-                out[key] = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-            elif key in ("domain_lower", "domain_upper"):
-                out[key] = tuple(float(tok) for tok in raw.replace(",", " ").split())
-            else:
-                out[key] = raw
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r} in {path}: {raw!r}") from exc
-    return out
+def _parse_value(kind, raw: str):
+    """``raw`` as a value of the field type ``kind``."""
+    if isinstance(kind, types.UnionType):  # X | None: a file gives an X
+        kind = typing.get_args(kind)[0]
+    if typing.get_origin(kind) is tuple:
+        item = typing.get_args(kind)[0]
+        # names are split on commas only, numbers on commas and whitespace
+        tokens = raw.split(",") if item is str else raw.replace(",", " ").split()
+        return tuple(item(tok.strip()) for tok in tokens if tok.strip())
+    return kind(raw)
 
 
 def build_parser() -> _Parser:
@@ -158,14 +160,12 @@ def _configs_from_args(args) -> list[ExperimentConfig]:
         settings["seeds"] = tuple(args.seed + i for i in range(count))
     elif args.runs is not None:
         settings["seeds"] = tuple(range(args.runs))
-    configs = []
-    for variant in dict.fromkeys(variants):  # a repeated variant runs once
-        try:
-            config = ExperimentConfig(variant=variant, **settings)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+    elif "seeds" in settings:  # a repeated seed runs once, as a repeated variant does
+        settings["seeds"] = tuple(dict.fromkeys(settings["seeds"]))
+    configs = [ExperimentConfig(variant=variant, **settings)
+               for variant in dict.fromkeys(variants)]  # a repeated variant runs once
+    for config in configs:
         config.validate()
-        configs.append(config)
     return configs
 
 
@@ -174,12 +174,7 @@ def _run_one(payload):
     return run(config, seed, record_pulls=False)
 
 
-def _execute(configs: list[ExperimentConfig]) -> dict[str, AggregateMetrics]:
-    raw = os.environ.get("FEDELIM_THREADS") or "1"
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ConfigError(f"FEDELIM_THREADS must be an integer, got {raw!r}") from None
+def _execute(configs: list[ExperimentConfig], threads: int) -> dict[str, AggregateMetrics]:
     results: dict[str, AggregateMetrics] = {}
     if threads <= 1:
         for config in configs:
@@ -231,6 +226,11 @@ def write_outputs(results: dict[str, AggregateMetrics], out_dir: Path) -> None:
 
 def cmd_run(args) -> int:
     configs = _configs_from_args(args)
+    raw = os.environ.get("FEDELIM_THREADS") or "1"
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ConfigError(f"FEDELIM_THREADS must be an integer, got {raw!r}") from None
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -238,7 +238,7 @@ def cmd_run(args) -> int:
     for path in (Path(args.out) / name for name in ("regret.csv", "comm.csv", "summary.json")):
         if path.exists() and not path.is_file():
             raise ConfigError(f"output path {path} exists and is not a regular file")
-    results = _execute(configs)
+    results = _execute(configs, threads)
     write_outputs(results, Path(args.out))
     for variant in sorted(results):
         agg = results[variant]
@@ -271,11 +271,11 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    smooth = ExperimentConfig(nu1=args.nu1, rho=args.rho).smooth_params()
     if (args.eps is None) != (args.grid_step is None):
         raise ConfigError("--eps and --grid-step must be given together")
     if args.eps is not None and not (args.eps > 0 and args.grid_step > 0):
         raise ConfigError("--eps and --grid-step must be positive")
+    ExperimentConfig(objective=args.objective, nu1=args.nu1, rho=args.rho).validate()
     base = make_base(args.objective)
     fn = base.evaluate_batch
     if args.eps is not None:
@@ -287,7 +287,7 @@ def cmd_profile(args) -> int:
               f"grid_step={format_float(args.grid_step)} cells={count}")
         return 0
     print(f"{args.objective}: near-optimal cell counts, eps=6*nu1*rho^h, step=rho^h")
-    for h, eps, step, count in profile_ladder(fn, base.domain, 1.0, smooth.nu1, smooth.rho):
+    for h, eps, step, count in profile_ladder(fn, base.domain, 1.0, args.nu1, args.rho):
         cells = f"cells={count}" if count is not None else (
             f"exceeds the {PROFILE_CELL_LIMIT}-cell cap; the ladder stops here")
         print(f"h={h} eps={format_float(eps)} grid_step={format_float(step)} {cells}")

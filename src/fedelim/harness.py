@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fedcore import ConfParams, SmoothParams, transition_depth
-from .objectives import OBJECTIVE_NAMES, BaseObjective, ObjectiveSuite, make_base, make_suite
+from .objectives import BaseObjective, NoiseModel, ObjectiveSuite, make_base, make_suite
 from .partition import BoxDomain, PartitionSpec
 from .protocol import ProtocolResult, PullLog, run_protocol
 
@@ -54,13 +54,10 @@ class ExperimentConfig:
 
     def domain_override(self) -> BoxDomain | None:
         if (self.domain_lower is None) != (self.domain_upper is None):
-            raise ConfigError("domain_lower and domain_upper must be given together")
+            raise ValueError("domain_lower and domain_upper must be given together")
         if self.domain_lower is None:
             return None
-        try:
-            return BoxDomain(self.domain_lower, self.domain_upper)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return BoxDomain(self.domain_lower, self.domain_upper)
 
     def resolved_delta_conf(self) -> float:
         if self.delta_conf is not None:
@@ -69,10 +66,7 @@ class ExperimentConfig:
         return min(1.0 / self.clients, 0.5)
 
     def resolve_base(self) -> BaseObjective:
-        try:
-            return make_base(self.objective, self.domain_override())
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return make_base(self.objective, self.domain_override())
 
     def resolved_shift_std(self, base: BaseObjective) -> float:
         if self.shift_std is not None:
@@ -80,36 +74,21 @@ class ExperimentConfig:
         return 0.05 * float(base.domain.widths[0])
 
     def conf_params(self) -> ConfParams:
-        try:
-            return ConfParams(self.c, self.c1, self.resolved_delta_conf(), self.horizon)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return ConfParams(self.c, self.c1, self.resolved_delta_conf(), self.horizon)
 
     def smooth_params(self) -> SmoothParams:
-        try:
-            return SmoothParams(self.nu1, self.rho, self.delta_gap)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        return SmoothParams(self.nu1, self.rho, self.delta_gap)
 
     def validate(self) -> None:
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if self.objective not in OBJECTIVE_NAMES:
-            raise ConfigError(
-                f"unknown objective {self.objective!r}; expected one of {OBJECTIVE_NAMES}"
-            )
-        if self.clients < 1:
+        """Raise ConfigError unless a run can be built from this config.
+
+        Builds every value object a run builds, the base included; the base
+        comes from ``make_base``'s cache, so the run pays no second certificate.
+        """
+        if self.clients < 1:  # before resolved_delta_conf divides by it
             raise ConfigError("clients must be at least 1")
-        if self.horizon < 1:
-            raise ConfigError("horizon must be at least 1")
-        if not 0 <= 2 * self.noise < math.inf:  # the draw's range, 2 * noise, must be finite
-            raise ConfigError("noise halfwidth must be nonnegative, with 2 * noise finite")
         if self.shift_std is not None and not 0 <= self.shift_std < math.inf:
             raise ConfigError("shift_std must be finite and nonnegative")
-        if self.arity < 2:
-            raise ConfigError("arity must be at least 2")
-        if self.arity > self.horizon:  # a depth-1 sweep pulls each of its cells once
-            raise ConfigError("arity must not exceed the horizon")
         if self.depth_cap < 1:
             raise ConfigError("depth_cap must be at least 1")
         if self.checkpoint_stride < 1:
@@ -118,9 +97,16 @@ class ExperimentConfig:
             raise ConfigError("at least one seed is required")
         if min(self.seeds) < 0:
             raise ConfigError("seeds must be nonnegative")
-        self.conf_params()
-        self.smooth_params()
-        self.domain_override()
+        try:
+            variant_schedule(self.variant, self.smooth_params(), self.depth_cap)
+            self.conf_params()
+            PartitionSpec(self.arity)
+            NoiseModel(self.noise)
+            self.resolve_base()
+        except (ValueError, OverflowError) as exc:  # OverflowError: an int too large for a float
+            raise ConfigError(str(exc)) from exc
+        if self.arity > self.horizon:  # a depth-1 sweep pulls each of its cells once
+            raise ConfigError("arity must not exceed the horizon")
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,11 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +18,7 @@ from fedelim.cli import (
     load_config_file,
     main,
 )
-from fedelim.harness import ConfigError
+from fedelim.harness import ConfigError, ExperimentConfig
 
 TINY_CONFIG = """
 [experiment]
@@ -151,6 +153,17 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="no/such/file.ini"):
             load_config_file("no/such/file.ini")
 
+    def test_readme_config_block_validates_and_readme_names_every_key(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        path = tmp_path / "readme.ini"
+        path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
+        settings = load_config_file(str(path))
+        for variant in settings.pop("variants"):
+            ExperimentConfig(variant=variant, **settings).validate()
+        unnamed = [key for key in sorted(cli._CONFIG_KEYS)
+                   if not re.search(rf"`{key}`|^{key} = ", readme, re.MULTILINE)]
+        assert unnamed == []
+
 
 class TestRunCommand:
     def test_outputs_and_schema(self, config_path, tmp_path):
@@ -269,6 +282,34 @@ class TestRunCommand:
         for name in ("regret.csv", "comm.csv", "summary.json"):
             assert (once / name).read_bytes() == (twice / name).read_bytes()
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_repeated_seed_runs_once(self, tmp_path, capsys, monkeypatch, pool_sizes, threads):
+        monkeypatch.setenv("FEDELIM_THREADS", threads)
+        path = tmp_path / "seeds.ini"
+        path.write_text("[experiment]\nobjective = garland\nclients = 2\nhorizon = 100\n"
+                        "seeds = 3, 3\n")
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert "over 1 seed(s)" in capsys.readouterr().out
+        for name in ("regret.csv", "comm.csv"):
+            keys = [tuple(row[:3]) for row in read_csv(out / name)[1:]]
+            assert len(keys) == len(set(keys)), name
+
+    @pytest.mark.parametrize("layout", [
+        "[DEFAULT]\nobjective = doublesine\nclients = 2\nhorizon = 100\n",
+        "[DEFAULT]\nobjective = doublesine\n[run]\nclients = 2\n[budget]\nhorizon = 100\n",
+    ], ids=["default-only", "default-and-two-sections"])
+    def test_default_section_is_read_like_any_other(self, tmp_path, layout):
+        outs = []
+        for i, text in enumerate([layout, "[experiment]\nobjective = doublesine\nclients = 2\n"
+                                          "horizon = 100\n"]):
+            path = tmp_path / f"{i}.ini"
+            path.write_text(text)
+            outs.append(tmp_path / f"out{i}")
+            assert main(["run", "--config", str(path), "--out", str(outs[-1])]) == 0
+        for name in ("regret.csv", "comm.csv", "summary.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "latin1.ini"
         path.write_bytes("[experiment]\nobjective = garland\n# caf\u00e9\n".encode("latin-1"))
@@ -281,7 +322,7 @@ class TestRunCommand:
         out = tmp_path / "taken"
         out.write_text("")
         executed = []
-        monkeypatch.setattr(cli, "_execute", executed.append)
+        monkeypatch.setattr(cli, "_execute", lambda *args: executed.append(args))
         code = main(["run", "--objective", "garland", "--clients", "2", "--horizon", "100",
                      "--out", str(out)])
         err = capsys.readouterr().err
@@ -294,7 +335,7 @@ class TestRunCommand:
             self, tmp_path, capsys, monkeypatch, name):
         (tmp_path / name).mkdir()
         executed = []
-        monkeypatch.setattr(cli, "_execute", executed.append)
+        monkeypatch.setattr(cli, "_execute", lambda *args: executed.append(args))
         code = main(["run", "--objective", "garland", "--clients", "2", "--horizon", "100",
                      "--out", str(tmp_path)])
         err = capsys.readouterr().err
@@ -340,6 +381,7 @@ class TestRunCommand:
         assert code == 2
         assert "config error: himmelblau overflows on the domain" in err
         assert "[-1e+200, 1e+200] x [-1e+200, 1e+200]" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_ackley_beyond_two_dimensions_exits_2(self, tmp_path, capsys):
         path = tmp_path / "ackley3.ini"
@@ -349,6 +391,7 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert err == "fedelim: config error: ackley is defined on a 2-dimensional domain\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("lines", [
         "variant = pfpne\nvariants = local-only", "variants = local-only\nvariant = pfpne",
@@ -361,7 +404,9 @@ class TestRunCommand:
         assert code == 2
         assert "duplicate config key" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "", "1e308", "-0"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "", "1e308", "-0",
+                                       "%", "%(x)s", "1" + "0" * 400],
+                             ids=lambda value: value if len(value) < 20 else "10**400")
     @pytest.mark.parametrize("key", sorted(cli._CONFIG_KEYS))
     def test_edge_value_exits_0_or_2(self, tmp_path, capsys, key, value):
         settings = {"objective": "garland", "clients": "2", "horizon": "200", key: value}
@@ -404,6 +449,7 @@ class TestRunCommand:
         assert code == 2
         assert len(config_errors(err)) == 1 and "FEDELIM_THREADS" in err
         assert "Traceback" not in err and pool_sizes == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("line", [
         "rho = 1e-160", "nu1 = 1e-200", "c1 = 1e308", "delta_conf = 1e-320",
