@@ -61,8 +61,9 @@ def _rastrigin_raw(X: np.ndarray) -> np.ndarray:
 
 
 def _ackley_raw(X: np.ndarray) -> np.ndarray:
-    quad = np.sqrt((X * X).mean(axis=1))
-    cosm = np.cos(2.0 * math.pi * X).mean(axis=1)
+    x, y = X[:, 0], X[:, 1]
+    quad = np.sqrt((x * x + y * y) / 2.0)
+    cosm = (np.cos(2.0 * math.pi * x) + np.cos(2.0 * math.pi * y)) / 2.0
     return -20.0 * np.exp(-0.2 * quad) - np.exp(cosm) + 20.0 + math.e
 
 
@@ -176,9 +177,10 @@ def _grid_screen(fn, domain: BoxDomain, keep: int, lipschitz: float | None, zoom
     half-width ``zoom_width``, shrinking by ``ORACLE_SHRINK``, can travel.
     A tile whose bound lies below the best representative is skipped, so no
     skipped point, and no zoom started at one, can beat it; a NaN or an
-    infinity in the comparison keeps the tile.  The surviving points are
-    screened in row blocks of about 2M points, keeping each block's ``keep``
-    best.  Without a bound every tile survives and the bound is None.
+    infinity in the comparison keeps the tile.  Only the surviving tiles'
+    points are enumerated and evaluated, in row-major grid order, in bands
+    of whole tile rows spanning about 2M grid points; each band keeps its
+    ``keep`` best.  Without a bound every tile survives and the bound is None.
     """
     n, t = ORACLE_GRID_POINTS, ORACLE_TILE_POINTS  # t divides n
     spacing = domain.widths / (n - 1)
@@ -198,13 +200,14 @@ def _grid_screen(fn, domain: BoxDomain, keep: int, lipschitz: float | None, zoom
         top_bound = float(np.max(bounds))
 
     kept_pts, kept_vals = [], []
-    step = max(1, 2_000_000 // n)
-    tile_of_col = np.arange(n) // t
-    for start in range(0, n, step):
-        rows = np.arange(start, min(start + step, n))
-        i, j = np.nonzero(alive[rows // t][:, tile_of_col])
-        if len(i):
-            pts = np.stack([axes[0][rows[i]], axes[1][j]], axis=1)
+    band = max(1, 2_000_000 // (n * t))  # tile rows per block
+    tile = (np.arange(t)[:, None] * n + np.arange(t)).ravel()  # a tile's flat offsets
+    for start in range(0, n // t, band):
+        ti, tj = np.nonzero(alive[start:start + band])
+        if len(ti):
+            corners = (start + ti) * (t * n) + tj * t
+            i, j = np.divmod(np.sort((corners[:, None] + tile).ravel()), n)
+            pts = np.stack([axes[0][i], axes[1][j]], axis=1)
             vals = fn(pts)
             top = np.argsort(vals)[-keep:]
             kept_pts.append(pts[top])
@@ -392,8 +395,9 @@ def make_base(name: str, domain: BoxDomain | None = None) -> BaseObjective:
     The raw extreme is certified by the grid oracle, pruned by the
     objective's Lipschitz bound, or for rastrigin one coordinate at a time
     (``_certify_separable``).  A domain on which that bound times the
-    diameter is not finite, where the raw form can overflow, is rejected.
-    Results are cached per (name, domain).
+    diameter is not finite, where the raw form can overflow, is rejected,
+    and so is one whose certified extreme is not positive and finite, which
+    cannot normalize.  Results are cached per (name, domain).
     """
     if name not in _CATALOG:
         raise ValueError(f"unknown objective {name!r}; expected one of {OBJECTIVE_NAMES}")
@@ -404,13 +408,13 @@ def make_base(name: str, domain: BoxDomain | None = None) -> BaseObjective:
     key = (name, domain.bounds_key())
     if key in _BASE_CACHE:
         return _BASE_CACHE[key]
+    box = " x ".join(f"[{lo:g}, {hi:g}]" for lo, hi in zip(domain.lower, domain.upper))
     lipschitz = None
     if lipschitz_fn is not None:
         with np.errstate(over="ignore", invalid="ignore"):
             lipschitz = lipschitz_fn(domain)
         # raw varies by at most L * diameter over the box
         if not math.isfinite(lipschitz * math.hypot(*domain.widths)):
-            box = " x ".join(f"[{lo:g}, {hi:g}]" for lo, hi in zip(domain.lower, domain.upper))
             raise ValueError(f"{name} overflows on the domain {box}")
 
     if name == "rastrigin":
@@ -421,6 +425,8 @@ def make_base(name: str, domain: BoxDomain | None = None) -> BaseObjective:
     else:
         res = oracle_optimum(raw_fn, domain, lipschitz=lipschitz)
     norm_max = res.value
+    if not 0.0 < norm_max < math.inf:
+        raise ValueError(f"{name} has no positive maximum on the domain {box}")
     if orientation == ORIENT_VALUE:
         known = res.x
     elif name == "himmelblau":

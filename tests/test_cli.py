@@ -83,6 +83,7 @@ ORACLE_DIGESTS = {
     ("himmelblau", "3", "0"): "87fa9c5a8682953c3ce2b96e3e089ff3d8fe0858093fcec2b6c903e4640d9c1e",
     ("himmelblau", "3", "1"): "9528a3561b9244d75bacaa89120978cdc6eff7275f726ccb2ffa1121d1bd9d70",
     ("garland", "1", "0"): "0b5dd07f6a5e760755c0618b2dd8c1fe33d62c3c9551d77703c06e105be90fa5",
+    ("ackley", "3", "0"): "c66576de06decd3df88d3922f42af17002edef414b9d1450316a383d9fed87f1",
 }
 
 
@@ -381,6 +382,22 @@ class TestRunCommand:
         assert code == 2
         assert "config error: himmelblau overflows on the domain" in err
         assert "[-1e+200, 1e+200] x [-1e+200, 1e+200]" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("lower,upper", [("-1", "0"), ("-1", "-0.5")])
+    def test_objective_with_no_positive_maximum_exits_2(self, tmp_path, capsys, lower, upper):
+        # garland's raw form is 0 at x = 0 and negative below it: on the first
+        # box the normalized values would divide by 0, on the second flip sign
+        path = tmp_path / "negative.ini"
+        path.write_text("[experiment]\nobjective = garland\nclients = 3\nhorizon = 200\n"
+                        f"domain_lower = {lower}\ndomain_upper = {upper}\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == ("fedelim: config error: garland has no positive maximum on the domain "
+                       f"[{lower}, {upper}]\n")
         assert not (tmp_path / "out").exists()
 
     def test_ackley_beyond_two_dimensions_exits_2(self, tmp_path, capsys):

@@ -105,6 +105,23 @@ class TestBaseValues:
             assert values.min() >= 0.0
             assert values.max() <= 1.0 + 1e-12
 
+    def test_ackley_matches_its_dimension_general_form_bit_for_bit(self):
+        def general(X):  # the d-dimensional form, averaged over axis 1
+            quad = np.sqrt((X * X).mean(axis=1))
+            cosm = np.cos(2.0 * math.pi * X).mean(axis=1)
+            return -20.0 * np.exp(-0.2 * quad) - np.exp(cosm) + 20.0 + math.e
+
+        # the screen's tile representatives on the default box, a random
+        # cloud over a wider box, and the origin with its signed zeros
+        n, t = objectives.ORACLE_GRID_POINTS, objectives.ORACLE_TILE_POINTS
+        axis = np.linspace(-1.0, 1.0, n)[t // 2::t]
+        reps = np.stack([g.ravel() for g in np.meshgrid(axis, axis, indexing="ij")], axis=1)
+        cloud = np.random.default_rng(17).uniform(-40.0, 40.0, size=(500_000, 2))
+        zeros = np.array(list(itertools.product([0.0, -0.0], repeat=2)))
+        for X in (reps, cloud, zeros):
+            assert np.array_equal(objectives._ackley_raw(X).view(np.int64),
+                                  general(X).view(np.int64))
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             make_base("sphere")
@@ -471,6 +488,28 @@ class TestPrunedScreen:
         cloud = np.random.default_rng(41).uniform(base.domain.lower, base.domain.upper,
                                                    size=(100_000, 2))
         assert 0.0 <= cert.gap and np.max(base.raw_fn(cloud)) <= cert.value + cert.gap
+
+    @pytest.mark.parametrize("name,expected", [
+        ("ackley", (4.6752053040600074, [0.5588000610500611, 1.0], 17081416, 72,
+                    0.060981895701340605, 723016)),
+        ("himmelblau", (890.0, [5.0, 5.0], 17246191, 111, 7.3306940576527495, 731311)),
+        ("rastrigin", (40.50254598198022, [0.5025460317460317, 0.5025460317460317], 17233516,
+                       108, 0.3940196695131277, 825132)),
+    ], ids=["ackley", "himmelblau", "rastrigin"])
+    def test_certificates_are_pinned(self, name, expected):
+        # the recorded certificates of the ackley and himmelblau bases and of
+        # 2-D rastrigin on [-1, 1]^2, bit for bit, and the rows evaluated
+        if name == "rastrigin":
+            domain = BoxDomain([-1.0, -1.0], [1.0, 1.0])
+            fn, lipschitz = objectives._rastrigin_raw, objectives._rastrigin_lipschitz(domain)
+        else:
+            base = make_base(name)
+            fn, lipschitz, domain = base.raw_fn, base.lipschitz, base.domain
+            assert base.normalization_max == expected[0]
+        counted, rows = counting(fn)
+        cert = oracle_optimum(counted, domain, lipschitz=lipschitz)
+        assert (cert.value, cert.x.tolist(), cert.probes, cert.rounds, cert.gap,
+                rows[0]) == expected
 
     @pytest.mark.parametrize("lipschitz", [math.nan, math.inf])
     def test_non_finite_bound_keeps_every_tile(self, monkeypatch, lipschitz):
