@@ -17,6 +17,7 @@ import argparse
 import configparser
 import csv
 import json
+import math
 import os
 import sys
 import types
@@ -273,8 +274,8 @@ def cmd_oracle(args) -> int:
 def cmd_profile(args) -> int:
     if (args.eps is None) != (args.grid_step is None):
         raise ConfigError("--eps and --grid-step must be given together")
-    if args.eps is not None and not (args.eps > 0 and args.grid_step > 0):
-        raise ConfigError("--eps and --grid-step must be positive")
+    if args.eps is not None and not (0 < args.eps < math.inf and 0 < args.grid_step < math.inf):
+        raise ConfigError("--eps and --grid-step must be finite and positive")
     ExperimentConfig(objective=args.objective, nu1=args.nu1, rho=args.rho).validate()
     base = make_base(args.objective)
     fn = base.evaluate_batch

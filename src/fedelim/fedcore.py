@@ -106,15 +106,13 @@ class ClientReport:
 
 @dataclass
 class ServerBroadcast:
-    """Per-depth download: surviving nodes with their merged statistics."""
+    """Per-depth download: the merged (mean, bound) of every survivor.
+
+    The keys of ``stats`` are the survivors, in survivor order.
+    """
 
     depth: int
-    survivors: tuple[NodeId, ...]
     stats: dict[NodeId, tuple[float, float]]
-
-    def __post_init__(self):
-        if set(self.stats) != set(self.survivors):
-            raise ProtocolFault("broadcast statistics must be keyed exactly by the survivors")
 
 
 def confidence_bound(pulls: int, conf: ConfParams) -> float:

@@ -146,7 +146,7 @@ class Server:
             clock=clock,
         ))
 
-        broadcast = ServerBroadcast(depth=self.depth, survivors=survivors, stats=stats)
+        broadcast = ServerBroadcast(depth=self.depth, stats=stats)
         self.active = sorted(c for n in survivors for c in children(n, self.spec))
         self.depth += 1
         return broadcast
@@ -211,15 +211,13 @@ class Client:
         self.stats[node] = NodeStats.from_counts(pulls, total, self.conf)
         self.clock += n
 
-    def _pull_up_to(self, node: NodeId, n: int) -> bool:
-        """Pull ``node`` up to ``n`` times; False, and exhausted, if the budget fell short."""
+    def _pull_up_to(self, node: NodeId, n: int) -> None:
+        """Pull ``node`` up to ``n`` times; a budget that falls short exhausts the client."""
         k = min(n, self.budget)
         if k > 0:
             self._pull_batch(node, k)
         if k < n:
             self.stage = Stage.EXHAUSTED
-            return False
-        return True
 
     def _spend_rest(self, frontier: list[NodeId]) -> None:
         """Spend the remaining budget on the frontier cell with the best ancestor mean.
@@ -232,25 +230,25 @@ class Client:
 
     # ---- collaborative stage --------------------------------------------
 
-    def run_stage1_phase(self, active: list[NodeId], per_node_quota: int) -> tuple[ClientReport, bool]:
+    def run_stage1_phase(self, active: list[NodeId], per_node_quota: int) -> ClientReport:
         """Pull every active cell ``per_node_quota`` times, in index order.
 
-        On budget exhaustion the client freezes mid-phase and reports only
-        the cells it actually pulled; the caller treats that as the end of
-        the run (schedules are identical across clients, so exhaustion is
-        simultaneous).
+        If the budget falls short, the client is exhausted in the middle of
+        the phase and reports only the cells it actually pulled.  A budget
+        that ends exactly with the phase exhausts the client on the first
+        cell of the next phase.
         """
         if self.stage != Stage.STAGE1:
             raise ProtocolFault(f"client {self.m} cannot sample stage one in stage {self.stage}")
         entries: dict[NodeId, tuple[float, int]] = {}
         for node in active:
-            completed = self._pull_up_to(node, per_node_quota)
+            self._pull_up_to(node, per_node_quota)
             if node in self.stats:
                 s = self.stats[node]
                 entries[node] = (s.mean, s.pulls)
-            if not completed:
+            if self.stage is Stage.EXHAUSTED:
                 break
-        return ClientReport(client=self.m, depth=self.depth, entries=entries), self.stage == Stage.STAGE1
+        return ClientReport(client=self.m, depth=self.depth, entries=entries)
 
     def absorb_broadcast(self, broadcast: ServerBroadcast) -> None:
         """Adopt merged statistics for survivors and advance one depth."""
@@ -260,22 +258,19 @@ class Client:
             raise ProtocolFault(
                 f"client {self.m} at depth {self.depth} received a depth-{broadcast.depth} broadcast"
             )
-        for node in broadcast.survivors:
+        for node, (mean, bound) in broadcast.stats.items():
             prev = self.stats.get(node)
             if prev is None:
                 raise ProtocolFault(f"broadcast names unknown node {node}")
-            mean, bound = broadcast.stats[node]
             self.stats[node] = NodeStats(pulls=prev.pulls, reward_sum=prev.reward_sum,
                                          mean=mean, bound=bound)
-        self.protected[self.depth] = frozenset(broadcast.survivors)
+        self.protected[self.depth] = frozenset(broadcast.stats)
         self.depth += 1
         if self.depth > self.h0 and self.pe_enabled:
             self._enter_pe()
 
     def _enter_pe(self) -> None:
         self.stage = Stage.PE
-        self.pe_depth = 0
-        self.local_active = [ROOT]
         self.stage_transition_t = self.clock
 
     # ---- personalized elimination ----------------------------------------
@@ -283,7 +278,7 @@ class Client:
     def _stats_view(self, nodes: list[NodeId]) -> dict[NodeId, NodeStats]:
         return {node: self.stats[node] for node in nodes if node in self.stats}
 
-    def pe_step(self) -> bool:
+    def pe_step(self) -> None:
         """One personal depth: settle, top up unprotected cells, eliminate, expand.
 
         Protected cells keep their broadcast statistics, still compete for
@@ -292,8 +287,8 @@ class Client:
         tested on the client's own stage-one pulls against the best
         protected cell; if that test eliminates it, it is settled without a
         top-up.  Every other unprotected cell is topped up to the depth
-        threshold, stage-one pulls counting toward it.  Returns False when
-        the budget ran out before the thresholds were met.
+        threshold, stage-one pulls counting toward it.  A budget that falls
+        short exhausts the client there, before the depth's elimination.
         """
         h = self.pe_depth
         prot = self.protected.get(h, frozenset())
@@ -309,8 +304,9 @@ class Client:
             to_sample = [n for n in to_sample if n not in settled]
         for node in to_sample:
             have = self.stats[node].pulls if node in self.stats else 0
-            if not self._pull_up_to(node, tau_h - have):
-                return False
+            self._pull_up_to(node, tau_h - have)
+            if self.stage is Stage.EXHAUSTED:
+                return
         view = self._stats_view(self.local_active)
         if to_sample or settled:
             best = select_best(view)
@@ -323,16 +319,16 @@ class Client:
         self.pe_events.append(EliminationEvent(h, best, frozenset(removed), survivors))
         self.local_active = sorted(c for n in survivors for c in children(n, self.spec))
         self.pe_depth += 1
-        return True
 
     def run_pe(self) -> None:
-        """Personal steps down to the depth cap, then the rest of the budget on the best cell."""
-        if self.stage != Stage.PE:
-            return
-        while self.pe_depth < self.depth_cap:
-            if not self.pe_step():
-                return
-        self._spend_rest(self.local_active)
+        """Personal steps down to the depth cap, then the rest of the budget on the best cell.
+
+        A step that exhausts the client ends the personal stage there.
+        """
+        while self.stage is Stage.PE and self.pe_depth < self.depth_cap:
+            self.pe_step()
+        if self.stage is Stage.PE:
+            self._spend_rest(self.local_active)
 
     def _ancestor_mean(self, node: NodeId) -> float:
         """Mean of the nearest ancestor-or-self with recorded statistics."""
@@ -381,12 +377,14 @@ class ProtocolResult:
 def run_protocol(suite: ObjectiveSuite, spec: PartitionSpec, conf: ConfParams,
                  smooth: SmoothParams, h0: int, pe_enabled: bool, depth_cap: int,
                  seed: int) -> ProtocolResult:
-    """Drive a full run: synchronous stage-one rounds, then per-client PE.
+    """Drive a full run: synchronous stage-one rounds, then each client's ending.
 
-    All clients advance through a stage-one phase before the server step;
-    clients exhaust simultaneously there because their schedules are
-    identical.  Personal elimination then runs each client to the end of
-    its budget independently.
+    All clients advance through a stage-one phase before the server step.
+    Their schedules are identical, so they leave a phase in one stage: still
+    ``STAGE1``, or ``EXHAUSTED``, which ends the run before the server step.
+    Each client's stage then chooses its ending: personal elimination for
+    ``PE``, the rest of the budget on the server's best cell for ``STAGE1``.
+    Every client ends ``EXHAUSTED``.
     """
     m_count = suite.clients
     cell_values: dict[NodeId, np.ndarray] = {}  # each cell evaluated once, for every client
@@ -397,30 +395,22 @@ def run_protocol(suite: ObjectiveSuite, spec: PartitionSpec, conf: ConfParams,
     ]
     server = Server(spec, conf, smooth, m_count)
 
-    if h0 >= 1:
-        while server.depth <= h0 and clients[0].budget > 0:
-            per_node = quota(tau(server.depth, conf, smooth), m_count)
-            reports = []
-            completed = True
-            for client in clients:
-                report, ok = client.run_stage1_phase(server.active, per_node)
-                reports.append(report)
-                completed = completed and ok
-            if not completed:
-                if any(c.stage != Stage.EXHAUSTED for c in clients):
-                    raise ProtocolFault("clients exhausted asynchronously in stage one")
-                break
-            broadcast = server.step(reports, clock=clients[0].clock)
-            for client in clients:
-                client.absorb_broadcast(broadcast)
+    while clients[0].stage is Stage.STAGE1 and server.depth <= h0:
+        per_node = quota(tau(server.depth, conf, smooth), m_count)
+        reports = [client.run_stage1_phase(server.active, per_node) for client in clients]
+        if len({c.stage for c in clients}) != 1:
+            raise ProtocolFault("clients exhausted asynchronously in stage one")
+        if clients[0].stage is Stage.EXHAUSTED:
+            break
+        broadcast = server.step(reports, clock=clients[0].clock)
+        for client in clients:
+            client.absorb_broadcast(broadcast)
 
-    if pe_enabled:
-        for client in clients:
+    for client in clients:
+        if client.stage is Stage.PE:
             client.run_pe()
-    else:
-        for client in clients:
-            if client.stage == Stage.STAGE1:
-                client.finish_stage1_only()
+        elif client.stage is Stage.STAGE1:
+            client.finish_stage1_only()
 
     for client in clients:
         if client.clock != conf.horizon_T:

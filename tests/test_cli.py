@@ -565,7 +565,8 @@ class TestProfileCommand:
                      "--grid-step", "0.1"]) == 2
         assert main(["profile", "--objective", "garland", "--eps", "0.5"]) == 2
         for flags in (["--nu1", "0"], ["--nu1", "inf"], ["--rho", "2"], ["--rho", "0"],
-                      ["--eps", "0.5", "--grid-step", "nan"]):
+                      ["--eps", "0.5", "--grid-step", "nan"], ["--eps", "inf", "--grid-step", "0.1"],
+                      ["--eps", "0.1", "--grid-step", "inf"]):
             assert main(["profile", "--objective", "garland", *flags]) == 2, flags
 
 

@@ -10,7 +10,6 @@ from fedelim.fedcore import (
     ConfParams,
     NodeStats,
     ProtocolFault,
-    ServerBroadcast,
     SmoothParams,
     confidence_bound,
     eliminate,
@@ -326,10 +325,3 @@ class TestParamValidation:
             SmoothParams(1.0, 0.5, 0.0)
         with pytest.raises(ValueError):
             SmoothParams(1.0, 0.5, 1.5)
-
-
-class TestCanonicalText:
-    def test_broadcast_format_and_key_check(self):
-        ServerBroadcast(1, (NodeId(1, 2),), {NodeId(1, 2): (0.5, 0.125)})  # keyed by survivors
-        with pytest.raises(ProtocolFault):
-            ServerBroadcast(1, (NodeId(1, 2),), {NodeId(1, 1): (0.5, 0.125)})

@@ -13,9 +13,9 @@ from fedelim.harness import VARIANTS, ConfigError, ExperimentConfig, run
 DRAWS = 60
 
 
-def draw_config(rng: random.Random, seed: int) -> ExperimentConfig:
+def draw_config(rng: random.Random, seed: int, objectives: tuple[str, ...]) -> ExperimentConfig:
     return ExperimentConfig(
-        objective=rng.choice(("garland", "doublesine")),
+        objective=rng.choice(objectives),
         arity=rng.randint(2, 4),
         clients=rng.randint(1, 5),
         horizon=round(10 ** rng.uniform(math.log10(3), math.log10(3000))),
@@ -50,11 +50,10 @@ def check_invariants(config: ExperimentConfig, metrics) -> None:
         assert not any(metrics.client_events), config
 
 
-def test_invariants_hold_on_random_configs():
-    rng = random.Random(5)
+def run_draws(rng: random.Random, objectives: tuple[str, ...]) -> None:
     ran = rejected = 0
     for seed in range(DRAWS):
-        config = draw_config(rng, seed)
+        config = draw_config(rng, seed, objectives)
         try:
             metrics = run(config, seed)
         except ConfigError:
@@ -64,3 +63,12 @@ def test_invariants_hold_on_random_configs():
         check_invariants(config, metrics)
     assert ran + rejected == DRAWS
     assert ran > 0 and rejected > 0, (ran, rejected)
+
+
+def test_invariants_hold_on_random_configs():
+    run_draws(random.Random(5), ("garland", "doublesine"))
+
+
+def test_invariants_hold_on_random_configs_in_more_dimensions():
+    # himmelblau and ackley are 2-D, rastrigin 10-D; garland and doublesine are 1-D.
+    run_draws(random.Random(6), ("himmelblau", "ackley", "rastrigin"))

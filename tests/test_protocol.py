@@ -18,6 +18,7 @@ from fedelim.fedcore import (
     select_best,
     tau,
 )
+from fedelim.harness import ExperimentConfig, run
 from fedelim.objectives import BaseObjective, ORIENT_VALUE, make_base, make_suite
 from fedelim.partition import ROOT, BoxDomain, NodeId, PartitionSpec, children, node_containing
 from fedelim.protocol import Client, Server, Stage, run_protocol
@@ -67,8 +68,8 @@ class TestStage1Phase:
         conf = ConfParams(0.1, 1.0, 0.1, 100)
         client = make_client(suite, conf, SMOOTH)
         active = [NodeId(2, i) for i in range(1, 5)]
-        report, completed = client.run_stage1_phase(active, per_node_quota=1)
-        assert completed
+        report = client.run_stage1_phase(active, per_node_quota=1)
+        assert client.stage is Stage.STAGE1
         assert client.clock == 4 and client.budget == 96
         assert set(report.entries) == set(active)
         assert all(pulls == 1 for _, pulls in report.entries.values())
@@ -78,7 +79,7 @@ class TestStage1Phase:
         conf = ConfParams(0.1, 1.0, 0.1, 100)
         client = make_client(suite, conf, SMOOTH)
         active = [NodeId(2, i) for i in range(1, 5)]
-        report, _ = client.run_stage1_phase(active, per_node_quota=3)
+        report = client.run_stage1_phase(active, per_node_quota=3)
         for node, (mean, _) in report.entries.items():
             # cell centers on [0,1] at depth 2: (2i-1)/8
             assert mean == (2 * node.index - 1) / 8
@@ -88,8 +89,7 @@ class TestStage1Phase:
         conf = ConfParams(0.1, 1.0, 0.1, 2)
         client = make_client(suite, conf, SMOOTH)
         active = [NodeId(2, i) for i in range(1, 5)]
-        report, completed = client.run_stage1_phase(active, per_node_quota=1)
-        assert not completed
+        report = client.run_stage1_phase(active, per_node_quota=1)
         assert client.stage is Stage.EXHAUSTED
         assert client.clock == 2
         assert set(report.entries) == {NodeId(2, 1), NodeId(2, 2)}
@@ -114,7 +114,7 @@ class TestServerStep:
         assert bound <= 0.2875
         report = ClientReport(1, 3, {NodeId(3, 1): (0.9, pulls), NodeId(3, 2): (0.2, pulls)})
         broadcast = server.step([report], clock=pulls * 2)
-        assert broadcast.survivors == (NodeId(3, 1),)
+        assert tuple(broadcast.stats) == (NodeId(3, 1),)
         assert server.comm_rounds[-1].eliminated == {NodeId(3, 2)}
         assert server.active == [NodeId(4, 1), NodeId(4, 2)]
 
@@ -127,8 +127,8 @@ class TestServerStep:
             ClientReport(m, 4, {n: (0.5, 7) for n in server.active}) for m in (1, 2)
         ]
         broadcast = server.step(reports, clock=0)
-        assert broadcast.survivors == server.comm_rounds[-1].survivors
-        assert len(broadcast.survivors) == 3
+        assert tuple(broadcast.stats) == server.comm_rounds[-1].survivors
+        assert len(broadcast.stats) == 3
         assert server.comm_rounds[-1].eliminated == frozenset()
 
     def test_singleton_active_set(self):
@@ -136,7 +136,7 @@ class TestServerStep:
         server = Server(SPEC, conf, SMOOTH, clients=1)
         report = ClientReport(1, 0, {ROOT: (0.4, 3)})
         broadcast = server.step([report], clock=3)
-        assert broadcast.survivors == (ROOT,)
+        assert tuple(broadcast.stats) == (ROOT,)
         assert server.active == [NodeId(1, 1), NodeId(1, 2)]
 
     def test_depth_mismatch_fault(self):
@@ -166,7 +166,7 @@ class TestAbsorb:
 
     def test_substitution_overwrites_local_stats(self):
         client, conf = self._client_after_phase()
-        broadcast = ServerBroadcast(0, (ROOT,), {ROOT: (0.42, 0.05)})
+        broadcast = ServerBroadcast(0, {ROOT: (0.42, 0.05)})
         client.absorb_broadcast(broadcast)
         stats = client.stats[ROOT]
         assert stats.mean == 0.42 and stats.bound == 0.05
@@ -176,8 +176,7 @@ class TestAbsorb:
 
     def test_unknown_node_fault(self):
         client, _ = self._client_after_phase()
-        broadcast = ServerBroadcast(0, (NodeId(0, 1), NodeId(1, 1)),
-                                    {NodeId(0, 1): (0.4, 0.1), NodeId(1, 1): (0.4, 0.1)})
+        broadcast = ServerBroadcast(0, {NodeId(0, 1): (0.4, 0.1), NodeId(1, 1): (0.4, 0.1)})
         with pytest.raises(ProtocolFault):
             client.absorb_broadcast(broadcast)
 
@@ -186,11 +185,11 @@ class TestAbsorb:
         conf = ConfParams(0.1, 1.0, 0.1, 1000)
         client = make_client(suite, conf, SMOOTH, h0=0 + 1)
         client.run_stage1_phase([ROOT], 1)
-        client.absorb_broadcast(ServerBroadcast(0, (ROOT,), {ROOT: (0.5, 0.1)}))
+        client.absorb_broadcast(ServerBroadcast(0, {ROOT: (0.5, 0.1)}))
         assert client.stage is Stage.STAGE1  # depth 1 == h0, still collaborative
         kids = (NodeId(1, 1), NodeId(1, 2))
         client.run_stage1_phase(list(kids), 1)
-        client.absorb_broadcast(ServerBroadcast(1, kids, {k: (0.5, 0.1) for k in kids}))
+        client.absorb_broadcast(ServerBroadcast(1, {k: (0.5, 0.1) for k in kids}))
         assert client.stage is Stage.PE
         assert client.pe_depth == 0
         assert client.local_active == [ROOT]
@@ -210,12 +209,13 @@ class TestPersonalElimination:
         conf = ConfParams(0.1, 1.0, 0.1, 1000)
         client = make_client(suite, conf, SMOOTH, h0=1)
         client.run_stage1_phase([ROOT], 1)
-        client.absorb_broadcast(ServerBroadcast(0, (ROOT,), {ROOT: (0.5, 0.1)}))
+        client.absorb_broadcast(ServerBroadcast(0, {ROOT: (0.5, 0.1)}))
         kids = (NodeId(1, 1), NodeId(1, 2))
         client.run_stage1_phase(list(kids), 1)
-        client.absorb_broadcast(ServerBroadcast(1, kids, {k: (0.5, 0.1) for k in kids}))
+        client.absorb_broadcast(ServerBroadcast(1, {k: (0.5, 0.1) for k in kids}))
         clock_before = client.clock
-        assert client.pe_step()  # depth 0: root protected, no pulls
+        client.pe_step()  # depth 0: root protected, no pulls
+        assert client.stage is Stage.PE
         assert client.clock == clock_before
         assert client.pe_depth == 1
         assert client.pe_events[-1].eliminated == frozenset()
@@ -229,7 +229,8 @@ class TestPersonalElimination:
         assert client.stats[ROOT].pulls == 12
         assert tau(0, conf, SMOOTH) <= 12
         clock_before = client.clock
-        assert client.pe_step()
+        client.pe_step()
+        assert client.stage is Stage.PE
         assert client.clock == clock_before
 
     def test_protected_node_can_dominate_elimination(self):
@@ -245,7 +246,8 @@ class TestPersonalElimination:
         pulls = tau(3, conf, SMOOTH)
         client.stats[bad] = NodeStats.from_counts(pulls, 0.3 * pulls, conf)
         assert client.stats[bad].bound + 0.3 + SMOOTH.slack(3) < 0.9 - 0.02
-        assert client.pe_step()
+        client.pe_step()
+        assert client.stage is Stage.PE
         event = client.pe_events[-1]
         assert event.best == good
         assert event.eliminated == frozenset({bad})
@@ -257,7 +259,8 @@ class TestPersonalElimination:
         client = make_client(suite, conf, SMOOTH, h0=0)
         client.protected[0] = frozenset({ROOT})
         client.stats[ROOT] = NodeStats(5, None, 0.5, 0.1)
-        assert client.pe_step()
+        client.pe_step()
+        assert client.stage is Stage.PE
         assert client.clock == 0
         assert client.pe_events[-1].best is None
         assert client.local_active == [NodeId(1, 1), NodeId(1, 2)]
@@ -357,9 +360,9 @@ class TestDrivenRuns:
                 i for i in indices
                 if not (centers[i] + bound + 0.5 ** depth < best_value - bound)
             ]
-            assert broadcast.survivors == tuple(NodeId(depth, i) for i in survivors)
+            assert tuple(broadcast.stats) == tuple(NodeId(depth, i) for i in survivors)
             assert broadcast.stats == {NodeId(depth, i): (centers[i], bound) for i in survivors}
-            assert rnd.survivors == broadcast.survivors
+            assert rnd.survivors == tuple(broadcast.stats)
             indices = [j for i in survivors for j in (2 * i - 1, 2 * i)]
 
     def test_round_records_are_self_consistent(self):
@@ -474,3 +477,63 @@ class TestDrivenRuns:
         for m, log in enumerate(result.pull_logs, start=1):
             _, _, _, regrets = expand_pulls(log, suite, m, 12)
             assert len(regrets) == 1000 and np.all(regrets >= -1e-9)
+
+
+def record_clients(monkeypatch, adjust=lambda client: None) -> list[Client]:
+    """Collect every ``Client`` a run builds, each passed to ``adjust`` once built."""
+    made = []
+    init = Client.__init__
+
+    def recording_init(client, *args, **kwargs):
+        init(client, *args, **kwargs)
+        adjust(client)
+        made.append(client)
+
+    monkeypatch.setattr(Client, "__init__", recording_init)
+    return made
+
+
+def two_client_config(horizon, variant="pfpne", **overrides):
+    return ExperimentConfig(objective="garland", clients=2, horizon=horizon, noise=0.0,
+                            variant=variant, **overrides)
+
+
+class TestBudgetEnds:
+    # At these horizons the budget ends exactly with a stage-one phase.
+    @pytest.mark.parametrize("variant", ["pfpne", "global-only"])
+    @pytest.mark.parametrize("horizon, rounds", [(23, 4), (79, 5), (629, 6)])
+    def test_budget_ending_with_a_phase_exhausts_every_client(self, variant, horizon, rounds,
+                                                              monkeypatch):
+        clients = record_clients(monkeypatch)
+        metrics = run(two_client_config(horizon, variant), 0)
+        assert len(metrics.comm_rounds) == rounds
+        assert metrics.comm_rounds[-1].clock == horizon
+        assert metrics.stage_transition_t is None
+        assert [len(log) for log in metrics.pull_logs] == [horizon, horizon]
+        assert [c.stage for c in clients] == [Stage.EXHAUSTED, Stage.EXHAUSTED]
+        assert [c.clock for c in clients] == [horizon, horizon]
+
+    def test_clients_exhausting_in_different_phases_fault(self, monkeypatch):
+        # Client 2 starts one pull down, so it falls short in the last phase
+        # that client 1 completes exactly.
+        record_clients(monkeypatch, lambda c: setattr(c, "clock", 1) if c.m == 2 else None)
+        with pytest.raises(ProtocolFault, match="clients exhausted asynchronously in stage one"):
+            run(two_client_config(23), 0)
+
+    def test_unspent_budget_fault(self, monkeypatch):
+        # The depth cap leaves budget over, which this _spend_rest never pulls.
+        monkeypatch.setattr(Client, "_spend_rest",
+                            lambda client, frontier: setattr(client, "stage", Stage.EXHAUSTED))
+        with pytest.raises(ProtocolFault, match=r"client 1 consumed \d+ pulls out of 1000"):
+            run(two_client_config(1000, depth_cap=5), 0)
+
+    def test_transition_disagreement_fault(self, monkeypatch):
+        enter_pe = Client._enter_pe
+
+        def late_enter_pe(client):
+            enter_pe(client)
+            client.stage_transition_t += client.m
+
+        monkeypatch.setattr(Client, "_enter_pe", late_enter_pe)
+        with pytest.raises(ProtocolFault, match="clients disagree on the stage transition time"):
+            run(two_client_config(1000, depth_cap=5), 0)
