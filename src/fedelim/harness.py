@@ -29,8 +29,8 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Everything that defines an experiment, with desk-scale defaults.
 
-    ``shift_std=None`` resolves to 5% of the per-dimension domain width and
-    ``delta_conf=None`` to 1/clients.
+    ``shift_std=None`` resolves to 5% of the first dimension's domain width,
+    one scalar for all dimensions; ``delta_conf=None`` to ``min(1/clients, 0.5)``.
     """
 
     objective: str = "garland"
@@ -118,10 +118,10 @@ class VariantWiring:
 
 
 def variant_schedule(variant: str, smooth: SmoothParams, depth_cap: int) -> VariantWiring:
-    """Stage split per variant.
+    """Stage split per variant: the ``(h0, pe_enabled)`` pair that ``run_protocol`` reads.
 
-    The full protocol transitions at the gap-matching depth; the global-only
-    baseline never leaves the collaborative stage; the local-only baseline
+    The full protocol transitions at the gap-matching depth; global-only runs
+    server rounds through ``depth_cap`` and never personalizes; local-only
     runs personal elimination from the first pull and never communicates.
     """
     if variant == "pfpne":

@@ -502,11 +502,10 @@ class ObjectiveSuite:
     certified on the batch evaluators themselves.
     """
 
-    def __init__(self, base: BaseObjective, shifts: np.ndarray, noise: NoiseModel, seed: int):
+    def __init__(self, base: BaseObjective, shifts: np.ndarray, noise: NoiseModel):
         self.base = base
         self.shifts = np.asarray(shifts, dtype=float)
         self.noise = noise
-        self.seed = int(seed)
         if self.shifts.ndim != 2 or len(self.shifts) < 1 or self.shifts.shape[1] != base.domain.dim:
             raise ValueError("shifts must have shape (clients, dim) with at least one client")
         self.local_optima = [
@@ -577,7 +576,7 @@ def make_suite(base: BaseObjective, clients: int, shift_std: float,
         shifts = np.zeros(shape)
     else:
         shifts = substream(seed, PURPOSE_SHIFTS).normal(0.0, shift_std, size=shape)
-    return ObjectiveSuite(base, shifts, NoiseModel(halfwidth=noise_halfwidth), seed)
+    return ObjectiveSuite(base, shifts, NoiseModel(halfwidth=noise_halfwidth))
 
 
 # ---------------------------------------------------------------------------

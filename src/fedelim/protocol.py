@@ -153,20 +153,16 @@ class Server:
 
 
 class Client:
-    """One client's state machine across both stages."""
+    """One client's pulls, broadcasts and personal steps; ``run_protocol`` decides when."""
 
     def __init__(self, m: int, suite: ObjectiveSuite, spec: PartitionSpec,
-                 conf: ConfParams, smooth: SmoothParams, h0: int, depth_cap: int,
-                 pe_enabled: bool, rng: np.random.Generator,
+                 conf: ConfParams, smooth: SmoothParams, rng: np.random.Generator,
                  cell_values: dict[NodeId, np.ndarray]):
         self.m = m
         self.suite = suite
         self.spec = spec
         self.conf = conf
         self.smooth = smooth
-        self.h0 = h0
-        self.depth_cap = depth_cap
-        self.pe_enabled = pe_enabled
         self.rng = rng
         self.f_star = suite.local_star(m)
 
@@ -181,11 +177,6 @@ class Client:
         self.stage = Stage.STAGE1
         self.stage_transition_t: int | None = None
         self.cell_values = cell_values  # the run's table: cell -> every client's value
-
-        if h0 == 0 and pe_enabled:
-            # The gap bound already swamps the root resolution: no
-            # collaborative stage at all, personal elimination from pull one.
-            self._enter_pe()
 
     @property
     def budget(self) -> int:
@@ -251,7 +242,7 @@ class Client:
         return ClientReport(client=self.m, depth=self.depth, entries=entries)
 
     def absorb_broadcast(self, broadcast: ServerBroadcast) -> None:
-        """Adopt merged statistics for survivors and advance one depth."""
+        """Adopt merged statistics for survivors and advance one depth, staying in ``STAGE1``."""
         if self.stage != Stage.STAGE1:
             raise ProtocolFault(f"client {self.m} received a broadcast in stage {self.stage}")
         if broadcast.depth != self.depth:
@@ -266,10 +257,9 @@ class Client:
                                          mean=mean, bound=bound)
         self.protected[self.depth] = frozenset(broadcast.stats)
         self.depth += 1
-        if self.depth > self.h0 and self.pe_enabled:
-            self._enter_pe()
 
-    def _enter_pe(self) -> None:
+    def enter_pe(self) -> None:
+        """Start personal elimination from the root at the current clock."""
         self.stage = Stage.PE
         self.stage_transition_t = self.clock
 
@@ -320,12 +310,12 @@ class Client:
         self.local_active = sorted(c for n in survivors for c in children(n, self.spec))
         self.pe_depth += 1
 
-    def run_pe(self) -> None:
-        """Personal steps down to the depth cap, then the rest of the budget on the best cell.
+    def run_pe(self, depth_cap: int) -> None:
+        """Personal steps down to ``depth_cap``, then the rest of the budget on the best cell.
 
         A step that exhausts the client ends the personal stage there.
         """
-        while self.stage is Stage.PE and self.pe_depth < self.depth_cap:
+        while self.stage is Stage.PE and self.pe_depth < depth_cap:
             self.pe_step()
         if self.stage is Stage.PE:
             self._spend_rest(self.local_active)
@@ -377,25 +367,28 @@ class ProtocolResult:
 def run_protocol(suite: ObjectiveSuite, spec: PartitionSpec, conf: ConfParams,
                  smooth: SmoothParams, h0: int, pe_enabled: bool, depth_cap: int,
                  seed: int) -> ProtocolResult:
-    """Drive a full run: synchronous stage-one rounds, then each client's ending.
+    """Drive a full run: the one record of the stage schedule, then each client's ending.
 
-    All clients advance through a stage-one phase before the server step.
-    Their schedules are identical, so they leave a phase in one stage: still
-    ``STAGE1``, or ``EXHAUSTED``, which ends the run before the server step.
-    Each client's stage then chooses its ending: personal elimination for
-    ``PE``, the rest of the budget on the server's best cell for ``STAGE1``.
-    Every client ends ``EXHAUSTED``.
+    Clients run synchronous stage-one phases and server rounds at depths
+    ``0..h0``; their schedules are identical, so a phase leaves them all
+    ``STAGE1`` or all ``EXHAUSTED``, which ends the run before the server
+    step.  After the last round, ``pe_enabled`` moves ``STAGE1`` clients to
+    ``PE`` (personal elimination down to ``depth_cap``); the rest spend their
+    budget on the server's best cell.  Every client ends ``EXHAUSTED``.
     """
+    if h0 < 0:
+        raise ValueError(f"h0 must be non-negative, got {h0}")
+    # h0 = 0 with a personal stage means no collaborative round at all.
+    rounds = h0 + 1 if h0 or not pe_enabled else 0
     m_count = suite.clients
     cell_values: dict[NodeId, np.ndarray] = {}  # each cell evaluated once, for every client
     clients = [
-        Client(m, suite, spec, conf, smooth, h0, depth_cap, pe_enabled,
-               substream(seed, PURPOSE_NOISE, m), cell_values)
+        Client(m, suite, spec, conf, smooth, substream(seed, PURPOSE_NOISE, m), cell_values)
         for m in range(1, m_count + 1)
     ]
     server = Server(spec, conf, smooth, m_count)
 
-    while clients[0].stage is Stage.STAGE1 and server.depth <= h0:
+    while clients[0].stage is Stage.STAGE1 and server.depth < rounds:
         per_node = quota(tau(server.depth, conf, smooth), m_count)
         reports = [client.run_stage1_phase(server.active, per_node) for client in clients]
         if len({c.stage for c in clients}) != 1:
@@ -407,8 +400,10 @@ def run_protocol(suite: ObjectiveSuite, spec: PartitionSpec, conf: ConfParams,
             client.absorb_broadcast(broadcast)
 
     for client in clients:
+        if client.stage is Stage.STAGE1 and pe_enabled:
+            client.enter_pe()
         if client.stage is Stage.PE:
-            client.run_pe()
+            client.run_pe(depth_cap)
         elif client.stage is Stage.STAGE1:
             client.finish_stage1_only()
 

@@ -2,13 +2,14 @@
 
 Every drawn config either runs or is rejected with ``ConfigError``; both are
 counted and none is dropped.  Each run must conserve the budget, never
-eliminate a protected cell for a client, and have all clients agree on the
-stage transition.
+eliminate a protected cell for a client, have all clients agree on the stage
+transition, and run the server rounds its variant's schedule sets.
 """
+import dataclasses
 import math
 import random
 
-from fedelim.harness import VARIANTS, ConfigError, ExperimentConfig, run
+from fedelim.harness import VARIANTS, ConfigError, ExperimentConfig, run, variant_schedule
 
 DRAWS = 60
 
@@ -26,6 +27,14 @@ def draw_config(rng: random.Random, seed: int, objectives: tuple[str, ...]) -> E
         variant=rng.choice(VARIANTS),
         seeds=(seed,),
     )
+
+
+def draw_rastrigin_config(rng: random.Random, seed: int,
+                          objectives: tuple[str, ...]) -> ExperimentConfig:
+    """A rastrigin config on the box [-1, 1]^d, with d drawn from 1 to 4."""
+    d = rng.randint(1, 4)
+    return dataclasses.replace(draw_config(rng, seed, objectives),
+                               domain_lower=(-1.0,) * d, domain_upper=(1.0,) * d)
 
 
 def check_invariants(config: ExperimentConfig, metrics) -> None:
@@ -48,21 +57,31 @@ def check_invariants(config: ExperimentConfig, metrics) -> None:
         assert t == (metrics.comm_rounds[-1].clock if metrics.comm_rounds else 0), config
     if t is None:
         assert not any(metrics.client_events), config
+    # The schedule: rounds at depths 0..h0, or none when h0 = 0 with a
+    # personal stage; a transition means the schedule ran to its end.
+    h0 = variant_schedule(config.variant, config.smooth_params(), config.depth_cap).h0
+    assert metrics.h0 == h0, config
+    assert len(metrics.comm_rounds) <= h0 + 1, config
+    if t is not None:
+        assert len(metrics.comm_rounds) == (h0 + 1 if h0 else 0), config
 
 
-def run_draws(rng: random.Random, objectives: tuple[str, ...]) -> None:
-    ran = rejected = 0
+def run_draws(rng: random.Random, objectives: tuple[str, ...],
+              draw=draw_config) -> list[ExperimentConfig]:
+    """Run ``DRAWS`` drawn configs and return the ones that ran."""
+    ran, rejected = [], 0
     for seed in range(DRAWS):
-        config = draw_config(rng, seed, objectives)
+        config = draw(rng, seed, objectives)
         try:
             metrics = run(config, seed)
         except ConfigError:
             rejected += 1
             continue
-        ran += 1
+        ran.append(config)
         check_invariants(config, metrics)
-    assert ran + rejected == DRAWS
-    assert ran > 0 and rejected > 0, (ran, rejected)
+    assert len(ran) + rejected == DRAWS
+    assert ran and rejected > 0, (len(ran), rejected)
+    return ran
 
 
 def test_invariants_hold_on_random_configs():
@@ -72,3 +91,9 @@ def test_invariants_hold_on_random_configs():
 def test_invariants_hold_on_random_configs_in_more_dimensions():
     # himmelblau and ackley are 2-D, rastrigin 10-D; garland and doublesine are 1-D.
     run_draws(random.Random(6), ("himmelblau", "ackley", "rastrigin"))
+
+
+def test_invariants_hold_on_random_configs_over_dimensions():
+    # rastrigin is the only objective that takes any dimension.
+    ran = run_draws(random.Random(7), ("rastrigin",), draw=draw_rastrigin_config)
+    assert {len(config.domain_lower) for config in ran} == {1, 2, 3, 4}

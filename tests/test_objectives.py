@@ -202,7 +202,7 @@ class TestSuite:
         domain = base.domain
         rng = np.random.default_rng(13)
         shifts = rng.uniform(-0.2, 0.2, size=(5, domain.dim)) * domain.widths
-        suite = ObjectiveSuite(base, shifts, NoiseModel(0.0), seed=0)
+        suite = ObjectiveSuite(base, shifts, NoiseModel(0.0))
         clipped = 0
         for x in rng.uniform(domain.lower, domain.upper, size=(40, domain.dim)):
             values = suite.eval_clients(x)
@@ -223,7 +223,7 @@ class TestSuite:
     def test_constructor_certifies_on_its_own_evaluators(self):
         # client 1's shifted optimum leaves the domain and falls back to the
         # grid; client 2's translates
-        suite = ObjectiveSuite(ramp_base(), np.array([[0.1], [-0.2]]), NoiseModel(0.0), seed=0)
+        suite = ObjectiveSuite(ramp_base(), np.array([[0.1], [-0.2]]), NoiseModel(0.0))
         first, second = suite.local_optima
         assert first.method == "grid-zoom" and second.method == "shift-translation"
         for m, cert in enumerate(suite.local_optima, start=1):
@@ -236,9 +236,9 @@ class TestSuite:
 
     def test_constructor_rejects_bad_shifts(self):
         with pytest.raises(ValueError):
-            ObjectiveSuite(ramp_base(), np.zeros((0, 1)), NoiseModel(0.0), 0)
+            ObjectiveSuite(ramp_base(), np.zeros((0, 1)), NoiseModel(0.0))
         with pytest.raises(ValueError):
-            ObjectiveSuite(ramp_base(), np.zeros((2, 2)), NoiseModel(0.0), 0)
+            ObjectiveSuite(ramp_base(), np.zeros((2, 2)), NoiseModel(0.0))
 
     def test_out_of_domain_point_rejected(self):
         suite = make_suite(ramp_base(), clients=2, shift_std=0.0,
@@ -389,7 +389,7 @@ class TestSeparable:
         base = make_base("rastrigin", BoxDomain([-2.0, -1.0], [1.0, 3.0]))
         # every shifted image of the optimum at the origin leaves the box
         shifts = np.array([[1.5, 0.5], [-0.5, -1.8], [0.3, 3.4]])
-        suite = ObjectiveSuite(base, shifts, NoiseModel(0.0), seed=0)
+        suite = ObjectiveSuite(base, shifts, NoiseModel(0.0))
         fns = [functools.partial(suite.eval_local_batch, m) for m in (1, 2, 3)]
         certs = [*suite.local_optima, suite.global_optimum]
         for fn, cert in zip([*fns, suite.eval_global_batch], certs):
@@ -446,7 +446,7 @@ class TestLipschitz:
         self.assert_lipschitz(base.raw_fn, base.domain, base.lipschitz, rng)
         # shifts up to a third of the width, so that clipping bites
         shifts = rng.uniform(-1 / 3, 1 / 3, size=(3, 2)) * base.domain.widths
-        suite = ObjectiveSuite(base, shifts, NoiseModel(0.0), seed=0)
+        suite = ObjectiveSuite(base, shifts, NoiseModel(0.0))
         for m in (1, 2, 3):
             self.assert_lipschitz(functools.partial(suite.eval_local_batch, m), base.domain,
                                   base.value_lipschitz, rng)

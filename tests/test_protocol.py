@@ -41,9 +41,12 @@ def ramp_suite(clients=1, noise=0.0, seed=1, shift_std=0.0):
                       noise_halfwidth=noise, seed=seed)
 
 
-def make_client(suite, conf, smooth, h0=3, depth_cap=40, pe_enabled=True, m=1, seed=1):
-    return Client(m, suite, SPEC, conf, smooth, h0, depth_cap, pe_enabled,
-                  substream(seed, PURPOSE_NOISE, m), {})
+def make_client(suite, conf, smooth, pe=False, m=1, seed=1):
+    """A client in ``STAGE1``, or moved to ``PE`` at clock 0 when ``pe``."""
+    client = Client(m, suite, SPEC, conf, smooth, substream(seed, PURPOSE_NOISE, m), {})
+    if pe:
+        client.enter_pe()
+    return client
 
 
 SMOOTH = SmoothParams(nu1=1.0, rho=0.5, delta_gap=0.01)
@@ -97,7 +100,7 @@ class TestStage1Phase:
     def test_wrong_stage_fault(self):
         suite = ramp_suite()
         conf = ConfParams(0.1, 1.0, 0.1, 100)
-        client = make_client(suite, conf, SMOOTH, h0=0)  # starts in PE
+        client = make_client(suite, conf, SMOOTH, pe=True)
         with pytest.raises(ProtocolFault):
             client.run_stage1_phase([ROOT], 1)
 
@@ -160,7 +163,7 @@ class TestAbsorb:
     def _client_after_phase(self):
         suite = ramp_suite()
         conf = ConfParams(0.1, 1.0, 0.1, 1000)
-        client = make_client(suite, conf, SMOOTH, h0=3)
+        client = make_client(suite, conf, SMOOTH)
         client.run_stage1_phase([ROOT], per_node_quota=2)
         return client, conf
 
@@ -180,39 +183,40 @@ class TestAbsorb:
         with pytest.raises(ProtocolFault):
             client.absorb_broadcast(broadcast)
 
-    def test_transition_to_pe_after_last_depth(self):
+    def test_absorb_leaves_the_client_in_stage_one(self):
+        # The driver, not the broadcast, moves a client to PE.
         suite = ramp_suite()
         conf = ConfParams(0.1, 1.0, 0.1, 1000)
-        client = make_client(suite, conf, SMOOTH, h0=0 + 1)
+        client = make_client(suite, conf, SMOOTH)
         client.run_stage1_phase([ROOT], 1)
         client.absorb_broadcast(ServerBroadcast(0, {ROOT: (0.5, 0.1)}))
-        assert client.stage is Stage.STAGE1  # depth 1 == h0, still collaborative
         kids = (NodeId(1, 1), NodeId(1, 2))
         client.run_stage1_phase(list(kids), 1)
         client.absorb_broadcast(ServerBroadcast(1, {k: (0.5, 0.1) for k in kids}))
-        assert client.stage is Stage.PE
-        assert client.pe_depth == 0
-        assert client.local_active == [ROOT]
-        assert client.stage_transition_t == client.clock
+        assert client.stage is Stage.STAGE1
+        assert client.depth == 2 and client.stage_transition_t is None
 
 
 class TestPersonalElimination:
-    def test_pe_from_start_when_gap_dominates(self):
+    def test_enter_pe_starts_from_the_root(self):
         suite = ramp_suite()
         conf = ConfParams(0.1, 1.0, 0.1, 50)
-        client = make_client(suite, conf, SMOOTH, h0=0)
+        client = make_client(suite, conf, SMOOTH, pe=True)
         assert client.stage is Stage.PE
+        assert client.pe_depth == 0
+        assert client.local_active == [ROOT]
         assert client.stage_transition_t == 0
 
     def test_protected_root_needs_no_sampling(self):
         suite = ramp_suite()
         conf = ConfParams(0.1, 1.0, 0.1, 1000)
-        client = make_client(suite, conf, SMOOTH, h0=1)
+        client = make_client(suite, conf, SMOOTH)
         client.run_stage1_phase([ROOT], 1)
         client.absorb_broadcast(ServerBroadcast(0, {ROOT: (0.5, 0.1)}))
         kids = (NodeId(1, 1), NodeId(1, 2))
         client.run_stage1_phase(list(kids), 1)
         client.absorb_broadcast(ServerBroadcast(1, {k: (0.5, 0.1) for k in kids}))
+        client.enter_pe()
         clock_before = client.clock
         client.pe_step()  # depth 0: root protected, no pulls
         assert client.stage is Stage.PE
@@ -223,7 +227,7 @@ class TestPersonalElimination:
     def test_threshold_carry_over_skips_sampling(self):
         suite = ramp_suite()
         conf = ConfParams(0.1, 1.0, 0.1, 1000)
-        client = make_client(suite, conf, SMOOTH, h0=0)
+        client = make_client(suite, conf, SMOOTH, pe=True)
         # preload 12 local pulls on the root; threshold at depth 0 is 1
         client._pull_batch(ROOT, 12)
         assert client.stats[ROOT].pulls == 12
@@ -237,7 +241,7 @@ class TestPersonalElimination:
         # global-substituted (0.9, 0.02) vs local sibling (0.3, ...) at depth 3
         suite = ramp_suite()
         conf = ConfParams(0.1, 1.0, 0.1, 10_000)
-        client = make_client(suite, conf, SMOOTH, h0=0)
+        client = make_client(suite, conf, SMOOTH, pe=True)
         client.pe_depth = 3
         good, bad = NodeId(3, 1), NodeId(3, 2)
         client.local_active = [good, bad]
@@ -256,7 +260,7 @@ class TestPersonalElimination:
     def test_all_protected_depth_expands_without_pulls(self):
         suite = ramp_suite()
         conf = ConfParams(0.1, 1.0, 0.1, 1000)
-        client = make_client(suite, conf, SMOOTH, h0=0)
+        client = make_client(suite, conf, SMOOTH, pe=True)
         client.protected[0] = frozenset({ROOT})
         client.stats[ROOT] = NodeStats(5, None, 0.5, 0.1)
         client.pe_step()
@@ -269,8 +273,8 @@ class TestPersonalElimination:
         suite = ramp_suite()
         conf = ConfParams(0.5, 1.0, 0.1, 10)  # tau grows fast with c = 0.5
         smooth = SmoothParams(1.0, 0.5, 1.0)
-        client = make_client(suite, conf, smooth, h0=0)
-        client.run_pe()
+        client = make_client(suite, conf, smooth, pe=True)
+        client.run_pe(40)
         assert client.stage is Stage.EXHAUSTED
         assert client.clock == 10 and client.budget == 0
 
@@ -285,8 +289,8 @@ class TestFallback:
         t0, t1 = tau(0, conf, smooth), tau(1, conf, smooth)
         horizon = t0 + 2 * t1 + 37
         conf = ConfParams(0.1, 1.0, 0.1, horizon)
-        client = make_client(suite, conf, smooth, h0=0, depth_cap=cap)
-        client.run_pe()
+        client = make_client(suite, conf, smooth, pe=True)
+        client.run_pe(cap)
         assert client.stage is Stage.EXHAUSTED
         assert client.budget == 0
         depths, indices, _, _ = expand_pulls(client.pull_log, suite, 1, 1)
@@ -303,8 +307,8 @@ class TestFallback:
         conf_probe = ConfParams(0.1, 1.0, 0.1, 1000)
         horizon = tau(0, conf_probe, smooth) + 2 * tau(1, conf_probe, smooth) + 12
         conf = ConfParams(0.1, 1.0, 0.1, horizon)
-        client = make_client(suite, conf, smooth, h0=0, depth_cap=2)
-        client.run_pe()
+        client = make_client(suite, conf, smooth, pe=True)
+        client.run_pe(2)
         _, _, _, regrets = expand_pulls(client.pull_log, suite, 1, 1)
         tail = regrets[-12:]
         assert len(tail) == 12 and len(set(tail.tolist())) == 1
@@ -319,6 +323,27 @@ class TestDrivenRuns:
         for log in result.pull_logs:
             assert len(log) == 300
         assert result.stage_transition_t is not None
+
+    @pytest.mark.parametrize("h0", [0, 1, 3])
+    def test_driver_moves_clients_to_pe_after_round_h0(self, h0):
+        suite = ramp_suite(clients=2, noise=0.1, seed=3)
+        conf = ConfParams(0.1, 1.0, 0.5, 1000)
+        result = run_protocol(suite, SPEC, conf, SMOOTH, h0=h0, pe_enabled=True,
+                              depth_cap=40, seed=3)
+        # h0 = 0 means no collaborative round; otherwise rounds at depths 0..h0.
+        assert [rnd.depth for rnd in result.comm_rounds] == (list(range(h0 + 1)) if h0 else [])
+        assert result.stage_transition_t == (result.comm_rounds[-1].clock if h0 else 0)
+        assert all(events for events in result.client_events)
+
+    @pytest.mark.parametrize("pe_enabled", [True, False])
+    def test_negative_h0_is_rejected_before_any_client(self, pe_enabled, monkeypatch):
+        clients = record_clients(monkeypatch)
+        suite = ramp_suite()
+        conf = ConfParams(0.1, 1.0, 0.5, 100)
+        with pytest.raises(ValueError, match="h0 must be non-negative"):
+            run_protocol(suite, SPEC, conf, SMOOTH, h0=-1, pe_enabled=pe_enabled,
+                         depth_cap=40, seed=0)
+        assert clients == []
 
     def test_stage1_report_transcript_matches_direct_recomputation(self, monkeypatch):
         # noiseless two-client run; every message is recomputable by hand:
@@ -528,12 +553,12 @@ class TestBudgetEnds:
             run(two_client_config(1000, depth_cap=5), 0)
 
     def test_transition_disagreement_fault(self, monkeypatch):
-        enter_pe = Client._enter_pe
+        enter_pe = Client.enter_pe
 
         def late_enter_pe(client):
             enter_pe(client)
             client.stage_transition_t += client.m
 
-        monkeypatch.setattr(Client, "_enter_pe", late_enter_pe)
+        monkeypatch.setattr(Client, "enter_pe", late_enter_pe)
         with pytest.raises(ProtocolFault, match="clients disagree on the stage transition time"):
             run(two_client_config(1000, depth_cap=5), 0)
