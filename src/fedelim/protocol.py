@@ -18,9 +18,10 @@ be eliminated.  A cell thus disappears for a client only after failing both
 the collaborative test and a personal test on the client's own rewards.
 
 The driver is synchronous and deterministic: given a suite and a master
-seed, every pull, message and elimination event is reproducible.  Each
-client's pull log keeps one segment per batch (the cell, the pull count, the
-reward sum and their shared instant regret), not one entry per pull.
+seed, every pull, message and elimination event is reproducible.  A phase or
+step draws its noise once, in ``Client._pull_cells``, and a client's pull log
+keeps one segment per cell pulled (the cell, the pull count, the reward sum
+and their shared instant regret), not one entry per pull.
 """
 from __future__ import annotations
 
@@ -192,37 +193,49 @@ class Client:
             values = self.cell_values[node] = self.suite.eval_clients(point)
         return float(values[self.m - 1])
 
-    def _pull_batch(self, node: NodeId, n: int) -> None:
-        value = self._cell_value(node)
-        rewards = value + self.suite.noise.draw(self.rng, n)
-        pulls, total = n, self.pull_log.append_batch(node, rewards, self.f_star - value)
-        prev = self.stats.get(node)
-        if prev is not None:
-            pulls, total = prev.pulls + n, prev.reward_sum + total
-        self.stats[node] = NodeStats.from_counts(pulls, total, self.conf)
-        self.clock += n
+    def _pull_cells(self, nodes: list[NodeId], wants: list[int]) -> None:
+        """Pull each cell up to its want, in order, from one noise draw.
 
-    def _pull_up_to(self, node: NodeId, n: int) -> None:
-        """Pull ``node`` up to ``n`` times; a budget that falls short exhausts the client."""
-        k = min(n, self.budget)
-        if k > 0:
-            self._pull_batch(node, k)
-        if k < n:
-            self.stage = Stage.EXHAUSTED
+        A want of zero or less pulls nothing.  The first cell the budget
+        cannot fill is cut at the budget and exhausts the client; no later
+        cell is pulled.  Each cell's pulls are logged as one segment.
+        """
+        counts, left = [], self.budget
+        for want in wants:
+            k = min(max(want, 0), left)  # Python ints: a want may be TAU_SATURATED
+            counts.append(k)
+            left -= k
+            if k < want:
+                self.stage = Stage.EXHAUSTED
+                break
+        noise = self.suite.noise.draw(self.rng, sum(counts)) if any(counts) else None
+        offset = 0
+        for node, n in zip(nodes, counts):
+            if n == 0:
+                continue
+            value = self._cell_value(node)
+            rewards = noise[offset:offset + n]
+            rewards += value  # in place: a call allocates one reward array
+            offset += n
+            pulls, reward_sum = n, self.pull_log.append_batch(node, rewards, self.f_star - value)
+            prev = self.stats.get(node)
+            if prev is not None:
+                pulls, reward_sum = prev.pulls + n, prev.reward_sum + reward_sum
+            self.stats[node] = NodeStats.from_counts(pulls, reward_sum, self.conf)
+        self.clock += offset
 
     def _spend_rest(self, frontier: list[NodeId]) -> None:
         """Spend the remaining budget on the frontier cell with the best ancestor mean.
 
         Ties go to the first cell of ``frontier``.
         """
-        if self.budget > 0:
-            self._pull_batch(max(frontier, key=self._ancestor_mean), self.budget)
+        self._pull_cells([max(frontier, key=self._ancestor_mean)], [self.budget])
         self.stage = Stage.EXHAUSTED
 
     # ---- collaborative stage --------------------------------------------
 
     def run_stage1_phase(self, active: list[NodeId], per_node_quota: int) -> ClientReport:
-        """Pull every active cell ``per_node_quota`` times, in index order.
+        """Pull every active cell ``per_node_quota`` times, in index order, from one noise draw.
 
         If the budget falls short, the client is exhausted in the middle of
         the phase and reports only the cells it actually pulled.  A budget
@@ -231,14 +244,8 @@ class Client:
         """
         if self.stage != Stage.STAGE1:
             raise ProtocolFault(f"client {self.m} cannot sample stage one in stage {self.stage}")
-        entries: dict[NodeId, tuple[float, int]] = {}
-        for node in active:
-            self._pull_up_to(node, per_node_quota)
-            if node in self.stats:
-                s = self.stats[node]
-                entries[node] = (s.mean, s.pulls)
-            if self.stage is Stage.EXHAUSTED:
-                break
+        self._pull_cells(active, [per_node_quota] * len(active))
+        entries = {n: (s.mean, s.pulls) for n, s in self._stats_view(active).items()}
         return ClientReport(client=self.m, depth=self.depth, entries=entries)
 
     def absorb_broadcast(self, broadcast: ServerBroadcast) -> None:
@@ -277,8 +284,9 @@ class Client:
         tested on the client's own stage-one pulls against the best
         protected cell; if that test eliminates it, it is settled without a
         top-up.  Every other unprotected cell is topped up to the depth
-        threshold, stage-one pulls counting toward it.  A budget that falls
-        short exhausts the client there, before the depth's elimination.
+        threshold, stage-one pulls counting toward it, from one noise draw.
+        A budget that falls short exhausts the client there, before the
+        depth's elimination.
         """
         h = self.pe_depth
         prot = self.protected.get(h, frozenset())
@@ -292,11 +300,10 @@ class Client:
             ref = select_best({n: view[n] for n in prot})
             settled = eliminate(view, [n for n in to_sample if n in view], ref, h, self.smooth)
             to_sample = [n for n in to_sample if n not in settled]
-        for node in to_sample:
-            have = self.stats[node].pulls if node in self.stats else 0
-            self._pull_up_to(node, tau_h - have)
-            if self.stage is Stage.EXHAUSTED:
-                return
+        self._pull_cells(to_sample, [tau_h - (self.stats[n].pulls if n in self.stats else 0)
+                                     for n in to_sample])
+        if self.stage is Stage.EXHAUSTED:
+            return
         view = self._stats_view(self.local_active)
         if to_sample or settled:
             best = select_best(view)
@@ -354,14 +361,6 @@ class ProtocolResult:
     @property
     def comm_rounds_total(self) -> int:
         return len(self.comm_rounds)
-
-    @property
-    def scalars_up_total(self) -> int:
-        return sum(r.scalars_up for r in self.comm_rounds)
-
-    @property
-    def scalars_down_total(self) -> int:
-        return sum(r.scalars_down for r in self.comm_rounds)
 
 
 def run_protocol(suite: ObjectiveSuite, spec: PartitionSpec, conf: ConfParams,

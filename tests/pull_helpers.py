@@ -1,9 +1,11 @@
 """Per-pull views of a segment pull log, for tests that compare pulls one by one.
 
 A segment keeps a batch's pull count and reward sum, not its rewards.  The
-rewards are re-drawn here exactly as the protocol drew them: each client's
-noise substream, one draw per segment in segment order, added to the cell's
-value for that client.
+rewards are re-drawn here from each client's noise substream, one draw per
+segment in segment order, added to the cell's value for that client.  The
+protocol draws once per stage-one phase or personal step and slices that
+draw per cell; draws from one generator concatenate, so the per-segment
+draws here give the same rewards, bit for bit.
 """
 import numpy as np
 

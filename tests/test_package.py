@@ -4,6 +4,8 @@ from pathlib import Path
 
 import fedelim
 
+REPO = Path(__file__).resolve().parents[1]
+
 
 def test_star_import_succeeds():
     namespace = {}
@@ -90,3 +92,45 @@ def test_every_module_level_definition_is_referenced():
     package = Path(fedelim.__file__).parent
     sources = [path.read_text() for path in sorted(package.glob("*.py"))]
     assert unreferenced_definitions(sources) == []
+
+
+def unreferenced_methods(sources: list[str], references: list[str]) -> list[str]:
+    """``Class.name`` of each method or property of a module-level class in
+    ``sources`` whose name nothing in ``references`` uses.
+
+    A use is a loaded name, an attribute, or a string constant, which covers
+    patching by name (``setattr(owner, "name", ...)``); dunder names are exempt.
+    """
+    defined = set()
+    for source in sources:
+        for cls in ast.parse(source).body:
+            if isinstance(cls, ast.ClassDef):
+                defined |= {(cls.name, f.name) for f in cls.body
+                            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    used = set()
+    for source in references:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                used.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                used.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                used.add(n.value)
+    return sorted(f"{cls}.{name}" for cls, name in defined if name not in used
+                  and not (name.startswith("__") and name.endswith("__")))
+
+
+def test_unreferenced_method_detector():
+    source = ("class C:\n    def f(self): pass\n    def g(self): pass\n"
+              "    @property\n    def p(self): return 0\n    def __len__(self): return 0\n")
+    assert unreferenced_methods([source], [source]) == ["C.f", "C.g", "C.p"]
+    assert unreferenced_methods([source], ["C().f()\nsetattr(C, 'g', None)\n"]) == ["C.p"]
+    assert unreferenced_methods(["def f(): pass\n"], []) == []  # module level: not a method
+
+
+def test_every_method_is_referenced():
+    package = Path(fedelim.__file__).parent
+    sources = [path.read_text() for path in sorted(package.glob("*.py"))]
+    references = [path.read_text() for tree in ("src/fedelim", "tests", "demos", "perfbench")
+                  for path in sorted((REPO / tree).rglob("*.py"))]
+    assert unreferenced_methods(sources, references) == []

@@ -11,6 +11,7 @@ from fedelim.fedcore import (
     ProtocolFault,
     ServerBroadcast,
     SmoothParams,
+    TAU_SATURATED,
     confidence_bound,
     eliminate,
     merge_global,
@@ -19,7 +20,7 @@ from fedelim.fedcore import (
     tau,
 )
 from fedelim.harness import ExperimentConfig, run
-from fedelim.objectives import BaseObjective, ORIENT_VALUE, make_base, make_suite
+from fedelim.objectives import BaseObjective, NoiseModel, ORIENT_VALUE, make_base, make_suite
 from fedelim.partition import ROOT, BoxDomain, NodeId, PartitionSpec, children, node_containing
 from fedelim.protocol import Client, Server, Stage, run_protocol
 from fedelim.seeding import PURPOSE_NOISE, substream
@@ -229,7 +230,7 @@ class TestPersonalElimination:
         conf = ConfParams(0.1, 1.0, 0.1, 1000)
         client = make_client(suite, conf, SMOOTH, pe=True)
         # preload 12 local pulls on the root; threshold at depth 0 is 1
-        client._pull_batch(ROOT, 12)
+        client._pull_cells([ROOT], [12])
         assert client.stats[ROOT].pulls == 12
         assert tau(0, conf, SMOOTH) <= 12
         clock_before = client.clock
@@ -334,6 +335,26 @@ class TestDrivenRuns:
         assert [rnd.depth for rnd in result.comm_rounds] == (list(range(h0 + 1)) if h0 else [])
         assert result.stage_transition_t == (result.comm_rounds[-1].clock if h0 else 0)
         assert all(events for events in result.client_events)
+
+    def test_one_noise_draw_per_phase_and_per_sampling_step(self, monkeypatch):
+        draws = []
+        draw = NoiseModel.draw
+        monkeypatch.setattr(NoiseModel, "draw",
+                            lambda model, rng, n: draws.append(n) or draw(model, rng, n))
+        calls = []  # (method, pulls, segments, draws) of every call
+        for name in ("run_stage1_phase", "pe_step"):
+            def counted(client, *args, method=getattr(Client, name), name=name):
+                clock, segments, start = client.clock, len(client.pull_log.segments), len(draws)
+                out = method(client, *args)
+                calls.append((name, client.clock - clock,
+                              len(client.pull_log.segments) - segments, len(draws) - start))
+                return out
+            monkeypatch.setattr(Client, name, counted)
+        run(ExperimentConfig(objective="garland", clients=2, horizon=1000, depth_cap=5), 0)
+        assert [taken for *_, taken in calls] == [int(pulls > 0) for _, pulls, *_ in calls]
+        # both stages have calls that pull several cells from their one draw
+        assert {name for name, _, segments, _ in calls if segments > 1} == {
+            "run_stage1_phase", "pe_step"}
 
     @pytest.mark.parametrize("pe_enabled", [True, False])
     def test_negative_h0_is_rejected_before_any_client(self, pe_enabled, monkeypatch):
@@ -544,6 +565,34 @@ class TestBudgetEnds:
         record_clients(monkeypatch, lambda c: setattr(c, "clock", 1) if c.m == 2 else None)
         with pytest.raises(ProtocolFault, match="clients exhausted asynchronously in stage one"):
             run(two_client_config(23), 0)
+
+    def test_pull_cells_cuts_the_first_short_cell(self):
+        client = make_client(ramp_suite(noise=0.1), ConfParams(0.1, 1.0, 0.1, 7), SMOOTH)
+        cells = [NodeId(1, 1), NodeId(1, 2), NodeId(2, 1)]
+        client._pull_cells(cells, [5, 5, 5])
+        assert [(node, pulls) for node, pulls, _, _ in client.pull_log.segments] == [
+            (cells[0], 5), (cells[1], 2)]
+        assert cells[2] not in client.stats
+        assert client.stage is Stage.EXHAUSTED
+        assert client.clock == 7
+
+    @pytest.mark.parametrize("clock", [0, 7])
+    def test_pull_cells_skips_wants_of_zero_or_less(self, clock):
+        client = make_client(ramp_suite(noise=0.1), ConfParams(0.1, 1.0, 0.1, 7), SMOOTH)
+        client.clock = clock
+        state = client.rng.bit_generator.state
+        client._pull_cells([NodeId(1, 1), NodeId(1, 2)], [0, -3])
+        assert client.pull_log.segments == [] and client.stats == {}
+        assert client.rng.bit_generator.state == state  # no noise drawn
+        assert client.stage is Stage.STAGE1
+        assert client.clock == clock
+
+    def test_pull_cells_cuts_a_saturated_want_at_the_budget(self):
+        client = make_client(ramp_suite(noise=0.1), ConfParams(0.1, 1.0, 0.1, 7), SMOOTH)
+        client._pull_cells([NodeId(1, 1), NodeId(1, 2), NodeId(2, 1)], [3, TAU_SATURATED, 1])
+        assert [pulls for _, pulls, _, _ in client.pull_log.segments] == [3, 4]
+        assert client.stage is Stage.EXHAUSTED
+        assert client.clock == 7
 
     def test_unspent_budget_fault(self, monkeypatch):
         # The depth cap leaves budget over, which this _spend_rest never pulls.
