@@ -37,5 +37,5 @@ print("=== average cumulative regret ===")
 for t in (500, 1000, 2500, 5000):
     i = int(np.searchsorted(ticks, t))
     print(f"t={t:5d}: {trace[i]:9.2f}")
-finals = [float(np.sum(log.regret_array())) for log in metrics.pull_logs]
+finals = [sum(pulls * regret for _, pulls, _, regret in log.segments) for log in metrics.pull_logs]
 print(f"per-client final regrets: min {min(finals):.1f}, max {max(finals):.1f}")

@@ -7,7 +7,7 @@ from fedelim import ExperimentConfig, run
 for variant in ("pfpne", "global-only"):
     config = ExperimentConfig(objective="garland", clients=10, horizon=5000,
                               variant=variant, seeds=(0,))
-    metrics = run(config, 0, record_pulls=False)
+    metrics = run(config, 0, client_records=False)
     print(f"=== {variant} ===")
     print(f"{'round':>5} {'depth':>5} {'up':>6} {'down':>6} {'cumulative':>11} {'clock':>6}")
     for rnd in metrics.comm_rounds:

@@ -172,7 +172,7 @@ def _configs_from_args(args) -> list[ExperimentConfig]:
 
 def _run_one(payload):
     config, seed = payload
-    return run(config, seed, record_pulls=False)
+    return run(config, seed, client_records=False)
 
 
 def _execute(configs: list[ExperimentConfig], threads: int) -> dict[str, AggregateMetrics]:
@@ -257,8 +257,9 @@ def cmd_oracle(args) -> int:
     shift_std = config.resolved_shift_std(base)
     suite = make_suite(base, clients=args.clients, shift_std=shift_std,
                        noise_halfwidth=0.0, seed=args.seed)
+    shown = shift_std[:1] if len(set(shift_std)) == 1 else shift_std  # one scale if all agree
     print(f"objective={args.objective} clients={args.clients} "
-          f"shift_std={format_float(shift_std)} seed={args.seed}")
+          f"shift_std={','.join(map(format_float, shown))} seed={args.seed}")
     for m in range(1, suite.clients + 1):
         cert = suite.local_optima[m - 1]
         point = ", ".join(format_float(v) for v in cert.x)

@@ -10,6 +10,7 @@ this half-width below the cell resolution ``nu1 * rho**h``.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ class ConfParams:
         if self.c1 * self.horizon_T / self.delta < math.e:
             raise ValueError("c1 * T / delta must be at least e so the log term is >= 1")
 
-    @property
+    @functools.cached_property  # read by every confidence bound
     def log_term(self) -> float:
         return math.log(self.c1 * self.horizon_T / self.delta)
 

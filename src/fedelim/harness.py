@@ -29,8 +29,8 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Everything that defines an experiment, with desk-scale defaults.
 
-    ``shift_std=None`` resolves to 5% of the first dimension's domain width,
-    one scalar for all dimensions; ``delta_conf=None`` to ``min(1/clients, 0.5)``.
+    ``shift_std=None`` resolves to 5% of each dimension's domain width, one
+    scale per dimension; ``delta_conf=None`` to ``min(1/clients, 0.5)``.
     """
 
     objective: str = "garland"
@@ -68,10 +68,10 @@ class ExperimentConfig:
     def resolve_base(self) -> BaseObjective:
         return make_base(self.objective, self.domain_override())
 
-    def resolved_shift_std(self, base: BaseObjective) -> float:
+    def resolved_shift_std(self, base: BaseObjective) -> np.ndarray:
         if self.shift_std is not None:
-            return self.shift_std
-        return 0.05 * float(base.domain.widths[0])
+            return np.full(base.domain.dim, float(self.shift_std))
+        return 0.05 * np.asarray(base.domain.widths, dtype=float)
 
     def conf_params(self) -> ConfParams:
         return ConfParams(self.c, self.c1, self.resolved_delta_conf(), self.horizon)
@@ -141,7 +141,7 @@ class RunMetrics(ProtocolResult):
     seed: int
     checkpoints: np.ndarray
     avg_cum_regret: np.ndarray
-    suite: ObjectiveSuite
+    suite: ObjectiveSuite | None
 
     @property
     def final_avg_regret(self) -> float:
@@ -198,18 +198,21 @@ def checkpoint_grid(horizon: int, stride: int) -> np.ndarray:
 
 
 def average_regret_trace(pull_logs: list[PullLog], checkpoints: np.ndarray) -> np.ndarray:
-    """Client-average cumulative regret at each checkpoint.
+    """Client-average cumulative regret at each checkpoint, in closed form per segment.
 
-    Per-client cumulative sums run in pull order; the client average is a
-    plain sum divided by the client count, so a recomputation from the raw
-    pull records reproduces the trace bit for bit.
+    A segment's pulls share one instant regret ``r``: at its pull ``t``, after ``start``
+    earlier pulls, a client has accrued its regret before the segment plus ``(t - start) * r``.
+    The client average sums in client order, so recomputation through this function is exact.
     """
-    m = len(pull_logs)
     acc = np.zeros(len(checkpoints))
     for log in pull_logs:
-        cum = np.cumsum(log.regret_array())
-        acc += cum[checkpoints - 1]
-    return acc / m
+        _, pulls, _, regret = zip(*log.segments)
+        pulls, regret = np.array(pulls, dtype=np.int64), np.array(regret, dtype=float)
+        ends = np.cumsum(pulls)
+        accrued = np.concatenate(([0.0], np.cumsum(pulls * regret)[:-1]))  # before each segment
+        k = np.searchsorted(ends, checkpoints)  # the segment that holds pull t
+        acc += accrued[k] + (checkpoints - ends[k] + pulls[k]) * regret[k]
+    return acc / len(pull_logs)
 
 
 def _suite_for(config: ExperimentConfig, seed: int) -> ObjectiveSuite:
@@ -223,9 +226,9 @@ def _suite_for(config: ExperimentConfig, seed: int) -> ObjectiveSuite:
     )
 
 
-def run(config: ExperimentConfig, seed: int, record_pulls: bool = True,
+def run(config: ExperimentConfig, seed: int, client_records: bool = True,
         suite: ObjectiveSuite | None = None) -> RunMetrics:
-    """Execute one variant run for one seed and account its metrics."""
+    """One variant run for one seed; ``client_records=False`` drops what no output reads."""
     config.validate()
     suite = suite if suite is not None else _suite_for(config, seed)
     conf = config.conf_params()
@@ -245,13 +248,13 @@ def run(config: ExperimentConfig, seed: int, record_pulls: bool = True,
     trace = average_regret_trace(result.pull_logs, checkpoints)
     metrics = RunMetrics(**vars(result), variant=config.variant, seed=seed,
                          checkpoints=checkpoints, avg_cum_regret=trace, suite=suite)
-    if not record_pulls:
-        metrics.pull_logs = None
+    if not client_records:
+        metrics.pull_logs = metrics.client_events = metrics.suite = None
     return metrics
 
 
 def run_many(config: ExperimentConfig) -> AggregateMetrics:
-    """Independent runs over config.seeds, aggregated per checkpoint, pull logs dropped."""
+    """Independent runs over config.seeds, aggregated per checkpoint, client records dropped."""
     config.validate()
-    runs = [run(config, seed, record_pulls=False) for seed in config.seeds]
+    runs = [run(config, seed, client_records=False) for seed in config.seeds]
     return AggregateMetrics.from_runs(config.variant, runs)

@@ -560,22 +560,24 @@ class ObjectiveSuite:
         return self.local_optima[m - 1].value
 
 
-def make_suite(base: BaseObjective, clients: int, shift_std: float,
+def make_suite(base: BaseObjective, clients: int, shift_std: float | np.ndarray,
                noise_halfwidth: float, seed: int) -> ObjectiveSuite:
     """Draw per-client shifts and build the suite, which certifies the local optima.
 
     Shifts are N(0, shift_std^2) per client per dimension, drawn from the
-    dedicated substream of the master seed.
+    dedicated substream of the master seed.  ``shift_std`` is one scale, or
+    one per dimension; equal scales draw the same shifts as their scalar.
     """
     if clients < 1:
         raise ValueError("need at least one client")
-    if not 0 <= shift_std < math.inf:
+    scales = np.broadcast_to(np.asarray(shift_std, dtype=float), (base.domain.dim,))
+    if not np.all((0 <= scales) & (scales < math.inf)):
         raise ValueError("shift_std must be finite and nonnegative")
     shape = (clients, base.domain.dim)
-    if shift_std == 0.0:
+    if not scales.any():
         shifts = np.zeros(shape)
     else:
-        shifts = substream(seed, PURPOSE_SHIFTS).normal(0.0, shift_std, size=shape)
+        shifts = substream(seed, PURPOSE_SHIFTS).normal(0.0, scales, size=shape)
     return ObjectiveSuite(base, shifts, NoiseModel(halfwidth=noise_halfwidth))
 
 

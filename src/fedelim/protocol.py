@@ -75,12 +75,6 @@ class PullLog:
     def __len__(self) -> int:
         return sum(pulls for _, pulls, _, _ in self.segments)
 
-    def regret_array(self) -> np.ndarray:
-        """Instant regret of every pull, in pull order."""
-        regrets = [regret for _, _, _, regret in self.segments]
-        counts = [pulls for _, pulls, _, _ in self.segments]
-        return np.repeat(np.asarray(regrets, dtype=float), counts)
-
 
 @dataclass
 class EliminationEvent:
@@ -348,13 +342,14 @@ class ProtocolResult:
 
     ``comm_rounds`` holds one record per server round, elimination decision
     included; ``client_events`` one record per personal step of each client.
+    A run may drop its per-client records, ``pull_logs`` and ``client_events``.
     """
 
     clients: int
     horizon: int
     h0: int
     pull_logs: list[PullLog] | None
-    client_events: list[list[EliminationEvent]]
+    client_events: list[list[EliminationEvent]] | None
     comm_rounds: list[CommRound]
     stage_transition_t: int | None
 

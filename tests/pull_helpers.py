@@ -5,7 +5,9 @@ rewards are re-drawn here from each client's noise substream, one draw per
 segment in segment order, added to the cell's value for that client.  The
 protocol draws once per stage-one phase or personal step and slices that
 draw per cell; draws from one generator concatenate, so the per-segment
-draws here give the same rewards, bit for bit.
+draws here give the same rewards, bit for bit.  Instant regrets are expanded
+here too, one per pull: the program accounts regret per segment, so this
+per-pull view is only a test oracle.
 """
 import numpy as np
 
@@ -31,4 +33,5 @@ def expand_pulls(log, suite, m, seed, spec=PartitionSpec(2)):
         depths += [node.depth] * pulls
         indices += [node.index] * pulls
         batches.append(rewards)
-    return depths, indices, np.concatenate(batches), log.regret_array()
+    _, counts, _, regrets = zip(*log.segments)
+    return depths, indices, np.concatenate(batches), np.repeat(regrets, counts)

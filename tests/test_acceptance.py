@@ -63,7 +63,7 @@ def cached_run(objective, variant, seed, clients=10, horizon=5000, noise=0.1,
                               horizon=horizon, noise=noise, shift_std=shift_std,
                               delta_gap=delta_gap, seeds=(seed,))
     suite = cached_suite(objective, clients, shift_std, noise, seed)
-    metrics = run(config, seed, record_pulls=True, suite=suite)
+    metrics = run(config, seed, client_records=True, suite=suite)
     # criterion 10 bookkeeping: verify each emitted trace once, at creation
     recomputed = average_regret_trace(metrics.pull_logs, metrics.checkpoints)
     exact = bool(np.array_equal(metrics.avg_cum_regret, recomputed))

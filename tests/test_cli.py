@@ -49,9 +49,9 @@ variants = pfpne, global-only, local-only
 """
 
 FIXED_DIGESTS = {
-    "regret.csv": "58175502e72bcf44abeb79b3d980118df33332d9617c5f66da9da35f6f5e1687",
+    "regret.csv": "e21c18904af502f3e453f541d2645f5dcde8e180bee7aff7062e051a29085dd2",
     "comm.csv": "9f4ea1af4ce16735597fa4bcab059221c9830bb23a44d801c36d7a2d1aaed51e",
-    "summary.json": "1046101da2894541b312aac40542d2d77eace1a5188cd9a68162974e5427c04b",
+    "summary.json": "24af45964d95cb79eeb7de3d1a909424a6bcecbfd232a4e3d7c42de3a4e66098",
 }
 
 # With depth_cap = 2 every client has budget left when its last phase ends:
@@ -68,9 +68,9 @@ variants = pfpne, global-only, local-only
 """
 
 LEFTOVER_DIGESTS = {
-    "regret.csv": "04234360c336fcd500ab22021f6c63293ec4ca4010071042647f15edaa36dc5a",
+    "regret.csv": "b3cf9204939e50c870f15157bcf644f4202f07d974dd31919a08476e7be2996b",
     "comm.csv": "9305099e7fa6067cfb709a68c06ab7f13127cb7a84b36d7dd8d576ff4e307caf",
-    "summary.json": "d730b237c99f0d08848927b6f2120f1a8dbf1c16e8086ce4012e24c1933c38fa",
+    "summary.json": "06f16f2ae2a1a349f166f14d42f4536dff7660aa558763e56fec2d06ba72f704",
 }
 
 # SHA-256 of `fedelim oracle` stdout, recorded while the suite still
@@ -232,13 +232,15 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_outputs_match_recorded_hashes(self, tmp_path, monkeypatch, threads):
-        # Digests recorded before the pull log stored segments; serial and
-        # pool runs must both reproduce them.
+        # comm.csv's digest was recorded before the pull log stored segments;
+        # regret.csv's and summary.json's when regret became a closed form per
+        # segment.  Serial and pool runs must both reproduce them.
         assert_digests(tmp_path, monkeypatch, threads, FIXED_CONFIG, FIXED_DIGESTS)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_leftover_budget_outputs_match_recorded_hashes(self, tmp_path, monkeypatch, threads):
-        # Digests recorded before the two leftover-budget paths became one.
+        # comm.csv's digest was recorded before the two leftover-budget paths
+        # became one; the others when regret became a closed form per segment.
         assert_digests(tmp_path, monkeypatch, threads, LEFTOVER_CONFIG, LEFTOVER_DIGESTS)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -457,6 +459,17 @@ class TestRunCommand:
             argv += ["--variant", variant]
         assert main(argv) == 0
         assert pool_sizes == [workers]
+
+    def test_pooled_and_serial_runs_carry_no_client_records(self):
+        # The records exist in a full run; a pool task and run_many drop them.
+        config = ExperimentConfig(objective="garland", clients=3, horizon=400, delta_gap=0.05,
+                                  seeds=(1,))
+        full = harness.run(config, 1)
+        assert all(full.pull_logs) and all(full.client_events) and full.comm_rounds
+        for metrics in (cli._run_one((config, 1)), *harness.run_many(config).runs):
+            assert metrics.pull_logs is metrics.client_events is metrics.suite is None
+            assert metrics.avg_cum_regret.tolist() == full.avg_cum_regret.tolist()
+            assert metrics.comm_rounds == full.comm_rounds
 
     def test_non_integer_threads_exits_2(self, tmp_path, capsys, monkeypatch, pool_sizes):
         monkeypatch.setenv("FEDELIM_THREADS", "two")

@@ -51,6 +51,16 @@ class TestConfidenceBound:
         values = [confidence_bound(n, CONF) for n in range(1, 200)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    def test_log_term_is_computed_once(self, monkeypatch):
+        conf = ConfParams(c=0.1, c1=1.0, delta=0.01, horizon_T=10_000)
+        calls = []
+        log = math.log
+        monkeypatch.setattr(math, "log", lambda x: calls.append(x) or log(x))
+        bounds = [confidence_bound(n, conf) for n in (1, 2, 3)]
+        assert calls == [1.0 * 10_000 / 0.01]
+        assert bounds == [confidence_bound(n, CONF) for n in (1, 2, 3)]
+        assert conf == CONF and hash(conf) == hash(CONF)
+
     def test_zero_pulls_rejected(self):
         with pytest.raises(ValueError):
             confidence_bound(0, CONF)

@@ -1,10 +1,11 @@
 """Experiment orchestration: configs, variants, determinism, aggregation."""
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from fedelim import protocol
+from fedelim import harness, protocol
 from fedelim.fedcore import SmoothParams
 from fedelim.harness import (
     AggregateMetrics,
@@ -16,7 +17,7 @@ from fedelim.harness import (
     run_many,
     variant_schedule,
 )
-from fedelim.seeding import substream
+from fedelim.seeding import PURPOSE_SHIFTS, substream
 import pull_helpers
 from pull_helpers import expand_pulls
 
@@ -117,7 +118,7 @@ class TestRun:
         representative = protocol.representative
         monkeypatch.setattr(protocol, "representative",
                             lambda *a: calls.append(a[1]) or representative(*a))
-        metrics = run(small_config(clients=4, horizon=3000, delta_gap=0.05), 2, record_pulls=True)
+        metrics = run(small_config(clients=4, horizon=3000, delta_gap=0.05), 2, client_records=True)
         assert metrics.stage_transition_t is not None
         per_client = [{node for node, *_ in log.segments} for log in metrics.pull_logs]
         cells = set().union(*per_client)
@@ -181,6 +182,46 @@ class TestPullLog:
             patched.setattr(pull_helpers, "substream", skipping_substream)
             with pytest.raises(AssertionError, match="replayed sum"):
                 expand_pulls(metrics.pull_logs[0], metrics.suite, 1, 4)
+
+
+def segment_log(segments):
+    """A pull log of (pulls, instant regret) segments, all in the root cell."""
+    log = protocol.PullLog()
+    log.segments = [(protocol.ROOT, pulls, 0.0, regret) for pulls, regret in segments]
+    return log
+
+
+class TestRegretTrace:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_closed_form_matches_an_exact_sum_over_pulls(self, seed):
+        rng = np.random.default_rng(seed)
+        logs, bounds = [], set()
+        for _ in range(3):
+            pulls = rng.choice([1, 1, 2, 7, 40, 300], size=rng.integers(1, 40)).tolist()
+            regret = rng.uniform(0.0, 2.0, size=len(pulls)) * (rng.random(len(pulls)) < 0.7)
+            logs.append(segment_log(zip(pulls, regret.tolist())))
+            ends = np.cumsum(pulls)
+            bounds.update((ends - pulls + 1).tolist())  # each segment's first pull
+            bounds.update(ends.tolist())  # and its last
+        horizon = min(len(log) for log in logs)  # the last tick every client reaches
+        ticks = sorted({t for t in bounds if t <= horizon} | {1, horizon})
+        expanded = [np.repeat([r for *_, r in log.segments], [n for _, n, _, _ in log.segments])
+                    for log in logs]
+        exact = [math.fsum(math.fsum(per_pull[:t]) for per_pull in expanded) / len(logs)
+                 for t in ticks]
+        trace = average_regret_trace(logs, np.asarray(ticks))
+        np.testing.assert_allclose(trace, exact, rtol=1e-12, atol=0)
+
+    def test_a_trillion_pulls_in_three_segments(self):
+        # A per-pull array of this log would take 8 TB.
+        first, zero, horizon = 2**39, 3, 10**12
+        logs = [segment_log([(first, 0.5), (zero, 0.0), (horizon - first - zero, 0.25)]),
+                segment_log([(1, 1.0), (horizon - 1, 0.0)])]
+        ticks = np.array([1, first, first + 1, first + zero, first + zero + 1, horizon])
+        after = first * 0.5  # accrued by the first client when its first segment ends
+        expected = [(0.5 + 1.0) / 2, (after + 1.0) / 2, (after + 1.0) / 2, (after + 1.0) / 2,
+                     (after + 0.25 + 1.0) / 2, (after + (horizon - first - zero) * 0.25 + 1.0) / 2]
+        assert average_regret_trace(logs, ticks).tolist() == expected
 
 
 class TestRunMany:
@@ -255,6 +296,19 @@ class TestConfigValidation:
         config = small_config(objective="himmelblau")
         base = config.resolve_base()
         assert config.resolved_shift_std(base) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("lower,upper,scales", [
+        ((-1.0, -10.0), (1.0, 10.0), [0.1, 1.0]),
+        ((-10.0, -1.0), (10.0, 1.0), [1.0, 0.1]),
+    ])
+    def test_default_shift_is_five_percent_of_each_width(self, lower, upper, scales):
+        # Each dimension is scaled by its own width, in either order.
+        config = small_config(objective="himmelblau", clients=3,
+                              domain_lower=lower, domain_upper=upper)
+        resolved = config.resolved_shift_std(config.resolve_base())
+        assert resolved.tolist() == pytest.approx(scales)
+        normals = substream(0, PURPOSE_SHIFTS).standard_normal((3, 2))
+        assert np.array_equal(harness._suite_for(config, 0).shifts, normals * resolved)
 
     def test_arity_bounded_by_horizon(self):
         with pytest.raises(ConfigError):

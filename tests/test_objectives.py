@@ -182,6 +182,17 @@ class TestSuite:
         suite.shifts[0, 0] = 0.5
         assert suite.eval_local(1, [0.2]) == suite.base.evaluate([0.0])  # clipped
 
+    def test_equal_scales_per_dimension_draw_the_scalar_shifts(self):
+        base = make_base("himmelblau")
+        scalar = make_suite(base, clients=4, shift_std=0.3, noise_halfwidth=0.0, seed=9)
+        per_dim = make_suite(base, clients=4, shift_std=np.array([0.3, 0.3]),
+                             noise_halfwidth=0.0, seed=9)
+        assert scalar.shifts.tobytes() == per_dim.shifts.tobytes()
+        assert not make_suite(base, 2, [0.0, 0.0], 0.0, 9).shifts.any()
+        for bad in ([0.3, -0.1], [0.3, math.nan], [0.3, math.inf]):
+            with pytest.raises(ValueError, match="shift_std"):
+                make_suite(base, clients=2, shift_std=bad, noise_halfwidth=0.0, seed=9)
+
     def test_global_is_exact_client_mean(self):
         suite = make_suite(make_base("himmelblau"), clients=4, shift_std=0.3,
                            noise_halfwidth=0.0, seed=9)
