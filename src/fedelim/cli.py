@@ -9,7 +9,7 @@ creates its output directory.
 
 Exit codes: 0 success, 1 usage error, 2 configuration error, 3 runtime
 fault.  ``FEDELIM_THREADS`` caps how many (variant, seed) runs execute in
-parallel worker processes.
+parallel worker processes; a single run executes in this process.
 """
 from __future__ import annotations
 
@@ -176,12 +176,11 @@ def _run_one(payload):
 
 
 def _execute(configs: list[ExperimentConfig], threads: int) -> dict[str, AggregateMetrics]:
-    results: dict[str, AggregateMetrics] = {}
-    if threads <= 1:
-        for config in configs:
-            results[config.variant] = run_many(config)
-        return results
+    """Every (variant, seed) run: in this process, or on a pool of at most one worker per run."""
     tasks = [(config, seed) for config in configs for seed in config.seeds]
+    if threads <= 1 or len(tasks) == 1:  # one run gains nothing from a forked worker
+        return {config.variant: run_many(config) for config in configs}
+    results: dict[str, AggregateMetrics] = {}
     with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
         metrics = list(pool.map(_run_one, tasks))
     for config in configs:

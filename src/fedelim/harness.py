@@ -191,10 +191,10 @@ class AggregateMetrics:
 
 
 def checkpoint_grid(horizon: int, stride: int) -> np.ndarray:
-    ticks = list(range(stride, horizon + 1, stride))
-    if not ticks or ticks[-1] != horizon:
-        ticks.append(horizon)
-    return np.asarray(ticks, dtype=int)
+    """Every ``stride``-th pull, then the horizon if the grid misses it."""
+    step = min(stride, horizon)  # a stride past the horizon, even past int64, leaves only it
+    ticks = np.arange(step, horizon + 1, step, dtype=np.int64)
+    return ticks if ticks[-1] == horizon else np.append(ticks, horizon)
 
 
 def average_regret_trace(pull_logs: list[PullLog], checkpoints: np.ndarray) -> np.ndarray:

@@ -495,11 +495,12 @@ class ObjectiveSuite:
     Local objective m evaluates the base at ``clip(x - s_m)`` so shifted
     copies stay defined and bounded on the original domain; the global
     objective is the arithmetic mean of the locals, accumulated in client
-    order.  ``eval_clients`` gives every client's value at one in-domain
-    point; the single-point evaluator and the protocol's cell values both
-    come from it.  The constructor certifies each local optimum; the global
-    optimum is certified on first read, which a run never makes.  Both are
-    certified on the batch evaluators themselves.
+    order.  ``eval_clients_batch`` gives every client's value at each of a
+    batch of in-domain points; the protocol's cell values come from it, a
+    batch per pull call, and so do ``eval_clients`` and ``eval_local`` at one
+    point, with the same bits.  The constructor certifies each local
+    optimum; the global optimum is certified on first read, which a run
+    never makes.  Both are certified on the batch evaluators themselves.
     """
 
     def __init__(self, base: BaseObjective, shifts: np.ndarray, noise: NoiseModel):
@@ -537,12 +538,17 @@ class ObjectiveSuite:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return self.base.evaluate_batch(self.domain.clip(X - self.shifts[m - 1]))
 
+    def eval_clients_batch(self, X) -> np.ndarray:
+        """Every client's value at each in-domain point: one row per point, in client order."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        if not self.domain.contains(X, atol=1e-12):
+            raise ValueError("evaluation point lies outside the domain")
+        rows = self.domain.clip(X[:, None, :] - self.shifts).reshape(-1, X.shape[1])
+        return self.base.evaluate_batch(rows).reshape(len(X), self.clients)
+
     def eval_clients(self, x) -> np.ndarray:
         """Every client's value at one in-domain point, in client order."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if not self.domain.contains(x, atol=1e-12):
-            raise ValueError("evaluation point lies outside the domain")
-        return self.base.evaluate_batch(self.domain.clip(x - self.shifts))
+        return self.eval_clients_batch(np.atleast_1d(np.asarray(x, dtype=float))[None, :])[0]
 
     def eval_local(self, m: int, x) -> float:
         self._check_client(m)

@@ -9,6 +9,7 @@ functions here are pure; indices are plain Python integers and may grow as
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,6 +26,14 @@ class NodeId(NamedTuple):
 ROOT = NodeId(0, 1)
 
 
+def _check_widths(widths: list[float]) -> None:
+    """Raise ValueError unless every width, a domain's or a cell's, is finite and positive."""
+    if not all(map(math.isfinite, widths)):
+        raise ValueError("domain bounds and widths must be finite")
+    if not all(w > 0 for w in widths):
+        raise ValueError("every lower bound must be strictly below its upper bound")
+
+
 @dataclass
 class BoxDomain:
     """Axis-aligned box ``[lower_j, upper_j]`` per dimension j."""
@@ -39,12 +48,7 @@ class BoxDomain:
             raise ValueError("lower and upper must be 1-D vectors of equal length")
         if self.lower.size < 1:
             raise ValueError("domain needs at least one dimension")
-        # one subtraction covers both checks: every cell of the partition is a BoxDomain
-        widths = self.upper - self.lower
-        if not np.isfinite(widths).all():
-            raise ValueError("domain bounds and widths must be finite")
-        if not (widths > 0).all():
-            raise ValueError("every lower bound must be strictly below its upper bound")
+        _check_widths((self.upper - self.lower).tolist())
 
     @property
     def dim(self) -> int:
@@ -55,8 +59,9 @@ class BoxDomain:
         return self.upper - self.lower
 
     def contains(self, x, atol: float = 0.0) -> bool:
+        """Whether the point ``x``, or every row of a 2-D batch ``x``, lies in the box."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != self.lower.shape:
+        if x.ndim > 2 or x.shape[-1:] != self.lower.shape:
             return False
         return bool(np.all(x >= self.lower - atol) and np.all(x <= self.upper + atol))
 
@@ -103,43 +108,40 @@ def parent(node: NodeId, spec: PartitionSpec) -> NodeId:
     return NodeId(node.depth - 1, (node.index - 1) // spec.arity + 1)
 
 
-def _ordinal_path(node: NodeId, spec: PartitionSpec) -> list[int]:
-    """Child ordinals (0-based) along the root-to-node path."""
-    k = spec.arity
-    path = []
-    i = node.index
-    for _ in range(node.depth):
-        path.append((i - 1) % k)
-        i = (i - 1) // k + 1
-    path.reverse()
-    return path
+def _corners(domain: BoxDomain, node: NodeId, spec: PartitionSpec) -> tuple[list, list]:
+    """Lower and upper corners of ``node``'s cell, descended from the root in Python floats.
 
-
-def cell(domain: BoxDomain, node: NodeId, spec: PartitionSpec) -> BoxDomain:
-    """Sub-box reached by descending from the root to ``node``.
-
-    At each step the current box is cut into ``arity`` equal slabs along
-    dimension ``step % dim``; sibling boundaries are computed from the same
-    parent coordinates, so children tile the parent exactly.
+    The child ordinals along the path are the base-``arity`` digits of
+    ``index - 1``.  At each step the current box is cut into ``arity`` equal
+    slabs along dimension ``step % dim``; sibling boundaries are computed
+    from the same parent coordinates, so children tile the parent exactly.
     """
     validate_node(node, spec)
     k = spec.arity
-    d = domain.dim
-    lo = domain.lower.copy()
-    up = domain.upper.copy()
-    for step, ordinal in enumerate(_ordinal_path(node, spec)):
-        j = step % d
+    rest, ordinals = node.index - 1, []
+    for _ in range(node.depth):
+        rest, ordinal = divmod(rest, k)
+        ordinals.append(ordinal)
+    lo, up = domain.lower.tolist(), domain.upper.tolist()
+    for step, ordinal in enumerate(reversed(ordinals)):
+        j = step % len(lo)
         w = (up[j] - lo[j]) / k
         base = lo[j]
         lo[j] = base + ordinal * w
         up[j] = base + (ordinal + 1) * w
-    return BoxDomain(lo, up)
+    return lo, up
+
+
+def cell(domain: BoxDomain, node: NodeId, spec: PartitionSpec) -> BoxDomain:
+    """Sub-box reached by descending from the root to ``node``."""
+    return BoxDomain(*_corners(domain, node, spec))
 
 
 def representative(domain: BoxDomain, node: NodeId, spec: PartitionSpec) -> np.ndarray:
-    """Fixed evaluation point of a cell: its center."""
-    box = cell(domain, node, spec)
-    return (box.lower + box.upper) / 2.0
+    """Fixed evaluation point of a cell: the center of ``cell``'s box, bit for bit."""
+    lo, up = _corners(domain, node, spec)
+    _check_widths([u - v for v, u in zip(lo, up)])
+    return np.array([(v + u) / 2.0 for v, u in zip(lo, up)])
 
 
 def node_containing(domain: BoxDomain, point, depth: int, spec: PartitionSpec) -> NodeId:
@@ -149,7 +151,7 @@ def node_containing(domain: BoxDomain, point, depth: int, spec: PartitionSpec) -
     (floor convention), clamped so that domain boundary points stay inside.
     """
     x = np.atleast_1d(np.asarray(point, dtype=float))
-    if not domain.contains(x, atol=1e-12):
+    if x.ndim != 1 or not domain.contains(x, atol=1e-12):
         raise ValueError("point lies outside the domain")
     if depth < 0:
         raise ValueError("depth must be nonnegative")

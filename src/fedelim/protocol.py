@@ -19,13 +19,15 @@ the collaborative test and a personal test on the client's own rewards.
 
 The driver is synchronous and deterministic: given a suite and a master
 seed, every pull, message and elimination event is reproducible.  A phase or
-step draws its noise once, in ``Client._pull_cells``, and a client's pull log
-keeps one segment per cell pulled (the cell, the pull count, the reward sum
-and their shared instant regret), not one entry per pull.
+step draws its noise once, in ``Client._pull_cells``, which evaluates its new
+cells in one batch and sums each block of equal-count cells in one reduction.
+A client's pull log keeps one segment per cell pulled (the cell, the pull
+count, the reward sum and their shared instant regret), not one per pull.
 """
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,22 +57,23 @@ class Stage(enum.Enum):
 
 
 class PullLog:
-    """One client's pulls, stored as one segment per batch.
+    """One client's pulls, stored as one segment per cell pulled.
 
-    Every pull of a batch hits the same cell, so a segment is the cell, the
-    pull count, the reward sum and the instant regret shared by all its
-    pulls.  The rewards themselves are not kept: elimination reads only
-    counts and sums.
+    All pulls of a cell in one call share the cell, so a segment is the
+    cell, the pull count, the reward sum and the instant regret shared by
+    all its pulls.  The rewards themselves are not kept: elimination reads
+    only counts and sums.
     """
 
     def __init__(self):
         self.segments: list[tuple[NodeId, int, float, float]] = []
 
-    def append_batch(self, node: NodeId, rewards: np.ndarray, instant_regret: float) -> float:
-        """Log one batch of pulls of ``node`` and return its reward sum."""
-        total = float(rewards.sum())
-        self.segments.append((node, len(rewards), total, instant_regret))
-        return total
+    def append_batch(self, segments: list[tuple[NodeId, int, float, float]],
+                     rewards: np.ndarray) -> None:
+        """Log one call's segments, in pull order; their pulls are the call's ``rewards``."""
+        if sum(pulls for _, pulls, _, _ in segments) != len(rewards):
+            raise ProtocolFault("segments do not account for every reward of the call")
+        self.segments += segments
 
     def __len__(self) -> int:
         return sum(pulls for _, pulls, _, _ in self.segments)
@@ -142,7 +145,7 @@ class Server:
         ))
 
         broadcast = ServerBroadcast(depth=self.depth, stats=stats)
-        self.active = sorted(c for n in survivors for c in children(n, self.spec))
+        self.active = [c for n in survivors for c in children(n, self.spec)]  # in index order
         self.depth += 1
         return broadcast
 
@@ -180,42 +183,50 @@ class Client:
 
     # ---- shared pull machinery ------------------------------------------
 
-    def _cell_value(self, node: NodeId) -> float:
-        values = self.cell_values.get(node)
-        if values is None:
-            point = representative(self.suite.domain, node, self.spec)
-            values = self.cell_values[node] = self.suite.eval_clients(point)
-        return float(values[self.m - 1])
-
     def _pull_cells(self, nodes: list[NodeId], wants: list[int]) -> None:
         """Pull each cell up to its want, in order, from one noise draw.
 
         A want of zero or less pulls nothing.  The first cell the budget
         cannot fill is cut at the budget and exhausts the client; no later
-        cell is pulled.  Each cell's pulls are logged as one segment.
+        cell is pulled.  Cells not yet in the run's table are evaluated for
+        every client in one batch.  A block of consecutive cells with equal
+        pull counts is one (cells x pulls) view of the draw, summed by row:
+        each row reduces exactly as the cell's own slice would.  Each cell's
+        pulls are logged as one segment.
         """
-        counts, left = [], self.budget
-        for want in wants:
+        pulled, left = [], self.budget
+        for node, want in zip(nodes, wants):
             k = min(max(want, 0), left)  # Python ints: a want may be TAU_SATURATED
-            counts.append(k)
+            if k:
+                pulled.append((node, k))
             left -= k
             if k < want:
                 self.stage = Stage.EXHAUSTED
                 break
-        noise = self.suite.noise.draw(self.rng, sum(counts)) if any(counts) else None
-        offset = 0
-        for node, n in zip(nodes, counts):
-            if n == 0:
-                continue
-            value = self._cell_value(node)
-            rewards = noise[offset:offset + n]
-            rewards += value  # in place: a call allocates one reward array
-            offset += n
-            pulls, reward_sum = n, self.pull_log.append_batch(node, rewards, self.f_star - value)
+        if not pulled:
+            return
+        table = self.cell_values
+        new = [node for node, _ in pulled if node not in table]
+        if new:
+            centers = [representative(self.suite.domain, node, self.spec) for node in new]
+            table.update(zip(new, self.suite.eval_clients_batch(np.array(centers))))
+        values = np.array([table[node] for node, _ in pulled])[:, self.m - 1]
+        rewards = self.suite.noise.draw(self.rng, self.budget - left)
+        sums, offset = [], 0
+        for k, block in itertools.groupby(k for _, k in pulled):
+            first, r = len(sums), len(list(block))
+            rows = rewards[offset:offset + r * k].reshape(r, k)
+            rows += values[first:first + r, None]  # in place: one array per call
+            sums += rows.sum(axis=1).tolist()
+            offset += r * k
+        segments = []
+        for (node, k), value, total in zip(pulled, values.tolist(), sums):
+            segments.append((node, k, total, self.f_star - value))
             prev = self.stats.get(node)
             if prev is not None:
-                pulls, reward_sum = prev.pulls + n, prev.reward_sum + reward_sum
-            self.stats[node] = NodeStats.from_counts(pulls, reward_sum, self.conf)
+                k, total = prev.pulls + k, prev.reward_sum + total
+            self.stats[node] = NodeStats.from_counts(k, total, self.conf)
+        self.pull_log.append_batch(segments, rewards)
         self.clock += offset
 
     def _spend_rest(self, frontier: list[NodeId]) -> None:
@@ -308,7 +319,7 @@ class Client:
             raise ProtocolFault(f"client {self.m} eliminated protected nodes at depth {h}")
         survivors = tuple(n for n in self.local_active if n not in removed)
         self.pe_events.append(EliminationEvent(h, best, frozenset(removed), survivors))
-        self.local_active = sorted(c for n in survivors for c in children(n, self.spec))
+        self.local_active = [c for n in survivors for c in children(n, self.spec)]  # sorted
         self.pe_depth += 1
 
     def run_pe(self, depth_cap: int) -> None:

@@ -3,11 +3,12 @@
 A segment keeps a batch's pull count and reward sum, not its rewards.  The
 rewards are re-drawn here from each client's noise substream, one draw per
 segment in segment order, added to the cell's value for that client.  The
-protocol draws once per stage-one phase or personal step and slices that
-draw per cell; draws from one generator concatenate, so the per-segment
-draws here give the same rewards, bit for bit.  Instant regrets are expanded
-here too, one per pull: the program accounts regret per segment, so this
-per-pull view is only a test oracle.
+protocol draws once per stage-one phase or personal step and sums that draw
+a block of equal-count cells at a time; draws from one generator
+concatenate, and a block's row sums as the cell's own array does, so the
+per-segment draws here give the same rewards and sums, bit for bit.
+Instant regrets are expanded here too, one per pull: the program accounts
+regret per segment, so this per-pull view is only a test oracle.
 """
 import numpy as np
 

@@ -73,6 +73,39 @@ LEFTOVER_DIGESTS = {
     "summary.json": "06f16f2ae2a1a349f166f14d42f4536dff7660aa558763e56fec2d06ba72f704",
 }
 
+# Beyond one dimension: ackley in 2-D (the benchmark's cert-ackley run, seed
+# 0) and rastrigin in 10-D.  These digests guard the cell centers and the
+# batched cell evaluation of multi-dimensional boxes.
+ACKLEY_CONFIG = """
+[experiment]
+objective = ackley
+clients = 2
+horizon = 5000
+seeds = 0
+variants = pfpne, local-only
+"""
+
+ACKLEY_DIGESTS = {
+    "regret.csv": "81fb1dd8d30e0bf20769eddc9091f046e975a16c919b8af5c753f6e4628c5498",
+    "comm.csv": "ccb9f2052d3e492fdb39c4e4d67d1efd37144c9821f662e9f303adbfd66df353",
+    "summary.json": "d7dd69769e16ad79781c69b035cfcd305da1f051a42d30593f15db1dc29311c2",
+}
+
+RASTRIGIN_CONFIG = """
+[experiment]
+objective = rastrigin
+clients = 3
+horizon = 3000
+seeds = 0
+variants = pfpne, global-only, local-only
+"""
+
+RASTRIGIN_DIGESTS = {
+    "regret.csv": "a1c86e1b7c7620917bc72c4dc03e738a174a90b3e8b939076d2cbda194e1df57",
+    "comm.csv": "88f5938376162a1517b52780f523801610a873cde5fa7ea80bac755b02cbf0ef",
+    "summary.json": "c9df7c252a775cc7db045be7a16fed4a731857bca6c2555112c205ab9ff05fb8",
+}
+
 # SHA-256 of `fedelim oracle` stdout, recorded while the suite still
 # certified its global optimum at construction.
 ORACLE_DIGESTS = {
@@ -242,6 +275,15 @@ class TestRunCommand:
         # comm.csv's digest was recorded before the two leftover-budget paths
         # became one; the others when regret became a closed form per segment.
         assert_digests(tmp_path, monkeypatch, threads, LEFTOVER_CONFIG, LEFTOVER_DIGESTS)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("config, digests", [(ACKLEY_CONFIG, ACKLEY_DIGESTS),
+                                                 (RASTRIGIN_CONFIG, RASTRIGIN_DIGESTS)],
+                             ids=["ackley-2d", "rastrigin-10d"])
+    def test_multidimensional_outputs_match_recorded_hashes(self, tmp_path, monkeypatch,
+                                                            threads, config, digests):
+        # Recorded while each new cell was still evaluated on its own.
+        assert_digests(tmp_path, monkeypatch, threads, config, digests)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_global_certificate_failure_does_not_fail_a_run(self, tmp_path, monkeypatch,
@@ -446,19 +488,20 @@ class TestRunCommand:
         assert code == 2
         assert len(config_errors(err)) == 1 and "Traceback" not in err
 
-    @pytest.mark.parametrize("threads, variants, workers", [
-        ("8", ["pfpne"], 2),                # two tasks: no idle worker is forked
-        ("2", ["pfpne", "local-only"], 2),  # four tasks on two workers
+    @pytest.mark.parametrize("threads, variants, runs, pools", [
+        ("8", ["pfpne"], 2, [2]),                # two tasks: no idle worker is forked
+        ("2", ["pfpne", "local-only"], 2, [2]),  # four tasks on two workers
+        ("2", ["pfpne"], 1, []),                 # one task runs in this process
     ])
     def test_pool_never_exceeds_task_count(self, tmp_path, monkeypatch, pool_sizes,
-                                           threads, variants, workers):
+                                           threads, variants, runs, pools):
         monkeypatch.setenv("FEDELIM_THREADS", threads)
         argv = ["run", "--objective", "garland", "--clients", "2", "--horizon", "100",
-                "--runs", "2", "--out", str(tmp_path / "out")]
+                "--runs", str(runs), "--out", str(tmp_path / "out")]
         for variant in variants:
             argv += ["--variant", variant]
         assert main(argv) == 0
-        assert pool_sizes == [workers]
+        assert pool_sizes == pools
 
     def test_pooled_and_serial_runs_carry_no_client_records(self):
         # The records exist in a full run; a pool task and run_many drop them.

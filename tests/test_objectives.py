@@ -21,7 +21,7 @@ from fedelim.objectives import (
     oracle_optimum,
     profile_ladder,
 )
-from fedelim.partition import BoxDomain
+from fedelim.partition import BoxDomain, NodeId, PartitionSpec, representative
 
 
 def ramp_base():
@@ -222,6 +222,32 @@ class TestSuite:
                 assert suite.eval_local(m, x) == values[m - 1]
                 clipped += not domain.contains(x - shifts[m - 1])
         assert clipped > 0
+
+    @pytest.mark.parametrize("name", OBJECTIVE_NAMES)
+    def test_batched_cell_centers_match_one_point_evaluation_bit_for_bit(self, name):
+        # The protocol fills its cell table a batch of cells at a time; each
+        # row must round exactly as that point evaluated alone, at cell
+        # centers down to depth 6 and at the box's corners and face centers.
+        base = make_base(name)
+        domain = base.domain
+        shifts = np.random.default_rng(14).uniform(-0.2, 0.2, size=(4, domain.dim)) * domain.widths
+        suite = ObjectiveSuite(base, shifts, NoiseModel(0.0))
+        spec = PartitionSpec(2)
+        centers = [representative(domain, NodeId(h, i), spec)
+                   for h in range(7) for i in range(1, 2 ** h + 1)]
+        mid = (domain.lower + domain.upper) / 2
+        faces = [np.where(np.arange(domain.dim) == j, bound, mid)
+                   for j in range(domain.dim) for bound in (domain.lower, domain.upper)]
+        X = np.array(centers + faces + [domain.lower, domain.upper])
+        batch = suite.eval_clients_batch(X)
+        assert batch.shape == (len(X), 4)
+        for x, row in zip(X, batch):
+            assert row.tolist() == suite.eval_clients(x).tolist()
+            assert [suite.eval_local(m, x) for m in range(1, 5)] == row.tolist()
+        outside = X.copy()
+        outside[-1] = domain.upper + 1e-9
+        with pytest.raises(ValueError, match="outside the domain"):
+            suite.eval_clients_batch(outside)
 
     def test_bad_client_index_rejected(self):
         suite = make_suite(ramp_base(), clients=2, shift_std=0.0,

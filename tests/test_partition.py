@@ -132,6 +132,41 @@ class TestGeometry:
         assert np.array_equal(representative(SQUARE, node, K2), representative(SQUARE, node, K2))
 
 
+    def test_representative_matches_numpy_stepping_bit_for_bit(self):
+        # The corners are stepped in Python floats; numpy float64 scalars, as
+        # cells were once stepped, round every operation the same way.  A
+        # non-dyadic box and arity 3 make the roundings matter.
+        def numpy_center(domain, node, spec):
+            k, path, i = spec.arity, [], node.index
+            for _ in range(node.depth):
+                path.append((i - 1) % k)
+                i = (i - 1) // k + 1
+            lo, up = domain.lower.copy(), domain.upper.copy()
+            for step, ordinal in enumerate(reversed(path)):
+                j = step % domain.dim
+                w = (up[j] - lo[j]) / k
+                base = lo[j]
+                lo[j] = base + ordinal * w
+                up[j] = base + (ordinal + 1) * w
+            return (lo + up) / 2.0
+
+        rng = np.random.default_rng(4)
+        domain = BoxDomain([-2.1, 0.3, 1.7], [3.3, 2.9, 4.1])
+        for spec in (K2, K3):
+            for _ in range(300):
+                depth = int(rng.integers(0, 25))
+                node = NodeId(depth, int(rng.integers(1, spec.arity ** depth + 1)))
+                assert representative(domain, node, spec).tolist() == \
+                    numpy_center(domain, node, spec).tolist()
+
+    def test_representative_of_a_vanished_cell_rejected(self):
+        # past about 1075 halvings a unit cell's width rounds to zero
+        with pytest.raises(ValueError, match="strictly below"):
+            representative(UNIT, NodeId(1100, 1), K2)
+        with pytest.raises(ValueError, match="strictly below"):
+            cell(UNIT, NodeId(1100, 1), K2)
+
+
 class TestNodeContaining:
     def test_representative_maps_back_to_its_cell(self):
         rng = np.random.default_rng(2)

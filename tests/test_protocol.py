@@ -21,7 +21,15 @@ from fedelim.fedcore import (
 )
 from fedelim.harness import ExperimentConfig, run
 from fedelim.objectives import BaseObjective, NoiseModel, ORIENT_VALUE, make_base, make_suite
-from fedelim.partition import ROOT, BoxDomain, NodeId, PartitionSpec, children, node_containing
+from fedelim.partition import (
+    ROOT,
+    BoxDomain,
+    NodeId,
+    PartitionSpec,
+    children,
+    node_containing,
+    representative,
+)
 from fedelim.protocol import Client, Server, Stage, run_protocol
 from fedelim.seeding import PURPOSE_NOISE, substream
 from pull_helpers import expand_pulls
@@ -611,3 +619,57 @@ class TestBudgetEnds:
         monkeypatch.setattr(Client, "enter_pe", late_enter_pe)
         with pytest.raises(ProtocolFault, match="clients disagree on the stage transition time"):
             run(two_client_config(1000, depth_cap=5), 0)
+
+
+def per_cell_pulls(suite, m, seed, nodes, counts, spec=SPEC):
+    """Client ``m``'s segments for ``counts`` pulls of ``nodes``, one cell at a time.
+
+    One draw of every pull from the client's noise substream, then per cell:
+    its slice plus its value, summed on its own.  This is the reference the
+    blocked sums must match bit for bit.
+    """
+    noise = suite.noise.draw(substream(seed, PURPOSE_NOISE, m), sum(counts))
+    segments, offset = [], 0
+    for node, n in zip(nodes, counts):
+        value = float(suite.eval_clients(representative(suite.domain, node, spec))[m - 1])
+        rewards = noise[offset:offset + n] + value
+        segments.append((node, n, float(rewards.sum()), suite.local_star(m) - value))
+        offset += n
+    return segments
+
+
+class TestBlockedPulls:
+    @pytest.mark.parametrize("k", [1, 7, 8, 9, 128, 8192, 8193, 100000])
+    def test_block_row_sums_equal_each_cell_slice_sum(self, k):
+        # A block of r cells x k pulls is summed as a 2-D view at some offset
+        # into the call's draw; every row must reduce as its 1-D slice does.
+        rng = np.random.default_rng(k)
+        flat = rng.uniform(-0.5, 0.5, size=5 * k + 3)
+        for r in range(1, 6):
+            for offset in (0, 1, 3):
+                rows = flat[offset:offset + r * k].reshape(r, k)
+                assert rows.sum(axis=1).tolist() == [
+                    float(flat[offset + i * k:offset + (i + 1) * k].sum()) for i in range(r)]
+
+    # Counts past 8 matter: below that, a pairwise sum is a plain loop.
+    @pytest.mark.parametrize("horizon, wants, counts, exhausted", [
+        (100, [5, 5, 3, 3, 3, 7], [5, 5, 3, 3, 3, 7], False),   # three blocks
+        (9000, [500, 500, 130, 130, 130, 7000], [500, 500, 130, 130, 130, 7000], False),
+        (1300, [500, 500, 130, 130, 130, 7000], [500, 500, 130, 130, 40], True),  # cut in a block
+        (3000, [500, 500, TAU_SATURATED, 3], [500, 500, 2000], True),  # saturated: the rest
+        (9000, [40, 0, 40, -2, 40, 40], [40, 0, 40, 0, 40, 40], False),  # skipped cells
+    ])
+    def test_pull_cells_matches_a_per_cell_reference(self, horizon, wants, counts, exhausted):
+        suite = make_suite(make_base("garland"), clients=3, shift_std=0.05,
+                           noise_halfwidth=0.1, seed=4)
+        conf = ConfParams(0.1, 1.0, 0.1, horizon)
+        nodes = [NodeId(3, i) for i in (2, 3, 5, 6, 7, 8)]
+        client = make_client(suite, conf, SMOOTH, m=2, seed=4)
+        client._pull_cells(nodes, wants)
+        pulled = [(node, n) for node, n in zip(nodes, counts) if n]
+        expected = per_cell_pulls(suite, 2, 4, *zip(*pulled))
+        assert client.pull_log.segments == expected
+        assert client.stats == {node: NodeStats.from_counts(n, total, conf)
+                                for node, n, total, _ in expected}
+        assert client.clock == sum(counts)
+        assert client.stage is (Stage.EXHAUSTED if exhausted else Stage.STAGE1)
