@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import json
 import math
 import os
@@ -47,6 +46,8 @@ from .objectives import (
 REGRET_HEADER = ["variant", "seed", "t", "avg_cum_regret"]
 COMM_HEADER = ["variant", "seed", "round_index", "depth", "scalars_up", "scalars_down",
                "cumulative_scalars"]
+FLOAT_FORMAT = "%.17g"  # 17 significant digits round-trip a float64
+ROW_BLOCK = 4096  # regret rows formatted per write, so no run's text is built whole
 
 # A config file's keys and their types: ExperimentConfig's fields, plus
 # `variants`, which lists several `variant` values.
@@ -66,7 +67,7 @@ class _Parser(argparse.ArgumentParser):
 
 def format_float(x: float) -> str:
     """Decimal form with 17 significant digits (round-trips float64)."""
-    return format(float(x), ".17g")
+    return FLOAT_FORMAT % float(x)
 
 
 def load_config_file(path: str) -> dict:
@@ -118,6 +119,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run experiments and write CSV/JSON outputs")
+    p_run.set_defaults(handler=cmd_run)
     p_run.add_argument("--config", help="path to a key = value config file")
     p_run.add_argument("--out", default="fedelim_out", help="output directory")
     p_run.add_argument("--seed", type=int, help="first seed (overrides config seeds)")
@@ -129,12 +131,14 @@ def build_parser() -> _Parser:
     p_run.add_argument("--horizon", type=int)
 
     p_oracle = sub.add_parser("oracle", help="print per-client and global optimum certificates")
+    p_oracle.set_defaults(handler=cmd_oracle)
     p_oracle.add_argument("--objective", required=True, choices=OBJECTIVE_NAMES)
     p_oracle.add_argument("--clients", type=int, default=10)
     p_oracle.add_argument("--shift-std", type=float, default=None)
     p_oracle.add_argument("--seed", type=int, default=0)
 
     p_profile = sub.add_parser("profile", help="near-optimality cell counts")
+    p_profile.set_defaults(handler=cmd_profile)
     p_profile.add_argument("--objective", required=True, choices=OBJECTIVE_NAMES)
     p_profile.add_argument("--eps", type=float, help="single-count tolerance")
     p_profile.add_argument("--grid-step", type=float, help="single-count grid step")
@@ -189,36 +193,36 @@ def _execute(configs: list[ExperimentConfig], threads: int) -> dict[str, Aggrega
     return results
 
 
+def _write_rows(fh, cells: list, width: int) -> None:
+    """Write ``cells`` ``width`` to a line as ``csv.writer`` would, floats as ``format_float``."""
+    line = ",".join(FLOAT_FORMAT if isinstance(c, float) else "%s" for c in cells[:width])
+    fh.write((line + "\r\n") * (len(cells) // width) % tuple(cells))
+
+
 def write_outputs(results: dict[str, AggregateMetrics], out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "regret.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REGRET_HEADER)
-        for variant in sorted(results):
-            for metrics in sorted(results[variant].runs, key=lambda r: r.seed):
-                # One format per run: %.17g is format_float's, \r\n is csv's terminator.
-                n = len(metrics.checkpoints)
-                cells = [None] * (2 * n)
-                cells[::2] = metrics.checkpoints.tolist()
-                cells[1::2] = metrics.avg_cum_regret.tolist()
-                fh.write((f"{variant},{metrics.seed},%d,%.17g\r\n" * n) % tuple(cells))
-    with open(out_dir / "comm.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(COMM_HEADER)
-        for variant in sorted(results):
-            for metrics in sorted(results[variant].runs, key=lambda r: r.seed):
-                for rnd in metrics.comm_rounds:
-                    writer.writerow([variant, metrics.seed, rnd.round_index, rnd.depth,
-                                     rnd.scalars_up, rnd.scalars_down, rnd.cumulative_scalars])
     summary = {}
-    for variant in sorted(results):
-        agg = results[variant]
-        summary[variant] = {
-            "final_regret_mean": agg.final_mean,
-            "final_regret_std": agg.final_std,
-            "comm_rounds_mean": agg.comm_rounds_mean,
-            "stage_transition_t_mean": agg.stage_transition_t_mean,
-        }
+    with open(out_dir / "regret.csv", "w", newline="") as regret, \
+            open(out_dir / "comm.csv", "w", newline="") as comm:
+        _write_rows(regret, REGRET_HEADER, len(REGRET_HEADER))
+        _write_rows(comm, COMM_HEADER, len(COMM_HEADER))
+        for variant, agg in sorted(results.items()):
+            summary[variant] = {
+                "final_regret_mean": agg.final_mean,
+                "final_regret_std": agg.final_std,
+                "comm_rounds_mean": agg.comm_rounds_mean,
+                "stage_transition_t_mean": agg.stage_transition_t_mean,
+            }
+            for metrics in sorted(agg.runs, key=lambda r: r.seed):
+                for start in range(0, len(metrics.checkpoints), ROW_BLOCK):
+                    t = metrics.checkpoints[start:start + ROW_BLOCK].tolist()
+                    cells = [variant, metrics.seed, None, None] * len(t)
+                    cells[2::4] = t
+                    cells[3::4] = metrics.avg_cum_regret[start:start + ROW_BLOCK].tolist()
+                    _write_rows(regret, cells, len(REGRET_HEADER))
+                _write_rows(comm, [cell for rnd in metrics.comm_rounds for cell in (
+                    variant, metrics.seed, rnd.round_index, rnd.depth, rnd.scalars_up,
+                    rnd.scalars_down, rnd.cumulative_scalars)], len(COMM_HEADER))
     with open(out_dir / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -302,22 +306,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "oracle":
-            return cmd_oracle(args)
-        if args.command == "profile":
-            return cmd_profile(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.handler(args)
     except ConfigError as exc:
         print(f"fedelim: config error: {exc}", file=sys.stderr)
         return 2
     except (OracleFailure, ProtocolFault, ValueError, OSError) as exc:
         print(f"fedelim: runtime fault: {exc}", file=sys.stderr)
         return 3
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    return 0
 
 
 if __name__ == "__main__":

@@ -225,8 +225,6 @@ def _top_separated(points: np.ndarray, values: np.ndarray, count: int, min_sep: 
             kept.append(idx)
         if len(kept) >= count:
             break
-    if not kept:
-        kept = [order[0]]
     return [(points[i].copy(), float(values[i])) for i in kept]
 
 
@@ -533,18 +531,21 @@ class ObjectiveSuite:
         if not 1 <= m <= self.clients:
             raise ValueError(f"client index {m} out of range 1..{self.clients}")
 
+    def _eval_shifted(self, X, shifts: np.ndarray) -> np.ndarray:
+        """Base values at ``clip(x - s)``: a row per point ``x``, a column per shift row ``s``."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        rows = self.domain.clip(X[:, None, :] - shifts).reshape(-1, X.shape[1])
+        return self.base.evaluate_batch(rows).reshape(len(X), len(shifts))
+
     def eval_local_batch(self, m: int, X: np.ndarray) -> np.ndarray:
         self._check_client(m)
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        return self.base.evaluate_batch(self.domain.clip(X - self.shifts[m - 1]))
+        return self._eval_shifted(X, self.shifts[m - 1:m])[:, 0]
 
     def eval_clients_batch(self, X) -> np.ndarray:
         """Every client's value at each in-domain point: one row per point, in client order."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
         if not self.domain.contains(X, atol=1e-12):
             raise ValueError("evaluation point lies outside the domain")
-        rows = self.domain.clip(X[:, None, :] - self.shifts).reshape(-1, X.shape[1])
-        return self.base.evaluate_batch(rows).reshape(len(X), self.clients)
+        return self._eval_shifted(X, self.shifts)
 
     def eval_clients(self, x) -> np.ndarray:
         """Every client's value at one in-domain point, in client order."""
@@ -555,10 +556,9 @@ class ObjectiveSuite:
         return float(self.eval_clients(x)[m - 1])
 
     def eval_global_batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        acc = np.zeros(len(X))
-        for shift in self.shifts:  # eval_local_batch's arithmetic, without its per-call checks
-            acc += self.base.evaluate_batch(self.domain.clip(X - shift))
+        acc = np.zeros(len(np.atleast_2d(X)))
+        for m in range(1, self.clients + 1):
+            acc += self.eval_local_batch(m, X)
         return acc / self.clients
 
     def local_star(self, m: int) -> float:

@@ -1,9 +1,10 @@
 """Hierarchical k-nary partition of an axis-aligned box domain.
 
 Cells are addressed by ``(depth, index)`` with the root at ``(0, 1)``; the
-children of ``(h, i)`` are ``(h+1, k*(i-1)+1) .. (h+1, k*i)``.  Splits cycle
-through the dimensions in index order, cutting the active dimension into
-``k`` equal slabs, so every dimension is refined at the same rate.  All
+children of ``(h, i)`` are ``(h+1, k*(i-1)+1) .. (h+1, k*i)``.  One walk from
+the root finds a cell's box (from the base-``k`` digits of ``index - 1``)
+and a point's cell (from the point): step ``s`` cuts dimension ``s % dim``
+into ``k`` equal slabs, so every dimension is refined at the same rate.  All
 functions here are pure; indices are plain Python integers and may grow as
 ``k**depth`` without overflow.
 """
@@ -108,27 +109,36 @@ def parent(node: NodeId, spec: PartitionSpec) -> NodeId:
     return NodeId(node.depth - 1, (node.index - 1) // spec.arity + 1)
 
 
-def _corners(domain: BoxDomain, node: NodeId, spec: PartitionSpec) -> tuple[list, list]:
-    """Lower and upper corners of ``node``'s cell, descended from the root in Python floats.
+def _walk(domain: BoxDomain, depth: int, spec: PartitionSpec, pick) -> tuple[list, list, int]:
+    """Lower corner, upper corner and index of the cell reached in ``depth`` steps from the root.
 
-    The child ordinals along the path are the base-``arity`` digits of
-    ``index - 1``.  At each step the current box is cut into ``arity`` equal
-    slabs along dimension ``step % dim``; sibling boundaries are computed
-    from the same parent coordinates, so children tile the parent exactly.
+    Step ``s`` cuts the box's dimension ``j = s % dim`` into ``arity`` slabs of
+    width ``w`` upward from ``base`` and keeps slab ``pick(s, j, base, w)``.
+    Corners are Python floats, which round as numpy float64 scalars do, and
+    siblings are cut from the same parent coordinates, so they tile it exactly.
     """
-    validate_node(node, spec)
     k = spec.arity
-    rest, ordinals = node.index - 1, []
-    for _ in range(node.depth):
-        rest, ordinal = divmod(rest, k)
-        ordinals.append(ordinal)
     lo, up = domain.lower.tolist(), domain.upper.tolist()
-    for step, ordinal in enumerate(reversed(ordinals)):
+    index = 1
+    for step in range(depth):
         j = step % len(lo)
-        w = (up[j] - lo[j]) / k
         base = lo[j]
+        w = (up[j] - base) / k
+        ordinal = pick(step, j, base, w)
         lo[j] = base + ordinal * w
         up[j] = base + (ordinal + 1) * w
+        index = (index - 1) * k + ordinal + 1
+    return lo, up, index
+
+
+def _corners(domain: BoxDomain, node: NodeId, spec: PartitionSpec) -> tuple[list, list]:
+    """Lower and upper corners of ``node``'s cell, walked along the digits of ``index - 1``."""
+    validate_node(node, spec)
+    rest, ordinals = node.index - 1, []  # least significant digit first
+    for _ in range(node.depth):
+        rest, ordinal = divmod(rest, spec.arity)
+        ordinals.append(ordinal)
+    lo, up, _ = _walk(domain, node.depth, spec, lambda step, j, base, w: ordinals[-1 - step])
     return lo, up
 
 
@@ -156,17 +166,6 @@ def node_containing(domain: BoxDomain, point, depth: int, spec: PartitionSpec) -
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     k = spec.arity
-    d = domain.dim
-    lo = domain.lower.copy()
-    up = domain.upper.copy()
-    index = 1
-    for step in range(depth):
-        j = step % d
-        w = (up[j] - lo[j]) / k
-        ordinal = int((x[j] - lo[j]) // w) if w > 0 else 0
-        ordinal = min(max(ordinal, 0), k - 1)
-        base = lo[j]
-        lo[j] = base + ordinal * w
-        up[j] = base + (ordinal + 1) * w
-        index = (index - 1) * k + ordinal + 1
-    return NodeId(depth, index)
+    x = x.tolist()
+    pick = lambda step, j, base, w: min(max(int((x[j] - base) // w), 0), k - 1) if w > 0 else 0
+    return NodeId(depth, _walk(domain, depth, spec, pick)[2])

@@ -6,17 +6,23 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from fedelim import cli, harness, objectives
 from fedelim.cli import (
     COMM_HEADER,
     REGRET_HEADER,
+    ROW_BLOCK,
+    format_float,
     load_config_file,
     main,
+    write_outputs,
 )
 from fedelim.harness import ConfigError, ExperimentConfig
 
@@ -544,6 +550,71 @@ class TestRunCommand:
         assert main(["run", "--config", config_path, "--out", str(out2)]) == 0
         for name in ("regret.csv", "comm.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def synthetic_results(runs):
+    """Results for ``write_outputs`` from ``{variant: [(seed, rows, comm rounds), ...]}``."""
+    results = {}
+    for variant, specs in runs.items():
+        metrics = []
+        for seed, rows, rounds in specs:
+            regret = np.random.default_rng(rows + seed).random(rows) * 10.0 ** (seed % 7 - 3)
+            regret[:4] = [0.0, 5e-324, 0.1, 1e17][:rows]
+            comm = [SimpleNamespace(round_index=i, depth=i + 1, scalars_up=3 * i + 1,
+                                    scalars_down=2 * i, cumulative_scalars=5 * i * i + 1)
+                    for i in range(rounds)]
+            metrics.append(SimpleNamespace(seed=seed, checkpoints=np.arange(1, rows + 1) * 10,
+                                           avg_cum_regret=regret, comm_rounds=comm))
+        results[variant] = SimpleNamespace(runs=metrics, final_mean=0.5, final_std=0.25,
+                                           comm_rounds_mean=1.0, stage_transition_t_mean=None)
+    return results
+
+
+def reference_write(results, out_dir):
+    """The CSV files as csv.writer writes them, regret values through format_float."""
+    with open(out_dir / "regret.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(REGRET_HEADER)
+        for variant in sorted(results):
+            for run in sorted(results[variant].runs, key=lambda r: r.seed):
+                for t, value in zip(run.checkpoints.tolist(), run.avg_cum_regret.tolist()):
+                    writer.writerow([variant, run.seed, t, format_float(value)])
+    with open(out_dir / "comm.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(COMM_HEADER)
+        for variant in sorted(results):
+            for run in sorted(results[variant].runs, key=lambda r: r.seed):
+                for rnd in run.comm_rounds:
+                    writer.writerow([variant, run.seed, rnd.round_index, rnd.depth,
+                                     rnd.scalars_up, rnd.scalars_down, rnd.cumulative_scalars])
+
+
+class TestWriteOutputs:
+    def test_rows_match_csv_writer_byte_for_byte(self, tmp_path):
+        # Runs shorter than, equal to and past one block, and past two; the
+        # variants and seeds arrive unsorted, and a local-only run has no rounds.
+        b = ROW_BLOCK
+        results = synthetic_results({
+            "pfpne": [(7, b + 1, 3), (2, 2 * b + 3, 5), (4, 1, 1)],
+            "local-only": [(7, b - 1, 0), (2, b, 0)],
+        })
+        write_outputs(results, tmp_path / "out")
+        reference_write(results, tmp_path)
+        for name in ("regret.csv", "comm.csv"):
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / name).read_bytes(), name
+        rows = read_csv(tmp_path / "out" / "regret.csv")
+        assert len(rows) == 1 + (b + 1) + (2 * b + 3) + 1 + (b - 1) + b
+
+    def test_a_long_run_is_written_in_bounded_memory(self, tmp_path):
+        results = synthetic_results({"pfpne": [(1, 200_000, 4)]})
+        tracemalloc.start()
+        try:
+            write_outputs(results, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "regret.csv").read_bytes().count(b"\r\n") == 200_001
+        assert peak < 4_000_000, peak
 
 
 class TestOracleCommand:

@@ -248,6 +248,15 @@ class TestSuite:
         outside[-1] = domain.upper + 1e-9
         with pytest.raises(ValueError, match="outside the domain"):
             suite.eval_clients_batch(outside)
+        # The global objective: the client values of each row, summed in
+        # client order from zero, then divided by the client count.
+        for clients in (1, 2, 3, 10):
+            shifts = np.random.default_rng(clients).uniform(-0.2, 0.2, size=(clients, domain.dim))
+            suite = ObjectiveSuite(base, shifts * domain.widths, NoiseModel(0.0))
+            acc = np.zeros(len(X))
+            for m in range(1, clients + 1):
+                acc += suite.eval_local_batch(m, X)
+            assert suite.eval_global_batch(X).tolist() == (acc / clients).tolist()
 
     def test_bad_client_index_rejected(self):
         suite = make_suite(ramp_base(), clients=2, shift_std=0.0,

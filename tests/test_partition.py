@@ -18,6 +18,7 @@ K2 = PartitionSpec(2)
 K3 = PartitionSpec(3)
 UNIT = BoxDomain([0.0], [1.0])
 SQUARE = BoxDomain([-5.0, -5.0], [5.0, 5.0])
+BOX3 = BoxDomain([-2.1, 0.3, 1.7], [3.3, 2.9, 4.1])  # non-dyadic: roundings matter
 
 
 class TestAddressing:
@@ -151,13 +152,12 @@ class TestGeometry:
             return (lo + up) / 2.0
 
         rng = np.random.default_rng(4)
-        domain = BoxDomain([-2.1, 0.3, 1.7], [3.3, 2.9, 4.1])
         for spec in (K2, K3):
             for _ in range(300):
                 depth = int(rng.integers(0, 25))
                 node = NodeId(depth, int(rng.integers(1, spec.arity ** depth + 1)))
-                assert representative(domain, node, spec).tolist() == \
-                    numpy_center(domain, node, spec).tolist()
+                assert representative(BOX3, node, spec).tolist() == \
+                    numpy_center(BOX3, node, spec).tolist()
 
     def test_representative_of_a_vanished_cell_rejected(self):
         # past about 1075 halvings a unit cell's width rounds to zero
@@ -176,6 +176,48 @@ class TestNodeContaining:
             node = NodeId(depth, index)
             point = representative(UNIT, node, K2)
             assert node_containing(UNIT, point, depth, K2) == node
+        for spec in (K2, K3):
+            for _ in range(200):
+                depth = int(rng.integers(0, 25))
+                node = NodeId(depth, int(rng.integers(1, spec.arity ** depth + 1)))
+                point = representative(BOX3, node, spec)
+                assert node_containing(BOX3, point, depth, spec) == node
+
+    def test_matches_numpy_stepping_bit_for_bit(self):
+        # The walk steps in Python floats; node_containing once stepped numpy
+        # float64 copies of the box.  Slab boundaries are where a floor can
+        # round the other way, so points lying exactly on them are included.
+        def numpy_node(domain, point, depth, spec):
+            x = np.asarray(point, dtype=float)
+            k = spec.arity
+            lo, up = domain.lower.copy(), domain.upper.copy()
+            index = 1
+            for step in range(depth):
+                j = step % domain.dim
+                w = (up[j] - lo[j]) / k
+                ordinal = int((x[j] - lo[j]) // w) if w > 0 else 0
+                ordinal = min(max(ordinal, 0), k - 1)
+                base = lo[j]
+                lo[j] = base + ordinal * w
+                up[j] = base + (ordinal + 1) * w
+                index = (index - 1) * k + ordinal + 1
+            return NodeId(depth, index)
+
+        rng = np.random.default_rng(5)
+        mid = (BOX3.lower + BOX3.upper) / 2
+        fixed = [np.where(corner, BOX3.upper, BOX3.lower)
+                 for corner in np.ndindex(2, 2, 2)]
+        fixed += [np.where(np.arange(3) == j, bound, mid)
+                  for j in range(3) for bound in (BOX3.lower, BOX3.upper)]
+        for spec in (K2, K3):
+            points = list(rng.uniform(BOX3.lower, BOX3.upper, size=(200, 3))) + fixed
+            for _ in range(200):  # corners of random cells lie on slab boundaries
+                depth = int(rng.integers(1, 25))
+                box = cell(BOX3, NodeId(depth, int(rng.integers(1, spec.arity ** depth + 1))), spec)
+                points += [box.lower, box.upper, np.where(rng.random(3) < 0.5, box.lower, box.upper)]
+            for x in points:
+                for depth in (0, 1, 2, 5, 11, 17, 24):
+                    assert node_containing(BOX3, x, depth, spec) == numpy_node(BOX3, x, depth, spec)
 
     def test_random_points_land_in_their_cell(self):
         rng = np.random.default_rng(3)
