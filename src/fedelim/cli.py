@@ -310,8 +310,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"fedelim: config error: {exc}", file=sys.stderr)
         return 2
-    except (OracleFailure, ProtocolFault, ValueError, OSError) as exc:
-        print(f"fedelim: runtime fault: {exc}", file=sys.stderr)
+    except (OracleFailure, ProtocolFault, ValueError, OSError, MemoryError) as exc:
+        print(f"fedelim: runtime fault: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

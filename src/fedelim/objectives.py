@@ -68,52 +68,47 @@ def _ackley_raw(X: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Lipschitz bounds of the raw forms: max ||grad raw|| over a box domain
+# Lipschitz bounds of the raw forms: max ||grad raw|| over boxes (lo, hi) of shape (k, d)
 # ---------------------------------------------------------------------------
 
-def _himmelblau_partial_max(xlo, xhi, ylo, yhi, a, b) -> float:
-    """max |d/dx [(x^2 + y - a)^2 + (x + y^2 - b)^2]| over [xlo, xhi] x [ylo, yhi].
+def _himmelblau_partial_max(xlo, xhi, ylo, yhi, a, b) -> np.ndarray:
+    """max |d/dx [(x^2 + y - a)^2 + (x + y^2 - b)^2]| over each box [xlo, xhi] x [ylo, yhi].
 
     The partial g = 4x^3 + 4xy - (4a - 2)x + 2y^2 - 2b is a polynomial, so
     its extremes lie at a corner or where its restriction to an edge or to
-    the interior is stationary: on y = -x (dg/dy = 0) or where
-    12x^2 = 4a - 2 - 4y (dg/dx = 0).  The grid of those coordinates, clipped
-    into the box, holds every such point.
+    the interior is stationary: where 12x^2 = 4a - 2 - 4y on a horizontal
+    edge (dg/dx = 0), at y = -x on a vertical edge (dg/dy = 0), and at both
+    inside.  Those twelve points, clipped into the box, hold every extreme.
     """
-    xs = [xlo, xhi]
-    for c in (ylo, yhi):
-        r = math.sqrt(max(0.0, (4.0 * a - 2.0 - 4.0 * c) / 12.0))
-        xs += [r, -r]
+    r = [np.sqrt(np.maximum(0.0, (4.0 * a - 2.0 - 4.0 * c) / 12.0)) for c in (ylo, yhi)]
     disc = math.sqrt(16.0 + 48.0 * (4.0 * a - 2.0))
-    xs += [(4.0 + disc) / 24.0, (4.0 - disc) / 24.0]
-    ys = [ylo, yhi] + [-v for v in xs]
-    x = np.clip(np.array(xs), xlo, xhi)[:, None]
-    y = np.clip(np.array(ys), ylo, yhi)[None, :]
+    inner = [(4.0 + disc) / 24.0, (4.0 - disc) / 24.0]
+    x = np.array(np.broadcast_arrays(xlo, xlo, xhi, xhi, r[0], -r[0], r[1], -r[1],
+                                     xlo, xhi, *inner))
+    y = np.array(np.broadcast_arrays(ylo, yhi, ylo, yhi, ylo, ylo, yhi, yhi,
+                                     -xlo, -xhi, *[-v for v in inner]))
+    x, y = np.minimum(np.maximum(x, xlo), xhi), np.minimum(np.maximum(y, ylo), yhi)
     g = 4.0 * x * (x * x + y - a) + 2.0 * (x + y * y - b)
-    return float(np.max(np.abs(g)))
+    return np.abs(g).max(axis=0)
 
 
-def _himmelblau_lipschitz(domain: BoxDomain) -> float:
+def _himmelblau_lipschitz(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     # d/dy of himmelblau is d/dx with the axes and the constants (11, 7) swapped
-    (xlo, ylo), (xhi, yhi) = domain.lower, domain.upper
-    return math.hypot(_himmelblau_partial_max(xlo, xhi, ylo, yhi, 11.0, 7.0),
-                      _himmelblau_partial_max(ylo, yhi, xlo, xhi, 7.0, 11.0))
+    (xlo, ylo), (xhi, yhi) = lo.T, hi.T
+    return np.hypot(_himmelblau_partial_max(xlo, xhi, ylo, yhi, 11.0, 7.0),
+                    _himmelblau_partial_max(ylo, yhi, xlo, xhi, 7.0, 11.0))
 
 
-def _rastrigin_slopes(domain: BoxDomain) -> np.ndarray:
+def _rastrigin_lipschitz(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     # |d/dx_j| = |2 x_j + 20 pi sin(2 pi x_j)| <= 2 max|x_j| + 20 pi
-    reach = np.maximum(np.abs(domain.lower), np.abs(domain.upper))
-    return 2.0 * reach + 20.0 * math.pi
+    slopes = 2.0 * np.maximum(np.abs(lo), np.abs(hi)) + 20.0 * math.pi
+    return np.sqrt((slopes ** 2).sum(axis=1))
 
 
-def _rastrigin_lipschitz(domain: BoxDomain) -> float:
-    return float(np.sqrt((_rastrigin_slopes(domain) ** 2).sum()))
-
-
-def _ackley_lipschitz(domain: BoxDomain) -> float:
+def _ackley_lipschitz(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     # the exp(-0.2 ||x|| / sqrt(d)) term moves at most 4 / sqrt(d) per unit
     # step, the exp(mean cos) term at most e * 2 pi / sqrt(d)
-    return (4.0 + 2.0 * math.pi * math.e) / math.sqrt(domain.dim)
+    return np.full(len(lo), (4.0 + 2.0 * math.pi * math.e) / math.sqrt(lo.shape[1]))
 
 
 # name: (raw form, orientation, default box, fixed dimension, Lipschitz bound)
@@ -145,6 +140,7 @@ ORACLE_SHRINK = 10.0
 ORACLE_TOP_CANDIDATES = 16
 ORACLE_TOL = 1e-9
 ORACLE_TILE_POINTS = 8             # grid points per tile side in the 2-D screen
+ORACLE_SUPER_TILE = 8              # tiles per super-tile side in the 2-D screen
 ORACLE_PRUNE_MARGIN = 1e-12        # relative slack before a tile bound rules a tile out
 
 
@@ -167,36 +163,47 @@ class OptimumCertificate:
     gap: float | None = None
 
 
-def _grid_screen(fn, domain: BoxDomain, keep: int, lipschitz: float | None, zoom_width):
-    """Tiled screen of the 2-D grid: (kept points, their values, largest tile bound).
+def _grid_screen(fn, domain: BoxDomain, keep: int, lipschitz, zoom_width):
+    """Two-level screen of the 2-D grid: (kept points, their values, largest tile bound).
 
-    With a ``lipschitz`` bound, the middle grid point of each tile of
-    ``ORACLE_TILE_POINTS`` per side is probed first.  A tile's bound is that
-    value plus ``lipschitz`` times the tile's reach: from the representative
-    to the tile's far edge, plus the farthest a zoom refinement of first
-    half-width ``zoom_width``, shrinking by ``ORACLE_SHRINK``, can travel.
-    A tile whose bound lies below the best representative is skipped, so no
-    skipped point, and no zoom started at one, can beat it; a NaN or an
-    infinity in the comparison keeps the tile.  Only the surviving tiles'
-    points are enumerated and evaluated, in row-major grid order, in bands
-    of whole tile rows spanning about 2M grid points; each band keeps its
-    ``keep`` best.  Without a bound every tile survives and the bound is None.
+    A square's bound is its middle grid point's value plus its gradient
+    bound times its reach: to its far edge, plus the farthest a zoom of
+    first half-width ``zoom_width``, shrinking by ``ORACLE_SHRINK``, can
+    travel.  Super-tiles of ``ORACLE_SUPER_TILE`` tiles per side take
+    ``lipschitz(lo, hi)`` over their reach clipped to the domain, and are
+    skipped whole below the best probe.  The ``ORACLE_TILE_POINTS``-wide
+    tiles of the rest use their super-tile's bound against the best probe
+    of both levels.  No skipped point, nor a zoom from one, can beat that
+    probe; a NaN or an infinity in a comparison keeps the square.  The
+    surviving tiles' points are evaluated in row-major grid order, in bands
+    of whole tile rows of about 2M points, each keeping its ``keep`` best.
+    Without a bound every tile survives and the bound is None.
     """
-    n, t = ORACLE_GRID_POINTS, ORACLE_TILE_POINTS  # t divides n
+    n, t, s = ORACLE_GRID_POINTS, ORACLE_TILE_POINTS, ORACLE_SUPER_TILE  # t * s divides n
     spacing = domain.widths / (n - 1)
     axes = [np.linspace(domain.lower[j], domain.upper[j], n) for j in range(2)]
+    point = lambda i, j: np.stack([axes[0][i], axes[1][j]], axis=1)
     alive = np.ones((n // t, n // t), dtype=bool)
     top_bound = None
     if lipschitz is not None:
-        mid = np.arange(t // 2, n, t)
-        reps = np.stack([g.ravel() for g in np.meshgrid(axes[0][mid], axes[1][mid],
-                                                        indexing="ij")], axis=1)
-        rep_vals = fn(reps)
         travel = zoom_width * ORACLE_SHRINK / (ORACLE_SHRINK - 1.0)
+        u = t * s  # grid points per super-tile side
+        half = (u - u // 2) * spacing + travel  # a super-tile's reach per axis
+        si, sj = np.divmod(np.arange((n // u) ** 2), n // u)
+        centers = point(si * u + u // 2, sj * u + u // 2)
+        vals = fn(centers)
+        slopes = lipschitz(domain.clip(centers - half), domain.clip(centers + half))
+        best = float(np.max(vals))
+        kept = lambda bounds, best: ~(bounds < best - ORACLE_PRUNE_MARGIN * max(1.0, abs(best)))
+        live = kept(vals + slopes * math.hypot(*half), best)
+        ti = (si[live, None] * s + np.arange(s * s) // s).ravel()  # their tiles
+        tj = (sj[live, None] * s + np.arange(s * s) % s).ravel()
+        vals = fn(point(ti * t + t // 2, tj * t + t // 2))
         reach = math.hypot(*((t - t // 2) * spacing + travel))
-        bounds = rep_vals + lipschitz * reach
-        best = float(np.max(rep_vals))
-        alive = ~(bounds < best - ORACLE_PRUNE_MARGIN * max(1.0, abs(best))).reshape(alive.shape)
+        bounds = vals + np.repeat(slopes[live], s * s) * reach
+        best = float(np.max(np.append(vals, best)))
+        alive[:] = False
+        alive[ti, tj] = kept(bounds, best)
         top_bound = float(np.max(bounds))
 
     kept_pts, kept_vals = [], []
@@ -206,8 +213,7 @@ def _grid_screen(fn, domain: BoxDomain, keep: int, lipschitz: float | None, zoom
         ti, tj = np.nonzero(alive[start:start + band])
         if len(ti):
             corners = (start + ti) * (t * n) + tj * t
-            i, j = np.divmod(np.sort((corners[:, None] + tile).ravel()), n)
-            pts = np.stack([axes[0][i], axes[1][j]], axis=1)
+            pts = point(*np.divmod(np.sort((corners[:, None] + tile).ravel()), n))
             vals = fn(pts)
             top = np.argsort(vals)[-keep:]
             kept_pts.append(pts[top])
@@ -268,18 +274,19 @@ def _zoom_refine(fn, domain, x0, v0, half_width):
 def oracle_optimum(
     fn: Callable[[np.ndarray], np.ndarray],
     domain: BoxDomain,
-    lipschitz: float | None = None,
+    lipschitz: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> OptimumCertificate:
     """Certified maximum of a batched objective over a box of at most two dimensions.
 
     The domain gets a uniform grid (endpoints included) with local zoom
-    refinement around the top candidates.  ``lipschitz``, a bound on the
-    gradient norm of ``fn`` over the domain, yields a ``gap``: in one
-    dimension every point lies within half a spacing of a grid point, and
-    in two the grid skips the tiles that the bound rules out
-    (``_grid_screen``).  The returned value is the maximum over every probed
-    point, so the certificate dominates all probes by construction, and
-    skipped grid points by the bound.  Raises ``ValueError`` above two
+    refinement around the top candidates.  ``lipschitz(lo, hi)``, a bound
+    on the gradient norm of ``fn`` over each box (corners of shape (k, d)),
+    yields a ``gap``: in one dimension every point lies within half a
+    spacing of a grid point, and in two the grid skips the super-tiles and
+    tiles that their bounds rule out (``_grid_screen``).  The returned
+    value is the maximum over every probed point, so the certificate
+    dominates all probes by construction, and skipped grid points by the
+    bound.  Raises ``ValueError`` above two
     dimensions, and ``OracleFailure`` when the incumbent has not converged
     to ``ORACLE_TOL`` within ``ORACLE_MAX_ZOOM_ROUNDS`` rounds.
     """
@@ -290,8 +297,8 @@ def oracle_optimum(
     if d == 1:
         pts = np.linspace(domain.lower[0], domain.upper[0], ORACLE_GRID_POINTS)[:, None]
         vals = fn(pts)
-        top_bound = None if lipschitz is None else (
-            float(np.max(vals)) + lipschitz * float(spacing[0]) / 2.0)
+        top_bound = None if lipschitz is None else float(np.max(vals)) + float(
+            lipschitz(domain.lower[None], domain.upper[None])[0]) * float(spacing[0]) / 2.0
     else:
         pts, vals, top_bound = _grid_screen(fn, domain, 4 * ORACLE_TOP_CANDIDATES, lipschitz,
                                             2 * spacing)
@@ -326,12 +333,12 @@ def _certify_separable(fn, domain: BoxDomain, shifts: np.ndarray,
     it in the last bits; ``gap`` is the sum of the 1-D gaps, so that
     ``value + gap`` bounds the supremum of ``fn`` up to rounding.
     """
-    slopes = abs(scale) * _rastrigin_slopes(domain)
+    slope = lambda lo, hi: abs(scale) * _rastrigin_lipschitz(lo, hi)
     xs, probes, rounds, gap = [], 0, 0, 0.0
     for j, (lo, hi) in enumerate(zip(domain.lower, domain.upper)):
         s = shifts[:, j]
         term = lambda X: scale * _rastrigin_term(np.clip(X - s, lo, hi)).mean(axis=1)
-        cert = oracle_optimum(term, BoxDomain([lo], [hi]), lipschitz=slopes[j])
+        cert = oracle_optimum(term, BoxDomain([lo], [hi]), lipschitz=slope)
         xs.append(cert.x[0])
         probes += cert.probes
         rounds += cert.rounds
@@ -354,8 +361,9 @@ class BaseObjective:
     ``1 - raw / max``, so values land in [0, 1] with the peak at 1.
     ``known_optimum`` is the analytically known argmax of the normalized
     form where one exists (used for translation shortcuts on shifted copies).
-    ``lipschitz`` bounds the raw form's gradient norm over the domain, where
-    an analytic bound exists; the grid oracle prunes with it.
+    ``raw_lipschitz(lo, hi)`` bounds the raw form's gradient norm over each
+    of a batch of boxes, where an analytic bound exists; the grid oracle
+    prunes with it.
     """
 
     name: str
@@ -364,12 +372,20 @@ class BaseObjective:
     orientation: str
     raw_fn: Callable[[np.ndarray], np.ndarray]
     known_optimum: np.ndarray | None = None
-    lipschitz: float | None = None
+    raw_lipschitz: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
-    @property
-    def value_lipschitz(self) -> float | None:
-        """Bound for the normalized form; clipped shifts and their mean keep it."""
-        return None if self.lipschitz is None else self.lipschitz / self.normalization_max
+    def shifted_lipschitz(self, shifts: np.ndarray):
+        """Box bound for the mean of the copies ``f(clip(x - s))``, ``s`` a ``shifts`` row.
+
+        Clipping is monotone and 1-Lipschitz per coordinate, so on a box ``B``
+        a copy moves no faster than the raw form on ``clip(B - s)``, scaled by
+        ``1 / normalization_max``; a mean, than the mean of its copies' bounds.
+        """
+        if self.raw_lipschitz is None:
+            return None
+        moved = lambda c: self.domain.clip(c[None] - shifts[:, None]).reshape(-1, c.shape[1])
+        return lambda lo, hi: self.raw_lipschitz(moved(lo), moved(hi)).reshape(
+            len(shifts), -1).mean(axis=0) / self.normalization_max
 
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
         raw = self.raw_fn(np.atleast_2d(np.asarray(X, dtype=float)))
@@ -391,8 +407,8 @@ def make_base(name: str, domain: BoxDomain | None = None) -> BaseObjective:
     """Build a named objective, certifying its normalization constant.
 
     The raw extreme is certified by the grid oracle, pruned by the
-    objective's Lipschitz bound, or for rastrigin one coordinate at a time
-    (``_certify_separable``).  A domain on which that bound times the
+    objective's Lipschitz bounds, or for rastrigin one coordinate at a time
+    (``_certify_separable``).  A domain on which its bound times its
     diameter is not finite, where the raw form can overflow, is rejected,
     and so is one whose certified extreme is not positive and finite, which
     cannot normalize.  Results are cached per (name, domain).
@@ -407,10 +423,9 @@ def make_base(name: str, domain: BoxDomain | None = None) -> BaseObjective:
     if key in _BASE_CACHE:
         return _BASE_CACHE[key]
     box = " x ".join(f"[{lo:g}, {hi:g}]" for lo, hi in zip(domain.lower, domain.upper))
-    lipschitz = None
     if lipschitz_fn is not None:
         with np.errstate(over="ignore", invalid="ignore"):
-            lipschitz = lipschitz_fn(domain)
+            lipschitz = lipschitz_fn(domain.lower[None], domain.upper[None])[0]
         # raw varies by at most L * diameter over the box
         if not math.isfinite(lipschitz * math.hypot(*domain.widths)):
             raise ValueError(f"{name} overflows on the domain {box}")
@@ -421,7 +436,7 @@ def make_base(name: str, domain: BoxDomain | None = None) -> BaseObjective:
         in_order = lambda X: functools.reduce(np.add, _rastrigin_term(X).T, 10.0 * domain.dim)
         res = _certify_separable(in_order, domain, np.zeros((1, domain.dim)), 1.0)
     else:
-        res = oracle_optimum(raw_fn, domain, lipschitz=lipschitz)
+        res = oracle_optimum(raw_fn, domain, lipschitz=lipschitz_fn)
     norm_max = res.value
     if not 0.0 < norm_max < math.inf:
         raise ValueError(f"{name} has no positive maximum on the domain {box}")
@@ -434,7 +449,7 @@ def make_base(name: str, domain: BoxDomain | None = None) -> BaseObjective:
 
     obj = BaseObjective(name=name, domain=domain, normalization_max=norm_max,
                         orientation=orientation, raw_fn=raw_fn, known_optimum=known,
-                        lipschitz=lipschitz)
+                        raw_lipschitz=lipschitz_fn)
     _BASE_CACHE[key] = obj
     return obj
 
@@ -464,7 +479,7 @@ def _search(base: BaseObjective, fn, shifts: np.ndarray) -> OptimumCertificate:
     """Searched certificate of ``fn``, the mean of the base's copies shifted by ``shifts`` rows."""
     if base.name == "rastrigin":
         return _certify_separable(fn, base.domain, shifts, -1.0 / base.normalization_max)
-    return oracle_optimum(fn, base.domain, lipschitz=base.value_lipschitz)
+    return oracle_optimum(fn, base.domain, lipschitz=base.shifted_lipschitz(shifts))
 
 
 def _certify_shifted(base: BaseObjective, shift: np.ndarray, fn) -> OptimumCertificate:

@@ -119,7 +119,7 @@ ORACLE_DIGESTS = {
     ("garland", "3", "1"): "06360df902b643f324f92136d9e56c31a7f1897bc25053843f98abc10bdb354f",
     ("doublesine", "3", "0"): "3c6a9fe30cc3704f8e7fcd43589574ed87af2083392245d065675e8484f24a9e",
     ("doublesine", "3", "1"): "b321e9d23c4930ef82d46c338d8d0460842885144a9b5b6b99d018763c7ced11",
-    ("himmelblau", "3", "0"): "87fa9c5a8682953c3ce2b96e3e089ff3d8fe0858093fcec2b6c903e4640d9c1e",
+    ("himmelblau", "3", "0"): "889d35c65b51de06a2b234b91643e5bedcd95f0ace0450c41b9abe4932e53529",
     ("himmelblau", "3", "1"): "9528a3561b9244d75bacaa89120978cdc6eff7275f726ccb2ffa1121d1bd9d70",
     ("garland", "1", "0"): "0b5dd07f6a5e760755c0618b2dd8c1fe33d62c3c9551d77703c06e105be90fa5",
     ("ackley", "3", "0"): "c66576de06decd3df88d3922f42af17002edef414b9d1450316a383d9fed87f1",
@@ -405,6 +405,30 @@ class TestRunCommand:
         assert code == 3
         assert err.startswith("fedelim: runtime fault:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_out_of_memory_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch, threads):
+        # An allocation too large for memory is a runtime fault, also when a
+        # pool worker raises it.  Nothing large is allocated here.
+        message = "Unable to allocate 21.1 GiB for an array with shape (2831155200,)"
+
+        def draw(*args, **kwargs):
+            raise MemoryError(message)
+
+        def build(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setenv("FEDELIM_THREADS", threads)
+        argv = ["run", "--objective", "garland", "--clients", "2", "--horizon", "100",
+                "--runs", "2", "--out", str(tmp_path)]
+        monkeypatch.setattr(objectives.NoiseModel, "draw", draw)
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"fedelim: runtime fault: {message}\n"
+        monkeypatch.setattr(harness, "make_suite", build)
+        monkeypatch.setattr(cli, "make_suite", build)
+        for command in (argv, ["oracle", "--objective", "himmelblau", "--clients", "3"]):
+            assert main(command) == 3
+            assert capsys.readouterr().err == "fedelim: runtime fault: MemoryError\n"
 
     @pytest.mark.parametrize("line", [
         "noise = nan", "noise = inf", "nu1 = inf", "nu1 = nan", "c1 = inf", "c1 = nan",

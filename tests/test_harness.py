@@ -1,4 +1,5 @@
 """Experiment orchestration: configs, variants, determinism, aggregation."""
+import hashlib
 import math
 import tracemalloc
 
@@ -183,6 +184,43 @@ class TestPullLog:
             with pytest.raises(AssertionError, match="replayed sum"):
                 expand_pulls(metrics.pull_logs[0], metrics.suite, 1, 4)
 
+
+# SHA-256 of ``repr`` of every pull-log segment of a run, client by client:
+# the cell, the pull count and the exact bits of the reward sum and the
+# instant regret.  The CSV digests read only cell values, so a last-bit
+# change in a reward sum can pass them; it cannot pass these.
+SEGMENT_DIGESTS = [
+    ("garland", 3, 3000, "pfpne", 0,
+     "b2bb46a30bf7766533269da5d2a79ba34bb39f26d71983714ea544d6b9540955"),
+    ("garland", 3, 3000, "pfpne", 1,
+     "782fa42be428212e088cedd72e0134f01bc972b854f0dee4165cecff4d4ad9d0"),
+    ("garland", 3, 3000, "global-only", 0,
+     "b2bb46a30bf7766533269da5d2a79ba34bb39f26d71983714ea544d6b9540955"),
+    ("garland", 3, 3000, "global-only", 1,
+     "782fa42be428212e088cedd72e0134f01bc972b854f0dee4165cecff4d4ad9d0"),
+    ("garland", 3, 3000, "local-only", 0,
+     "23bef263ae3083e30b8d771015aaf37505a950c04752051ea9d943eff99e7705"),
+    ("garland", 3, 3000, "local-only", 1,
+     "5323bd54502e3c29b28de7b9df24ac8116c921374ded6396d80424b18885e542"),
+    ("ackley", 2, 5000, "pfpne", 0,
+     "dedf7c0b70896c1fb019cea7d201f8a8e339dbbc4ae0255497d4a7ed050feac7"),
+    ("ackley", 2, 5000, "pfpne", 1,
+     "d0edeb042a658afc069555de97a5fbc387484a31e9bbc25760fcd5da0c934fdd"),
+]
+
+
+@pytest.mark.parametrize("objective,clients,horizon,variant,seed,digest", SEGMENT_DIGESTS,
+                         ids=[f"{c[0]}-{c[3]}-{c[4]}" for c in SEGMENT_DIGESTS])
+def test_every_segment_matches_recorded_hashes(objective, clients, horizon, variant, seed,
+                                               digest):
+    config = ExperimentConfig(objective=objective, variant=variant, clients=clients,
+                              horizon=horizon, seeds=(seed,))
+    metrics = run(config, seed)
+    sha = hashlib.sha256()
+    for log in metrics.pull_logs:
+        for segment in log.segments:
+            sha.update(repr(segment).encode())
+    assert sha.hexdigest() == digest
 
 def segment_log(segments):
     """A pull log of (pulls, instant regret) segments, all in the root cell."""

@@ -437,9 +437,11 @@ class TestSeparable:
         shifts = np.array([[1.5, 0.5], [-0.5, -1.8], [0.3, 3.4]])
         suite = ObjectiveSuite(base, shifts, NoiseModel(0.0))
         fns = [functools.partial(suite.eval_local_batch, m) for m in (1, 2, 3)]
+        bounds = [base.shifted_lipschitz(shifts[m - 1:m]) for m in (1, 2, 3)]
         certs = [*suite.local_optima, suite.global_optimum]
-        for fn, cert in zip([*fns, suite.eval_global_batch], certs):
-            tiled = oracle_optimum(fn, base.domain, lipschitz=base.value_lipschitz)
+        for fn, bound, cert in zip([*fns, suite.eval_global_batch],
+                                   [*bounds, base.shifted_lipschitz(shifts)], certs):
+            tiled = oracle_optimum(fn, base.domain, lipschitz=bound)
             assert cert.method == "separable" and tiled.method == "grid-zoom"
             assert abs(cert.value - tiled.value) <= objectives.ORACLE_TOL
             assert cert.value + cert.gap >= tiled.value
@@ -460,6 +462,11 @@ def counting(fn):
         return fn(X)
 
     return counted, rows
+
+
+def whole_domain(bound, domain):
+    """A box bound evaluated on the whole domain."""
+    return float(bound(domain.lower[None], domain.upper[None])[0])
 
 
 class TestLipschitz:
@@ -488,19 +495,89 @@ class TestLipschitz:
     @pytest.mark.parametrize("index", range(3), ids=["himmelblau", "ackley", "rastrigin-2d"])
     def test_bounds_are_sound(self, index):
         base = two_dim_bases()[index]
+        domain = base.domain
         rng = np.random.default_rng(31 + index)
-        self.assert_lipschitz(base.raw_fn, base.domain, base.lipschitz, rng)
+        self.assert_lipschitz(base.raw_fn, domain, whole_domain(base.raw_lipschitz, domain), rng)
         # shifts up to a third of the width, so that clipping bites
-        shifts = rng.uniform(-1 / 3, 1 / 3, size=(3, 2)) * base.domain.widths
+        shifts = rng.uniform(-1 / 3, 1 / 3, size=(3, 2)) * domain.widths
         suite = ObjectiveSuite(base, shifts, NoiseModel(0.0))
         for m in (1, 2, 3):
-            self.assert_lipschitz(functools.partial(suite.eval_local_batch, m), base.domain,
-                                  base.value_lipschitz, rng)
-        self.assert_lipschitz(suite.eval_global_batch, base.domain, base.value_lipschitz, rng)
+            self.assert_lipschitz(functools.partial(suite.eval_local_batch, m), domain,
+                                  whole_domain(base.shifted_lipschitz(shifts[m - 1:m]), domain),
+                                  rng)
+        self.assert_lipschitz(suite.eval_global_batch, domain,
+                              whole_domain(base.shifted_lipschitz(shifts), domain), rng)
+
+    @staticmethod
+    def boxes(domain, rng, count=200):
+        """Random boxes, boxes on the domain's edge, and boxes one grid spacing wide."""
+        lo, hi = domain.lower, domain.upper
+        corners = np.sort(rng.uniform(lo, hi, size=(2, count, 2)), axis=0)
+        widths = rng.uniform(0.0, 0.2, size=(count, 2)) * domain.widths
+        # each edge box has one side on one face of the domain
+        face = rng.integers(0, 4, size=count)
+        axis, upper = face % 2, face >= 2
+        edge_lo = rng.uniform(lo, hi - widths)
+        rows = np.arange(count)
+        edge_lo[rows, axis] = np.where(upper, hi[axis] - widths[rows, axis], lo[axis])
+        spacing = domain.widths / (objectives.ORACLE_GRID_POINTS - 1)
+        cell_lo = np.concatenate([np.array(list(itertools.product(*zip(lo, hi - spacing)))),
+                                  rng.uniform(lo, hi - spacing, size=(count, 2))])
+        return (np.concatenate([corners[0], edge_lo, cell_lo]),
+                np.concatenate([corners[1], edge_lo + widths, cell_lo + spacing]))
+
+    @pytest.mark.parametrize("index", range(3), ids=["himmelblau", "ackley", "rastrigin-2d"])
+    def test_box_bounds_are_sound(self, index):
+        # |f(x) - f(y)| <= bound(B) |x - y| for random pairs in each box B,
+        # for the raw form, each local objective of a 10-client suite whose
+        # clipped shifts bite, and their mean
+        base = two_dim_bases()[index]
+        domain = base.domain
+        rng = np.random.default_rng(51 + index)
+        shifts = rng.uniform(-1 / 3, 1 / 3, size=(10, 2)) * domain.widths
+        suite = ObjectiveSuite(base, shifts, NoiseModel(0.0))
+        cases = [(base.raw_fn, base.raw_lipschitz), (suite.eval_global_batch,
+                                                     base.shifted_lipschitz(shifts))]
+        cases += [(functools.partial(suite.eval_local_batch, m),
+                   base.shifted_lipschitz(shifts[m - 1:m])) for m in range(1, 11)]
+        lo, hi = self.boxes(domain, rng)
+        assert np.all((domain.lower <= lo) & (lo <= hi) & (hi <= domain.upper))
+        pairs = 50
+        x = rng.uniform(np.repeat(lo, pairs, axis=0), np.repeat(hi, pairs, axis=0))
+        y = rng.uniform(np.repeat(lo, pairs, axis=0), np.repeat(hi, pairs, axis=0))
+        dist = np.linalg.norm(x - y, axis=1)
+        for fn, bound in cases:
+            slopes = bound(lo, hi)
+            assert slopes.shape == (len(lo),) and np.all(np.isfinite(slopes))
+            assert np.all(slopes <= whole_domain(bound, domain) * (1 + 1e-12))
+            assert np.all(np.abs(fn(x) - fn(y)) <= np.repeat(slopes, pairs) * dist * (1 + 1e-9))
+
+    def test_himmelblau_partial_maximum_is_exact(self):
+        # no |partial| on a dense grid of the box exceeds the bound, on random
+        # boxes and on boxes one grid spacing wide around the interior
+        # stationary points, where the extreme lies inside the box
+        rng = np.random.default_rng(61)
+        # x = -y = (4 +- sqrt(16 + 48 (4a - 2))) / 24 for d/dx; d/dy swaps the axes
+        roots = [(4.0 + sign * math.sqrt(16.0 + 48.0 * (4.0 * a - 2.0))) / 24.0
+                 for a in (11.0, 7.0) for sign in (1.0, -1.0)]
+        centers = np.array([(s * r, -s * r) for r in roots for s in (1.0, -1.0)])
+        corners = np.sort(rng.uniform(-5.0, 5.0, size=(2, 100, 2)), axis=0)
+        half = 10.0 / (objectives.ORACLE_GRID_POINTS - 1) / 2
+        lo = np.concatenate([corners[0], centers - half])
+        hi = np.concatenate([corners[1], centers + half])
+        t = np.linspace(0.0, 1.0, 201)
+        for (xlo, ylo), (xhi, yhi) in zip(lo, hi):
+            x = (xlo + t * (xhi - xlo))[:, None]
+            y = (ylo + t * (yhi - ylo))[None, :]
+            for (u, v), (a, b) in (((x, y), (11.0, 7.0)), ((y.T, x.T), (7.0, 11.0))):
+                ulo, uhi, vlo, vhi = (np.array([c]) for c in (u.min(), u.max(), v.min(), v.max()))
+                bound = objectives._himmelblau_partial_max(ulo, uhi, vlo, vhi, a, b)[0]
+                grid = np.max(np.abs(4.0 * u * (u * u + v - a) + 2.0 * (u + v * v - b)))
+                assert grid <= bound * (1 + 1e-12)
 
     def test_one_dimensional_objectives_have_no_bound(self):
-        assert make_base("garland").lipschitz is None
-        assert make_base("doublesine").value_lipschitz is None
+        assert make_base("garland").raw_lipschitz is None
+        assert make_base("doublesine").shifted_lipschitz(np.zeros((2, 1))) is None
 
 
 class TestPrunedScreen:
@@ -509,10 +586,10 @@ class TestPrunedScreen:
         if case == "himmelblau-global":
             base = make_base("himmelblau")
             suite = make_suite(base, clients=3, shift_std=0.5, noise_halfwidth=0.0, seed=0)
-            fn, lipschitz = suite.eval_global_batch, base.value_lipschitz
+            fn, lipschitz = suite.eval_global_batch, base.shifted_lipschitz(suite.shifts)
         else:
             base = make_base(case)
-            fn, lipschitz = base.raw_fn, base.lipschitz
+            fn, lipschitz = base.raw_fn, base.raw_lipschitz
         pruned_fn, pruned_rows = counting(fn)
         full_fn, full_rows = counting(fn)
         pruned = oracle_optimum(pruned_fn, base.domain, lipschitz=lipschitz)
@@ -530,32 +607,61 @@ class TestPrunedScreen:
     @pytest.mark.parametrize("index", range(3), ids=["himmelblau", "ackley", "rastrigin-2d"])
     def test_gap_bounds_every_point(self, index):
         base = two_dim_bases()[index]
-        cert = oracle_optimum(base.raw_fn, base.domain, lipschitz=base.lipschitz)
+        cert = oracle_optimum(base.raw_fn, base.domain, lipschitz=base.raw_lipschitz)
         cloud = np.random.default_rng(41).uniform(base.domain.lower, base.domain.upper,
                                                    size=(100_000, 2))
         assert 0.0 <= cert.gap and np.max(base.raw_fn(cloud)) <= cert.value + cert.gap
 
     @pytest.mark.parametrize("name,expected", [
         ("ackley", (4.6752053040600074, [0.5588000610500611, 1.0], 17081416, 72,
-                    0.060981895701340605, 723016)),
-        ("himmelblau", (890.0, [5.0, 5.0], 17246191, 111, 7.3306940576527495, 731311)),
+                    0.060981895701340605, 538952)),
+        ("himmelblau", (890.0, [5.0, 5.0], 17246191, 111, 7.3306940576527495, 473455)),
         ("rastrigin", (40.50254598198022, [0.5025460317460317, 0.5025460317460317], 17233516,
-                       108, 0.3940196695131277, 825132)),
+                       108, 0.3940196695131277, 576556)),
     ], ids=["ackley", "himmelblau", "rastrigin"])
     def test_certificates_are_pinned(self, name, expected):
         # the recorded certificates of the ackley and himmelblau bases and of
-        # 2-D rastrigin on [-1, 1]^2, bit for bit, and the rows evaluated
+        # 2-D rastrigin on [-1, 1]^2, bit for bit, and the rows evaluated;
+        # rastrigin is screened with its bound over the whole box on every box
         if name == "rastrigin":
             domain = BoxDomain([-1.0, -1.0], [1.0, 1.0])
-            fn, lipschitz = objectives._rastrigin_raw, objectives._rastrigin_lipschitz(domain)
+            whole = whole_domain(objectives._rastrigin_lipschitz, domain)
+            fn, lipschitz = objectives._rastrigin_raw, lambda lo, hi: np.full(len(lo), whole)
         else:
             base = make_base(name)
-            fn, lipschitz, domain = base.raw_fn, base.lipschitz, base.domain
+            fn, lipschitz, domain = base.raw_fn, base.raw_lipschitz, base.domain
             assert base.normalization_max == expected[0]
         counted, rows = counting(fn)
         cert = oracle_optimum(counted, domain, lipschitz=lipschitz)
         assert (cert.value, cert.x.tolist(), cert.probes, cert.rounds, cert.gap,
                 rows[0]) == expected
+
+    def test_ten_client_himmelblau_global_certificate_is_pinned(self):
+        # value and point recorded before the bounds per box, bit for bit;
+        # rows, surviving super-tiles and surviving tiles recorded with them,
+        # so that a weaker bound fails here
+        base = make_base("himmelblau")
+        suite = make_suite(base, clients=10, shift_std=0.5, noise_halfwidth=0.0, seed=0)
+        calls = []
+
+        def counted(X):
+            calls.append(len(X))
+            return suite.eval_global_batch(X)
+
+        cert = oracle_optimum(counted, base.domain, lipschitz=base.shifted_lipschitz(suite.shifts))
+        assert cert.value.hex() == "0x1.fb87fb9d14018p-1"
+        assert [v.hex() for v in cert.x] == ["0x1.790e1daea7b74p+1", "0x1.d2203b9d536ecp+0"]
+        assert cert.value == suite.global_optimum.value
+        # super-tile probes, the tile probes of 75 super-tiles, the points of
+        # 307 tiles, then the zoom rounds of 65 x 65 points each
+        tile = objectives.ORACLE_TILE_POINTS ** 2
+        zoom = [n for n in calls[2:] if n == objectives.ORACLE_ZOOM_POINTS ** 2]
+        assert calls[:2] == [4096, 75 * tile]
+        assert sum(calls[2:]) - sum(zoom) == 307 * tile
+        assert (sum(calls), cert.probes, cert.rounds) == (193319, 16941991, 39)
+        cloud = np.random.default_rng(43).uniform(base.domain.lower, base.domain.upper,
+                                                   size=(100_000, 2))
+        assert 0.0 <= cert.gap and np.max(suite.eval_global_batch(cloud)) <= cert.value + cert.gap
 
     @pytest.mark.parametrize("lipschitz", [math.nan, math.inf])
     def test_non_finite_bound_keeps_every_tile(self, monkeypatch, lipschitz):
@@ -563,12 +669,14 @@ class TestPrunedScreen:
         fn = lambda X: 1.0 - (X[:, 0] - 0.3) ** 2 - (X[:, 1] + 0.4) ** 2
         domain = BoxDomain([-1.0, -1.0], [1.0, 1.0])
         counted, rows = counting(fn)
-        res = oracle_optimum(counted, domain, lipschitz=lipschitz)
+        res = oracle_optimum(counted, domain, lipschitz=lambda lo, hi: np.full(len(lo), lipschitz))
         ref = oracle_optimum(fn, domain)
         assert res.value == ref.value and np.array_equal(res.x, ref.x)
         assert res.probes == ref.probes and not math.isfinite(res.gap)
-        # every representative, then every grid point, then the zoom
-        assert rows[0] == (256 // objectives.ORACLE_TILE_POINTS) ** 2 + ref.probes
+        # every super-tile probe, every tile probe, every grid point, then the zoom
+        super_tile = objectives.ORACLE_TILE_POINTS * objectives.ORACLE_SUPER_TILE
+        assert rows[0] == ((256 // super_tile) ** 2 + (256 // objectives.ORACLE_TILE_POINTS) ** 2
+                           + ref.probes)
 
 
 class TestProfile:
