@@ -1,10 +1,10 @@
-"""The objective suite: normalized surfaces, shifts, certificates, profiles.
+"""The objective suite: normalized surfaces, shifts, certificates, the cell census.
 
 Run with:  python3 demos/02_objectives_and_oracle.py
 """
 import numpy as np
 
-from fedelim import OBJECTIVE_NAMES, make_base, make_suite, profile_ladder
+from fedelim import OBJECTIVE_NAMES, PartitionSpec, make_base, make_suite, near_optimal_census
 
 print("=== the five normalized benchmark surfaces ===")
 for name in OBJECTIVE_NAMES:
@@ -42,8 +42,9 @@ print("  true value:", round(value, 6))
 print("  samples:   ", [round(float(r), 4) for r in value + suite.noise.draw(rng, 5)])
 
 print()
-print("=== near-optimality profile ladder for garland ===")
+print("=== near-optimal cells of garland's binary partition, eps = 6 * nu1 * rho^h ===")
 base = make_base("garland")
-print(f"{'h':>2} {'eps':>9} {'step':>9} {'cells':>6}")
-for h, eps, step, count in profile_ladder(base.evaluate_batch, base.domain, 1.0, 1.0, 0.5):
-    print(f"{h:2d} {eps:9.4f} {step:9.4f} {count:6d}")
+print(f"{'h':>2} {'eps':>9} {'near':>5} {'cells':>6}")
+for h, eps, near, cells in near_optimal_census(base.evaluate_batch, base.domain,
+                                               PartitionSpec(2), 1.0, 0.5):
+    print(f"{h:2d} {eps:9.4f} {near:5d} {cells:6d}")

@@ -42,9 +42,8 @@ from .objectives import (
     OracleFailure,
     make_base,
     make_suite,
-    near_optimality_profile,
+    near_optimal_census,
     oracle_optimum,
-    profile_ladder,
 )
 from .partition import (
     ROOT,
@@ -98,11 +97,10 @@ __all__ = [
     "make_base",
     "make_suite",
     "merge_global",
-    "near_optimality_profile",
+    "near_optimal_census",
     "node_containing",
     "oracle_optimum",
     "parent",
-    "profile_ladder",
     "quota",
     "representative",
     "run",

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
-import math
 import os
 import sys
 import types
@@ -35,13 +34,12 @@ from .harness import (
 )
 from .objectives import (
     OBJECTIVE_NAMES,
-    PROFILE_CELL_LIMIT,
     OracleFailure,
     make_base,
     make_suite,
-    near_optimality_profile,
-    profile_ladder,
+    near_optimal_census,
 )
+from .partition import PartitionSpec
 
 REGRET_HEADER = ["variant", "seed", "t", "avg_cum_regret"]
 COMM_HEADER = ["variant", "seed", "round_index", "depth", "scalars_up", "scalars_down",
@@ -137,11 +135,9 @@ def build_parser() -> _Parser:
     p_oracle.add_argument("--shift-std", type=float, default=None)
     p_oracle.add_argument("--seed", type=int, default=0)
 
-    p_profile = sub.add_parser("profile", help="near-optimality cell counts")
+    p_profile = sub.add_parser("profile", help="near-optimal partition cells by depth")
     p_profile.set_defaults(handler=cmd_profile)
     p_profile.add_argument("--objective", required=True, choices=OBJECTIVE_NAMES)
-    p_profile.add_argument("--eps", type=float, help="single-count tolerance")
-    p_profile.add_argument("--grid-step", type=float, help="single-count grid step")
     p_profile.add_argument("--nu1", type=float, default=1.0)
     p_profile.add_argument("--rho", type=float, default=0.5)
     return parser
@@ -276,26 +272,13 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    if (args.eps is None) != (args.grid_step is None):
-        raise ConfigError("--eps and --grid-step must be given together")
-    if args.eps is not None and not (0 < args.eps < math.inf and 0 < args.grid_step < math.inf):
-        raise ConfigError("--eps and --grid-step must be finite and positive")
-    ExperimentConfig(objective=args.objective, nu1=args.nu1, rho=args.rho).validate()
+    config = ExperimentConfig(objective=args.objective, nu1=args.nu1, rho=args.rho)
+    config.validate()
     base = make_base(args.objective)
-    fn = base.evaluate_batch
-    if args.eps is not None:
-        try:
-            count = near_optimality_profile(fn, base.domain, 1.0, args.eps, args.grid_step)
-        except ValueError as exc:  # the grid exceeds the cell cap
-            raise ConfigError(str(exc)) from exc
-        print(f"{args.objective}: eps={format_float(args.eps)} "
-              f"grid_step={format_float(args.grid_step)} cells={count}")
-        return 0
-    print(f"{args.objective}: near-optimal cell counts, eps=6*nu1*rho^h, step=rho^h")
-    for h, eps, step, count in profile_ladder(fn, base.domain, 1.0, args.nu1, args.rho):
-        cells = f"cells={count}" if count is not None else (
-            f"exceeds the {PROFILE_CELL_LIMIT}-cell cap; the ladder stops here")
-        print(f"h={h} eps={format_float(eps)} grid_step={format_float(step)} {cells}")
+    print(f"{args.objective}: near-optimal partition cells by depth, eps=6*nu1*rho^h")
+    for h, eps, near, cells in near_optimal_census(base.evaluate_batch, base.domain,
+                                                   PartitionSpec(config.arity), config.nu1, config.rho):
+        print(f"h={h} eps={format_float(eps)} near={near} cells={cells}")
     return 0
 
 

@@ -6,9 +6,9 @@ copies ``f_m(x) = base(clip(x - s_m))`` plus their average, a symmetric
 bounded noise model, and brute-force optimum certificates: the grid oracle
 below on domains of up to two dimensions, and, for rastrigin in any
 dimension, the same oracle run one coordinate at a time on its separable
-sum.  The near-optimality profiler counts grid cells whose center clears a
-value threshold, a diagnostic proxy for covering numbers of near-optimal
-sets.
+sum.  The near-optimality census counts, at each depth of the protocol's
+own partition, the cells whose center value lies within ``6 * nu1 * rho**h``
+of the optimum: the counts that define the near-optimality dimension.
 """
 from __future__ import annotations
 
@@ -19,13 +19,11 @@ from typing import Callable
 
 import numpy as np
 
-from .partition import BoxDomain
+from .partition import BoxDomain, NodeId, PartitionSpec, representative
 from .seeding import PURPOSE_SHIFTS, substream
 
 ORIENT_VALUE = "value"  # f = raw / normalization_max  (raw is a reward surface)
 ORIENT_COST = "cost"    # f = 1 - raw / normalization_max  (raw is a loss surface)
-
-PROFILE_CELL_LIMIT = 50_000_000
 
 
 class OracleFailure(RuntimeError):
@@ -603,56 +601,25 @@ def make_suite(base: BaseObjective, clients: int, shift_std: float | np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Near-optimality profiling
+# Near-optimality census
 # ---------------------------------------------------------------------------
 
-def _profile_counts(domain: BoxDomain, grid_step: float) -> list[int] | None:
-    """ceil(width / grid_step) cells per dimension; None past ``PROFILE_CELL_LIMIT`` cells."""
-    # a ratio capped just past the limit still fails it, and never reaches ceil as inf
-    ratios = [min(float(w) / grid_step, PROFILE_CELL_LIMIT + 1) for w in domain.widths]
-    counts = [max(1, math.ceil(r - 1e-12)) for r in ratios]
-    return counts if math.prod(counts) <= PROFILE_CELL_LIMIT else None
+def near_optimal_census(fn: Callable[[np.ndarray], np.ndarray], domain: BoxDomain,
+                        spec: PartitionSpec, nu1: float,
+                        rho: float) -> list[tuple[int, float, int, int]]:
+    """``(h, eps, near, cells)`` for each depth h = 0..6 of ``spec``'s partition of ``domain``.
 
-
-def _profile_centers(domain: BoxDomain, grid_step: float):
-    """Cell centers of the profile grid, in blocks of at most a million points."""
-    counts = _profile_counts(domain, grid_step)
-    if counts is None:
-        raise ValueError(f"profile grid step {grid_step:g} exceeds the {PROFILE_CELL_LIMIT}-cell cap")
-    total = math.prod(counts)
-    chunk = 1_000_000
-    for start in range(0, total, chunk):
-        coords = np.unravel_index(np.arange(start, min(start + chunk, total)), counts)
-        X = np.empty((len(coords[0]), domain.dim))
-        for j in range(domain.dim):
-            cw = domain.widths[j] / counts[j]
-            X[:, j] = domain.lower[j] + (coords[j] + 0.5) * cw
-        yield X
-
-
-def near_optimality_profile(fn: Callable[[np.ndarray], np.ndarray], domain: BoxDomain,
-                            f_star: float, eps: float, grid_step: float) -> int:
-    """Number of grid cells whose center value reaches ``f_star - eps``.
-
-    The count is a proxy for the covering number of the eps-optimal set.
+    ``cells`` is the number of depth-h cells, and ``near`` the number whose
+    ``representative`` has an ``fn`` value within ``eps = 6 * nu1 * rho**h``
+    of the certified value 1.0.  The near-optimality dimension of HOO and
+    POO is defined on these counts.
     """
-    if eps <= 0 or grid_step <= 0:
-        raise ValueError("eps and grid_step must be positive")
-    return sum(int((fn(X) >= f_star - eps).sum()) for X in _profile_centers(domain, grid_step))
-
-
-def profile_ladder(fn, domain: BoxDomain, f_star: float, nu1: float,
-                   rho: float) -> list[tuple[int, float, float, int | None]]:
-    """Near-optimality counts along the ladder eps=6*nu1*rho^h, step=rho^h, h = 0..6.
-
-    The first depth whose grid exceeds the cell cap ends the ladder, with count None.
-    """
+    if not (0 < nu1 < math.inf and 0 < rho < 1):
+        raise ValueError("nu1 must be finite and positive, and rho in (0, 1)")
     rows = []
     for h in range(7):
+        cells = spec.arity ** h
+        X = np.array([representative(domain, NodeId(h, i), spec) for i in range(1, cells + 1)])
         eps = 6.0 * nu1 * rho ** h
-        step = rho ** h
-        if _profile_counts(domain, step) is None:
-            rows.append((h, eps, step, None))
-            break
-        rows.append((h, eps, step, near_optimality_profile(fn, domain, f_star, eps, step)))
+        rows.append((h, eps, int((fn(X) >= 1.0 - eps).sum()), cells))
     return rows

@@ -25,6 +25,7 @@ from fedelim.cli import (
     write_outputs,
 )
 from fedelim.harness import ConfigError, ExperimentConfig
+from test_objectives import CENSUS_COUNTS
 
 TINY_CONFIG = """
 [experiment]
@@ -683,51 +684,28 @@ class TestOracleCommand:
 
 class TestProfileCommand:
     def test_ladder_counts(self, capsys):
-        code = main(["profile", "--objective", "garland"])
-        assert code == 0
-        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("h=")]
-        assert len(lines) == 7
-        assert "cells=1" in lines[0]  # eps = 6 covers everything in one cell
-
-    def test_ladder_stops_at_the_cell_cap(self, capsys):
-        # rastrigin's depth-2 grid is 8**10 cells, past the cap
-        code = main(["profile", "--objective", "rastrigin"])
-        assert code == 0
-        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("h=")]
-        assert len(lines) == 3
-        assert "cells=1024" in lines[0] and "cells=" in lines[1]
-        assert lines[2].startswith("h=2 ") and "cap" in lines[2] and "cells=" not in lines[2]
-
-    @pytest.mark.parametrize("step", ["1e-9", "1e-320"])
-    def test_single_count_over_the_cap_exits_2(self, capsys, step):
-        code = main(["profile", "--objective", "garland", "--eps", "0.1", "--grid-step", step])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "config error" in err and "cap" in err and "Traceback" not in err
-
-    def test_single_count(self, capsys):
-        code = main(["profile", "--objective", "garland", "--eps", "1.0",
-                     "--grid-step", "0.0625"])
-        assert code == 0
-        assert "cells=16" in capsys.readouterr().out
+        for name, counts in CENSUS_COUNTS.items():
+            assert main(["profile", "--objective", name]) == 0
+            out = capsys.readouterr().out.splitlines()
+            assert out[0].startswith(f"{name}: ")
+            # exactly seven depth lines, every one counted: no cap line
+            assert out[1:] == [f"h={h} eps={format_float(6.0 * 0.5 ** h)} near={near} cells={2 ** h}"
+                               for h, near in enumerate(counts)]
 
     def test_invalid_parameters_exit_2(self):
-        assert main(["profile", "--objective", "garland", "--eps", "-1.0",
-                     "--grid-step", "0.1"]) == 2
-        assert main(["profile", "--objective", "garland", "--eps", "0.5"]) == 2
-        for flags in (["--nu1", "0"], ["--nu1", "inf"], ["--rho", "2"], ["--rho", "0"],
-                      ["--eps", "0.5", "--grid-step", "nan"], ["--eps", "inf", "--grid-step", "0.1"],
-                      ["--eps", "0.1", "--grid-step", "inf"]):
+        for flags in (["--nu1", "0"], ["--nu1", "inf"], ["--rho", "2"], ["--rho", "0"]):
             assert main(["profile", "--objective", "garland", *flags]) == 2, flags
+        # the uniform grid's single count is gone with the grid
+        for flags in (["--eps", "0.5"], ["--grid-step", "0.1"]):
+            assert main(["profile", "--objective", "garland", *flags]) == 1, flags
 
 
 class TestInstalledEntryPoint:
     def test_module_invocation(self, tmp_path):
         env = dict(os.environ)
         result = subprocess.run(
-            [sys.executable, "-m", "fedelim.cli", "profile", "--objective", "garland",
-             "--eps", "1.0", "--grid-step", "0.25"],
+            [sys.executable, "-m", "fedelim.cli", "profile", "--objective", "garland"],
             capture_output=True, text=True, env=env,
         )
         assert result.returncode == 0
-        assert "cells=4" in result.stdout
+        assert "h=3 eps=0.75 near=6 cells=8" in result.stdout.splitlines()

@@ -1,4 +1,4 @@
-"""Objective normalization, suites, the optimum oracle, and profiling."""
+"""Objective normalization, suites, the optimum oracle, and the cell census."""
 import functools
 import itertools
 import math
@@ -17,11 +17,10 @@ from fedelim.objectives import (
     OracleFailure,
     make_base,
     make_suite,
-    near_optimality_profile,
+    near_optimal_census,
     oracle_optimum,
-    profile_ladder,
 )
-from fedelim.partition import BoxDomain, NodeId, PartitionSpec, representative
+from fedelim.partition import BoxDomain, NodeId, PartitionSpec, cell, representative
 
 
 def ramp_base():
@@ -679,49 +678,67 @@ class TestPrunedScreen:
                            + ref.probes)
 
 
+# near counts per depth h = 0..6 at nu1 = 1, rho = 0.5, on the binary partition
+CENSUS_COUNTS = {
+    "garland": [1, 2, 4, 6, 7, 3, 1],
+    "doublesine": [1, 2, 4, 6, 6, 6, 5],
+    "himmelblau": [1, 2, 4, 8, 16, 26, 23],
+    "ackley": [1, 2, 4, 0, 0, 0, 0],
+    "rastrigin": [1, 2, 4, 8, 0, 0, 0],
+}
+
+
+def census_near(name: str, nu1: float = 1.0, rho: float = 0.5) -> list[int]:
+    base = make_base(name)
+    rows = near_optimal_census(base.evaluate_batch, base.domain, PartitionSpec(2), nu1, rho)
+    return [near for _, _, near, _ in rows]
+
+
 class TestProfile:
     def test_constant_counts_every_cell(self):
-        fn = lambda X: np.full(len(X), 0.5)
-        domain = BoxDomain([0.0], [1.0])
-        assert near_optimality_profile(fn, domain, 0.5, eps=0.01, grid_step=2 ** -5) == 32
+        fn = lambda X: np.ones(len(X))
+        domain = BoxDomain([0.0, -1.0], [1.0, 1.0])
+        for arity in (2, 3):
+            rows = near_optimal_census(fn, domain, PartitionSpec(arity), 1.0, 0.5)
+            assert [(h, near, cells) for h, _, near, cells in rows] == [
+                (h, arity ** h, arity ** h) for h in range(7)]
 
     def test_huge_eps_counts_every_cell(self):
-        base = make_base("garland")
-        count = near_optimality_profile(base.evaluate_batch, base.domain, 1.0,
-                                        eps=1.0, grid_step=2 ** -6)
-        assert count == 64
+        assert census_near("garland", nu1=1e3) == [2 ** h for h in range(7)]
 
     def test_garland_counts_match_direct_enumeration(self):
-        base = make_base("garland")
-        for step in (2 ** -4, 2 ** -10):
-            cells = int(round(1.0 / step))
-            expected = 0
-            for i in range(cells):
-                center = (i + 0.5) * step
-                if base.evaluate([center]) >= 1.0 - 0.1:
-                    expected += 1
-            got = near_optimality_profile(base.evaluate_batch, base.domain, 1.0,
-                                          eps=0.1, grid_step=step)
-            assert got == expected
+        # on [0, 1] the binary partition's depth-h centers are the uniform grid's
+        # (i + 0.5) / 2**h, so the 1-D counts equal the old grid ladder's; doublesine too
+        for name in ("garland", "doublesine"):
+            base = make_base(name)
+            expected = [sum(base.evaluate([(i + 0.5) / 2 ** h]) >= 1.0 - 6.0 * 0.5 ** h
+                            for i in range(2 ** h)) for h in range(7)]
+            assert census_near(name) == expected == CENSUS_COUNTS[name], name
+
+    @pytest.mark.parametrize("name", ["himmelblau", "ackley", "rastrigin"])
+    def test_counts_match_partition_cell_centers(self, name):
+        base, spec = make_base(name), PartitionSpec(2)
+        expected = []
+        for h in range(7):
+            boxes = [cell(base.domain, NodeId(h, i), spec) for i in range(1, 2 ** h + 1)]
+            expected.append(sum(base.evaluate((box.lower + box.upper) / 2) >= 1.0 - 6.0 * 0.5 ** h
+                                for box in boxes))
+        assert census_near(name) == expected == CENSUS_COUNTS[name]
 
     def test_monotone_in_eps(self):
-        base = make_base("doublesine")
-        counts = [
-            near_optimality_profile(base.evaluate_batch, base.domain, 1.0, eps, 2 ** -8)
-            for eps in (0.05, 0.1, 0.2, 0.5, 1.0)
-        ]
-        assert counts == sorted(counts)
+        counts = [census_near("doublesine", nu1=nu1) for nu1 in (0.05, 0.1, 0.2, 0.5, 1.0)]
+        for h in range(7):
+            assert [row[h] for row in counts] == sorted(row[h] for row in counts)
 
     def test_ladder_top_rung_counts_all(self):
         base = make_base("garland")
-        rows = profile_ladder(base.evaluate_batch, base.domain, 1.0, nu1=1.0, rho=0.5)
-        h0, eps0, step0, count0 = rows[0]
-        assert (h0, eps0, step0) == (0, 6.0, 1.0)
-        assert count0 == 1  # a single cell covers the whole domain
+        rows = near_optimal_census(base.evaluate_batch, base.domain, PartitionSpec(2), 1.0, 0.5)
+        assert rows[0] == (0, 6.0, 1, 1)  # the root cell covers the whole domain
+        assert [eps for _, eps, _, _ in rows] == [6.0 * 0.5 ** h for h in range(7)]
 
     def test_invalid_parameters_rejected(self):
         base = make_base("garland")
-        with pytest.raises(ValueError):
-            near_optimality_profile(base.evaluate_batch, base.domain, 1.0, 0.0, 0.1)
-        with pytest.raises(ValueError):
-            near_optimality_profile(base.evaluate_batch, base.domain, 1.0, 0.1, -1.0)
+        for nu1, rho in ((0.0, 0.5), (math.inf, 0.5), (-1.0, 0.5), (1.0, 0.0), (1.0, 1.0),
+                         (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                near_optimal_census(base.evaluate_batch, base.domain, PartitionSpec(2), nu1, rho)
