@@ -3,9 +3,9 @@
 A config file sets fields of ``harness.ExperimentConfig``: its keys and their
 types are the dataclass's fields, plus ``variants``, a list of ``variant``
 values.  Keys may sit in any section, ``[DEFAULT]`` included, and values are
-read literally (no ``%`` interpolation).  ``ExperimentConfig.validate``
-checks every setting, and ``run`` raises every configuration error before it
-creates its output directory.
+read literally (no ``%`` interpolation).  An ``ExperimentConfig`` checks
+every setting when it is built, and ``run`` raises every configuration error
+before it creates its output directory.
 
 Exit codes: 0 success, 1 usage error, 2 configuration error, 3 runtime
 fault.  ``FEDELIM_THREADS`` caps how many (variant, seed) runs execute in
@@ -39,7 +39,6 @@ from .objectives import (
     make_suite,
     near_optimal_census,
 )
-from .partition import PartitionSpec
 
 REGRET_HEADER = ["variant", "seed", "t", "avg_cum_regret"]
 COMM_HEADER = ["variant", "seed", "round_index", "depth", "scalars_up", "scalars_down",
@@ -163,11 +162,8 @@ def _configs_from_args(args) -> list[ExperimentConfig]:
         settings["seeds"] = tuple(range(args.runs))
     elif "seeds" in settings:  # a repeated seed runs once, as a repeated variant does
         settings["seeds"] = tuple(dict.fromkeys(settings["seeds"]))
-    configs = [ExperimentConfig(variant=variant, **settings)
-               for variant in dict.fromkeys(variants)]  # a repeated variant runs once
-    for config in configs:
-        config.validate()
-    return configs
+    return [ExperimentConfig(variant=variant, **settings)
+            for variant in dict.fromkeys(variants)]  # a repeated variant runs once
 
 
 def _run_one(payload):
@@ -251,10 +247,8 @@ def cmd_run(args) -> int:
 def cmd_oracle(args) -> int:
     config = ExperimentConfig(objective=args.objective, clients=args.clients,
                               shift_std=args.shift_std, noise=0.0, seeds=(args.seed,))
-    config.validate()
-    base = make_base(args.objective)
-    shift_std = config.resolved_shift_std(base)
-    suite = make_suite(base, clients=args.clients, shift_std=shift_std,
+    shift_std = config.shift_scales
+    suite = make_suite(config.base, clients=args.clients, shift_std=shift_std,
                        noise_halfwidth=0.0, seed=args.seed)
     shown = shift_std[:1] if len(set(shift_std)) == 1 else shift_std  # one scale if all agree
     print(f"objective={args.objective} clients={args.clients} "
@@ -273,11 +267,10 @@ def cmd_oracle(args) -> int:
 
 def cmd_profile(args) -> int:
     config = ExperimentConfig(objective=args.objective, nu1=args.nu1, rho=args.rho)
-    config.validate()
     base = make_base(args.objective)
     print(f"{args.objective}: near-optimal partition cells by depth, eps=6*nu1*rho^h")
     for h, eps, near, cells in near_optimal_census(base.evaluate_batch, base.domain,
-                                                   PartitionSpec(config.arity), config.nu1, config.rho):
+                                                   config.spec, config.nu1, config.rho):
         print(f"h={h} eps={format_float(eps)} near={near} cells={cells}")
     return 0
 

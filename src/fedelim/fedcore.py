@@ -151,15 +151,17 @@ def quota(tau_h: int, clients: int) -> int:
 def transition_depth(smooth: SmoothParams) -> int:
     """Smallest h >= 0 with nu1 * rho**h <= delta_gap.
 
-    The closed form ``ceil(log(nu1/delta) / log(1/rho))`` is adjusted by one
+    The closed form ``ceil(log(nu1/delta) / -log(rho))`` is adjusted by one
     step either way so exact boundary cases are decided by the predicate
     itself rather than by floating-point log rounding.  The log ratio is a
-    difference of logs, since ``nu1 / delta`` can overflow to infinity.
+    difference of logs, since ``nu1 / delta`` can overflow to infinity; the
+    divisor is not ``log(1/rho)``, since ``1/rho`` rounds up to ``1 + 2**-52``
+    for ``rho = 1 - 2**-53``, which would halve the estimate.
     """
     if smooth.delta_gap >= smooth.nu1:
         return 0
     log_ratio = math.log(smooth.nu1) - math.log(smooth.delta_gap)
-    h = max(0, math.ceil(log_ratio / math.log(1.0 / smooth.rho)))
+    h = max(0, math.ceil(log_ratio / -math.log(smooth.rho)))
     while h > 0 and smooth.nu1 * smooth.rho ** (h - 1) <= smooth.delta_gap:
         h -= 1
     while smooth.nu1 * smooth.rho ** h > smooth.delta_gap:

@@ -1,13 +1,17 @@
 """Experiment orchestration: configs, single runs, and multi-seed aggregates.
 
-A run builds the shifted objective suite (local certificates only; no run
-reads the global one), wires the requested protocol variant, drives it to
-budget exhaustion, and accounts per-client regret plus communication.  Runs
+An ``ExperimentConfig`` is checked when it is built and derives the run's
+parameters: the base objective, the shift scales, the confidence and
+smoothness parameters, the partition and the variant's stage split.  A run
+builds the shifted objective suite from them (local certificates only; no
+run reads the global one), drives the protocol to budget exhaustion, and
+accounts per-client regret plus communication.  Runs
 are bit-deterministic for a fixed (config, seed) pair; seeds are independent
 and may be executed in any order or in parallel.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,8 +33,9 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Everything that defines an experiment, with desk-scale defaults.
 
-    ``shift_std=None`` resolves to 5% of each dimension's domain width, one
-    scale per dimension; ``delta_conf=None`` to ``min(1/clients, 0.5)``.
+    A config is checked when it is built, ``dataclasses.replace`` included:
+    one that exists can run.  The parameters a run derives from it are its
+    properties, each written here once.
     """
 
     objective: str = "garland"
@@ -52,40 +57,13 @@ class ExperimentConfig:
     domain_lower: tuple[float, ...] | None = None
     domain_upper: tuple[float, ...] | None = None
 
-    def domain_override(self) -> BoxDomain | None:
-        if (self.domain_lower is None) != (self.domain_upper is None):
-            raise ValueError("domain_lower and domain_upper must be given together")
-        if self.domain_lower is None:
-            return None
-        return BoxDomain(self.domain_lower, self.domain_upper)
-
-    def resolved_delta_conf(self) -> float:
-        if self.delta_conf is not None:
-            return self.delta_conf
-        # 1/clients, clamped so a single-client run keeps a valid level
-        return min(1.0 / self.clients, 0.5)
-
-    def resolve_base(self) -> BaseObjective:
-        return make_base(self.objective, self.domain_override())
-
-    def resolved_shift_std(self, base: BaseObjective) -> np.ndarray:
-        if self.shift_std is not None:
-            return np.full(base.domain.dim, float(self.shift_std))
-        return 0.05 * np.asarray(base.domain.widths, dtype=float)
-
-    def conf_params(self) -> ConfParams:
-        return ConfParams(self.c, self.c1, self.resolved_delta_conf(), self.horizon)
-
-    def smooth_params(self) -> SmoothParams:
-        return SmoothParams(self.nu1, self.rho, self.delta_gap)
-
-    def validate(self) -> None:
+    def __post_init__(self):
         """Raise ConfigError unless a run can be built from this config.
 
-        Builds every value object a run builds, the base included; the base
-        comes from ``make_base``'s cache, so the run pays no second certificate.
+        Builds every derived parameter, the base included; the base comes
+        from ``make_base``'s cache, so the run pays no second certificate.
         """
-        if self.clients < 1:  # before resolved_delta_conf divides by it
+        if self.clients < 1:  # before conf divides by it
             raise ConfigError("clients must be at least 1")
         if self.shift_std is not None and not 0 <= self.shift_std < math.inf:
             raise ConfigError("shift_std must be finite and nonnegative")
@@ -97,16 +75,50 @@ class ExperimentConfig:
             raise ConfigError("at least one seed is required")
         if min(self.seeds) < 0:
             raise ConfigError("seeds must be nonnegative")
-        try:
-            variant_schedule(self.variant, self.smooth_params(), self.depth_cap)
-            self.conf_params()
-            PartitionSpec(self.arity)
-            NoiseModel(self.noise)
-            self.resolve_base()
+        try:  # build each derived parameter, so that a bad one fails here
+            self.schedule, self.conf, self.spec, NoiseModel(self.noise), self.base
         except (ValueError, OverflowError) as exc:  # OverflowError: an int too large for a float
             raise ConfigError(str(exc)) from exc
         if self.arity > self.horizon:  # a depth-1 sweep pulls each of its cells once
             raise ConfigError("arity must not exceed the horizon")
+
+    @property
+    def base(self) -> BaseObjective:
+        """The certified objective on ``domain_lower``..``domain_upper``, or on its own box.
+
+        Not cached on the config: ``make_base`` caches it per (name, domain).
+        """
+        if (self.domain_lower is None) != (self.domain_upper is None):
+            raise ValueError("domain_lower and domain_upper must be given together")
+        if self.domain_lower is None:
+            return make_base(self.objective)
+        return make_base(self.objective, BoxDomain(self.domain_lower, self.domain_upper))
+
+    @property
+    def shift_scales(self) -> np.ndarray:
+        """One shift scale per dimension: ``shift_std``, or by default 5% of its width."""
+        widths = np.asarray(self.base.domain.widths, dtype=float)
+        if self.shift_std is not None:
+            return np.full(len(widths), float(self.shift_std))
+        return 0.05 * widths
+
+    @functools.cached_property
+    def conf(self) -> ConfParams:
+        """``delta_conf=None`` is ``1/clients``, clamped so that one client keeps a valid level."""
+        delta = self.delta_conf if self.delta_conf is not None else min(1.0 / self.clients, 0.5)
+        return ConfParams(self.c, self.c1, delta, self.horizon)
+
+    @functools.cached_property
+    def smooth(self) -> SmoothParams:
+        return SmoothParams(self.nu1, self.rho, self.delta_gap)
+
+    @functools.cached_property
+    def spec(self) -> PartitionSpec:
+        return PartitionSpec(self.arity)
+
+    @functools.cached_property
+    def schedule(self) -> VariantWiring:
+        return variant_schedule(self.variant, self.smooth, self.depth_cap)
 
 
 @dataclass(frozen=True)
@@ -215,32 +227,19 @@ def average_regret_trace(pull_logs: list[PullLog], checkpoints: np.ndarray) -> n
     return acc / len(pull_logs)
 
 
-def _suite_for(config: ExperimentConfig, seed: int) -> ObjectiveSuite:
-    base = config.resolve_base()
-    return make_suite(
-        base,
-        clients=config.clients,
-        shift_std=config.resolved_shift_std(base),
-        noise_halfwidth=config.noise,
-        seed=seed,
-    )
-
-
 def run(config: ExperimentConfig, seed: int, client_records: bool = True,
         suite: ObjectiveSuite | None = None) -> RunMetrics:
     """One variant run for one seed; ``client_records=False`` drops what no output reads."""
-    config.validate()
-    suite = suite if suite is not None else _suite_for(config, seed)
-    conf = config.conf_params()
-    smooth = config.smooth_params()
-    wiring = variant_schedule(config.variant, smooth, config.depth_cap)
+    if suite is None:
+        suite = make_suite(config.base, clients=config.clients, shift_std=config.shift_scales,
+                           noise_halfwidth=config.noise, seed=seed)
     result = run_protocol(
         suite,
-        PartitionSpec(config.arity),
-        conf,
-        smooth,
-        h0=wiring.h0,
-        pe_enabled=wiring.pe_enabled,
+        config.spec,
+        config.conf,
+        config.smooth,
+        h0=config.schedule.h0,
+        pe_enabled=config.schedule.pe_enabled,
         depth_cap=config.depth_cap,
         seed=seed,
     )
@@ -255,6 +254,5 @@ def run(config: ExperimentConfig, seed: int, client_records: bool = True,
 
 def run_many(config: ExperimentConfig) -> AggregateMetrics:
     """Independent runs over config.seeds, aggregated per checkpoint, client records dropped."""
-    config.validate()
     runs = [run(config, seed, client_records=False) for seed in config.seeds]
     return AggregateMetrics.from_runs(config.variant, runs)

@@ -47,9 +47,7 @@ def cached_suite(objective, clients, shift_std, noise, seed):
     if key not in _SUITES:
         config = ExperimentConfig(objective=objective, clients=clients,
                                   shift_std=shift_std, noise=noise, seeds=(seed,))
-        base = config.resolve_base()
-        _SUITES[key] = make_suite(base, clients=clients,
-                                  shift_std=config.resolved_shift_std(base),
+        _SUITES[key] = make_suite(config.base, clients=clients, shift_std=config.shift_scales,
                                   noise_halfwidth=noise, seed=seed)
     return _SUITES[key]
 

@@ -1,5 +1,6 @@
 """Command-line surface: config parsing, CSV/JSON outputs, exit codes."""
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -190,6 +191,20 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             load_config_file(str(path))
 
+    def test_keys_are_the_config_fields(self):
+        fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
+        assert set(cli._KEY_TYPES) == fields | {"variants"}
+
+    @pytest.mark.parametrize("key", ["base", "shift_scales", "conf", "smooth", "spec", "schedule"])
+    def test_derived_parameter_is_an_unknown_key(self, tmp_path, capsys, key):
+        path = tmp_path / "derived.ini"
+        path.write_text(f"[experiment]\nobjective = garland\n{key} = 1\n")
+        code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"fedelim: config error: unknown config key {key!r} in {path}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_file_names_path(self):
         with pytest.raises(ConfigError, match="no/such/file.ini"):
             load_config_file("no/such/file.ini")
@@ -200,7 +215,7 @@ class TestConfigFile:
         path.write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0])
         settings = load_config_file(str(path))
         for variant in settings.pop("variants"):
-            ExperimentConfig(variant=variant, **settings).validate()
+            ExperimentConfig(variant=variant, **settings)
         unnamed = [key for key in sorted(cli._CONFIG_KEYS)
                    if not re.search(rf"`{key}`|^{key} = ", readme, re.MULTILINE)]
         assert unnamed == []

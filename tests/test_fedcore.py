@@ -1,9 +1,14 @@
 """Confidence bounds, thresholds, merge, argmax and elimination rules."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedelim
 from fedelim.fedcore import (
     TAU_SATURATED,
     ClientReport,
@@ -169,6 +174,22 @@ class TestTransitionDepth:
         h = transition_depth(smooth)
         assert smooth.nu1 * smooth.rho ** h <= smooth.delta_gap
         assert smooth.nu1 * smooth.rho ** (h - 1) > smooth.delta_gap
+
+    def test_rho_just_below_one_returns_at_once(self):
+        # 1 / rho rounds to 1 + 2**-52 here, which once halved the closed form's
+        # estimate and left the loops about 2e16 steps; a child process with a
+        # timeout turns a regression into a failure instead of a stall
+        code = (
+            "from fedelim.fedcore import SmoothParams, transition_depth\n"
+            "for rho in (1 - 1e-12, 1 - 1e-13, 0.9999999999999999):\n"
+            "    smooth = SmoothParams(1.0, rho, 0.01)\n"
+            "    h = transition_depth(smooth)\n"
+            "    assert smooth.nu1 * rho ** h <= smooth.delta_gap < smooth.nu1 * rho ** (h - 1), rho\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(fedelim.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env=env, timeout=20)
+        assert result.returncode == 0, result.stderr
 
 
 class TestMergeGlobal:

@@ -1,4 +1,5 @@
 """Experiment orchestration: configs, variants, determinism, aggregation."""
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -6,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fedelim import harness, protocol
-from fedelim.fedcore import SmoothParams
+from fedelim import protocol
+from fedelim.fedcore import ConfParams, SmoothParams
 from fedelim.harness import (
     AggregateMetrics,
     ConfigError,
@@ -18,6 +19,7 @@ from fedelim.harness import (
     run_many,
     variant_schedule,
 )
+from fedelim.partition import PartitionSpec
 from fedelim.seeding import PURPOSE_SHIFTS, substream
 import pull_helpers
 from pull_helpers import expand_pulls
@@ -298,42 +300,40 @@ class TestCheckpoints:
 
 class TestConfigValidation:
     def test_defaults_validate(self):
-        ExperimentConfig().validate()
+        ExperimentConfig()
 
     def test_bad_variant(self):
         with pytest.raises(ConfigError):
-            small_config(variant="hct").validate()
+            small_config(variant="hct")
 
     def test_bad_counts(self):
         with pytest.raises(ConfigError):
-            small_config(clients=0).validate()
+            small_config(clients=0)
         with pytest.raises(ConfigError):
-            small_config(horizon=0).validate()
+            small_config(horizon=0)
         with pytest.raises(ConfigError):
-            small_config(depth_cap=0).validate()
+            small_config(depth_cap=0)
 
     def test_domain_override_must_be_paired(self):
         with pytest.raises(ConfigError):
-            small_config(domain_lower=(0.0,)).validate()
+            small_config(domain_lower=(0.0,))
 
     def test_domain_override_roundtrip(self):
         config = small_config(domain_lower=(0.2,), domain_upper=(0.8,))
-        config.validate()
-        base = config.resolve_base()
+        base = config.base
         assert base.domain.lower[0] == 0.2 and base.domain.upper[0] == 0.8
 
     def test_unknown_objective(self):
         with pytest.raises(ConfigError):
-            small_config(objective="branin").validate()
+            small_config(objective="branin")
 
     def test_delta_conf_defaults_to_inverse_clients(self):
         config = small_config(clients=8)
-        assert config.resolved_delta_conf() == 0.125
+        assert config.conf.delta == 0.125
 
     def test_shift_std_default_tracks_domain_width(self):
         config = small_config(objective="himmelblau")
-        base = config.resolve_base()
-        assert config.resolved_shift_std(base) == pytest.approx(0.5)
+        assert config.shift_scales == pytest.approx(0.5)
 
     @pytest.mark.parametrize("lower,upper,scales", [
         ((-1.0, -10.0), (1.0, 10.0), [0.1, 1.0]),
@@ -343,16 +343,27 @@ class TestConfigValidation:
         # Each dimension is scaled by its own width, in either order.
         config = small_config(objective="himmelblau", clients=3,
                               domain_lower=lower, domain_upper=upper)
-        resolved = config.resolved_shift_std(config.resolve_base())
+        resolved = config.shift_scales
         assert resolved.tolist() == pytest.approx(scales)
         normals = substream(0, PURPOSE_SHIFTS).standard_normal((3, 2))
-        assert np.array_equal(harness._suite_for(config, 0).shifts, normals * resolved)
+        assert np.array_equal(run(config, 0).suite.shifts, normals * resolved)
 
     def test_arity_bounded_by_horizon(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig(horizon=100, arity=101).validate()
-        ExperimentConfig(horizon=100, arity=100).validate()
+            ExperimentConfig(horizon=100, arity=101)
+        ExperimentConfig(horizon=100, arity=100)
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ConfigError):
-            small_config(seeds=()).validate()
+            small_config(seeds=())
+
+    def test_replace_is_checked_too(self):
+        with pytest.raises(ConfigError, match="clients must be at least 1"):
+            dataclasses.replace(ExperimentConfig(), clients=0)
+
+    def test_derived_parameters(self):
+        config = small_config(variant="global-only", arity=3, depth_cap=9, delta_conf=0.2)
+        assert config.conf == ConfParams(0.1, 1.0, 0.2, 800)
+        assert config.smooth == SmoothParams(1.0, 0.5, 0.01)
+        assert config.spec == PartitionSpec(3)
+        assert (config.schedule.h0, config.schedule.pe_enabled) == (9, False)

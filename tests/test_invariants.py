@@ -59,7 +59,7 @@ def check_invariants(config: ExperimentConfig, metrics) -> None:
         assert not any(metrics.client_events), config
     # The schedule: rounds at depths 0..h0, or none when h0 = 0 with a
     # personal stage; a transition means the schedule ran to its end.
-    h0 = variant_schedule(config.variant, config.smooth_params(), config.depth_cap).h0
+    h0 = variant_schedule(config.variant, config.smooth, config.depth_cap).h0
     assert metrics.h0 == h0, config
     assert len(metrics.comm_rounds) <= h0 + 1, config
     if t is not None:
@@ -71,8 +71,8 @@ def run_draws(rng: random.Random, objectives: tuple[str, ...],
     """Run ``DRAWS`` drawn configs and return the ones that ran."""
     ran, rejected = [], 0
     for seed in range(DRAWS):
-        config = draw(rng, seed, objectives)
-        try:
+        try:  # a config is checked when it is built
+            config = draw(rng, seed, objectives)
             metrics = run(config, seed)
         except ConfigError:
             rejected += 1
