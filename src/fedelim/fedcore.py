@@ -46,7 +46,11 @@ class ConfParams:
 
     @functools.cached_property  # read by every confidence bound
     def log_term(self) -> float:
-        return math.log(self.c1 * self.horizon_T / self.delta)
+        ratio = self.c1 * self.horizon_T / self.delta
+        if ratio < math.inf:
+            return math.log(ratio)
+        # the ratio overflows, its log does not
+        return math.log(self.c1) + math.log(self.horizon_T) - math.log(self.delta)
 
 
 @dataclass(frozen=True)
@@ -126,18 +130,23 @@ def confidence_bound(pulls: int, conf: ConfParams) -> float:
 def tau(h: int, conf: ConfParams, smooth: SmoothParams) -> int:
     """Pulls required at depth h: ceil(c^2 * log(c1*T/delta) / nu1^2 * rho^(-2h)).
 
-    A value that overflows (or is undefined) saturates at ``TAU_SATURATED``,
-    the largest finite float: no per-client quota or top-up of it fits in a
-    budget, so a saturated threshold is simply never reached.
+    If a factor over- or underflows, the product is redone in log space, so
+    the value itself decides saturation: a value past the float range
+    saturates at ``TAU_SATURATED``, the largest finite float.  No per-client
+    quota or top-up of it fits in a budget, so it is simply never reached.
     """
     if h < 0:
         raise ValueError("depth must be nonnegative")
     try:
         value = (conf.c ** 2) * conf.log_term / (smooth.nu1 ** 2) * smooth.rho ** (-2 * h)
     except (OverflowError, ZeroDivisionError):
-        return TAU_SATURATED
-    if not value < math.inf:  # inf, or nan from 0 * inf
-        return TAU_SATURATED
+        value = math.inf
+    if not value < math.inf:
+        try:
+            value = math.exp(2 * math.log(conf.c) + math.log(conf.log_term)
+                             - 2 * math.log(smooth.nu1) - 2 * h * math.log(smooth.rho))
+        except OverflowError:
+            return TAU_SATURATED
     return max(1, math.ceil(value))
 
 

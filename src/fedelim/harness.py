@@ -155,10 +155,6 @@ class RunMetrics(ProtocolResult):
     avg_cum_regret: np.ndarray
     suite: ObjectiveSuite | None
 
-    @property
-    def final_avg_regret(self) -> float:
-        return float(self.avg_cum_regret[-1])
-
 
 @dataclass
 class AggregateMetrics:
@@ -227,12 +223,10 @@ def average_regret_trace(pull_logs: list[PullLog], checkpoints: np.ndarray) -> n
     return acc / len(pull_logs)
 
 
-def run(config: ExperimentConfig, seed: int, client_records: bool = True,
-        suite: ObjectiveSuite | None = None) -> RunMetrics:
+def run(config: ExperimentConfig, seed: int, client_records: bool = True) -> RunMetrics:
     """One variant run for one seed; ``client_records=False`` drops what no output reads."""
-    if suite is None:
-        suite = make_suite(config.base, clients=config.clients, shift_std=config.shift_scales,
-                           noise_halfwidth=config.noise, seed=seed)
+    suite = make_suite(config.base, clients=config.clients, shift_std=config.shift_scales,
+                       noise_halfwidth=config.noise, seed=seed)
     result = run_protocol(
         suite,
         config.spec,

@@ -468,7 +468,7 @@ class NoiseModel:
             raise ValueError("noise halfwidth must be nonnegative, with 2 * halfwidth finite")
 
     def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        if self.halfwidth == 0.0:
+        if self.halfwidth == 0.0:  # the only path for -0.0: numpy rejects uniform(0.0, -0.0)
             return np.zeros(n)
         return rng.uniform(-self.halfwidth, self.halfwidth, size=n)
 
@@ -593,7 +593,7 @@ def make_suite(base: BaseObjective, clients: int, shift_std: float | np.ndarray,
     if not np.all((0 <= scales) & (scales < math.inf)):
         raise ValueError("shift_std must be finite and nonnegative")
     shape = (clients, base.domain.dim)
-    if not scales.any():
+    if not scales.any():  # the only path for -0.0: numpy rejects normal(0.0, -0.0)
         shifts = np.zeros(shape)
     else:
         shifts = substream(seed, PURPOSE_SHIFTS).normal(0.0, scales, size=shape)

@@ -60,8 +60,7 @@ def cached_run(objective, variant, seed, clients=10, horizon=5000, noise=0.1,
     config = ExperimentConfig(objective=objective, variant=variant, clients=clients,
                               horizon=horizon, noise=noise, shift_std=shift_std,
                               delta_gap=delta_gap, seeds=(seed,))
-    suite = cached_suite(objective, clients, shift_std, noise, seed)
-    metrics = run(config, seed, client_records=True, suite=suite)
+    metrics = run(config, seed)
     # criterion 10 bookkeeping: verify each emitted trace once, at creation
     recomputed = average_regret_trace(metrics.pull_logs, metrics.checkpoints)
     exact = bool(np.array_equal(metrics.avg_cum_regret, recomputed))
@@ -117,9 +116,9 @@ class TestCriterion03OrderingVsGlobalOnly:
         details = []
         ok = True
         for objective, shift in (("garland", 0.05), ("rastrigin", None)):
-            pf = [cached_run(objective, "pfpne", s, shift_std=shift).final_avg_regret
+            pf = [cached_run(objective, "pfpne", s, shift_std=shift).avg_cum_regret[-1]
                   for s in SEEDS]
-            go = [cached_run(objective, "global-only", s, shift_std=shift).final_avg_regret
+            go = [cached_run(objective, "global-only", s, shift_std=shift).avg_cum_regret[-1]
                   for s in SEEDS]
             mean_pf, mean_go = float(np.mean(pf)), float(np.mean(go))
             clause = mean_pf < mean_go
@@ -133,9 +132,9 @@ class TestCriterion03OrderingVsGlobalOnly:
 
 class TestCriterion04CollaborationBenefit:
     def test_identical_locals_make_collaboration_free(self):
-        pf = [cached_run("garland", "pfpne", s, clients=20, shift_std=0.0).final_avg_regret
+        pf = [cached_run("garland", "pfpne", s, clients=20, shift_std=0.0).avg_cum_regret[-1]
               for s in SEEDS]
-        lo = [cached_run("garland", "local-only", s, clients=20, shift_std=0.0).final_avg_regret
+        lo = [cached_run("garland", "local-only", s, clients=20, shift_std=0.0).avg_cum_regret[-1]
               for s in SEEDS]
         mean_pf, mean_lo = float(np.mean(pf)), float(np.mean(lo))
         ok = mean_pf <= mean_lo

@@ -459,6 +459,29 @@ class TestRunCommand:
         assert code == 2
         assert "config error" in err and "Traceback" not in err
 
+    def test_huge_nu1_runs_like_a_large_one(self, tmp_path):
+        # nu1 ** 2 overflows for nu1 = 1e200; every threshold is 1 either way
+        outs = []
+        for nu1 in ("1e150", "1e200"):
+            path = tmp_path / f"{nu1}.ini"
+            path.write_text(f"[experiment]\nnu1 = {nu1}\n")
+            outs.append(tmp_path / nu1)
+            assert main(["run", "--config", str(path), "--out", str(outs[-1])]) == 0
+        assert json.loads((outs[0] / "summary.json").read_text())["pfpne"]["comm_rounds_mean"] > 0
+        for name in ("regret.csv", "comm.csv", "summary.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+    def test_overflowing_log_ratio_keeps_the_rounds(self, tmp_path):
+        # c1 * horizon / delta overflows for c1 = 1e305; its log, about 713, does not
+        rounds = []
+        for c1 in ("1e303", "1e305"):
+            path = tmp_path / f"{c1}.ini"
+            path.write_text(f"[experiment]\nc1 = {c1}\n")
+            assert main(["run", "--config", str(path), "--out", str(tmp_path / c1)]) == 0
+            summary = json.loads((tmp_path / c1 / "summary.json").read_text())
+            rounds.append(summary["pfpne"]["comm_rounds_mean"])
+        assert rounds[0] == rounds[1] > 0
+
     def test_objective_that_overflows_on_its_domain_exits_2(self, tmp_path, capsys):
         # himmelblau's raw form exceeds the float range on this box; its
         # certification must be refused, not attempted

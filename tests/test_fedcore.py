@@ -115,14 +115,35 @@ class TestTau:
     @pytest.mark.parametrize("conf, smooth, h", [
         (CONF, SmoothParams(1.0, 1e-160, 0.01), 1),   # rho^(-2h) overflows
         (CONF, SmoothParams(1e-200, 0.5, 0.01), 0),   # nu1^2 underflows to 0
-        (ConfParams(0.1, 1e308, 0.01, 500), SMOOTH, 0),  # log term is inf
-        (ConfParams(1e-200, 1e308, 0.01, 500), SMOOTH, 0),  # 0 * inf
     ])
     def test_overflow_saturates_beyond_any_budget(self, conf, smooth, h):
         t = tau(h, conf, smooth)
         assert t == TAU_SATURATED
         # unreachable in stage one (per-client share) and in a personal top-up
         assert quota(t, 1000) > 10 ** 300
+
+    @pytest.mark.parametrize("conf, expected", [
+        (ConfParams(0.1, 1e308, 0.01, 500), 8),      # ceil(0.01 * 720.016)
+        (ConfParams(1e-200, 1e308, 0.01, 500), 1),   # c^2 underflows to 0
+    ])
+    def test_overflowing_log_ratio_gives_a_finite_threshold(self, conf, expected):
+        # c1 * T / delta overflows, but its log does not
+        assert conf.c1 * conf.horizon_T / conf.delta == math.inf
+        assert conf.log_term == math.log(1e308) + math.log(500) - math.log(0.01)
+        assert conf.log_term == pytest.approx(720.016, abs=1e-3)
+        assert tau(0, conf, SMOOTH) == expected
+
+    @pytest.mark.parametrize("nu1", [1e154, 1e155, 1e200, 1e308])
+    def test_huge_nu1_gives_threshold_one(self, nu1):
+        # nu1^2 overflows from about 1.34e154 on; the threshold itself is tiny
+        smooth = SmoothParams(nu1, 0.5, 0.01)
+        assert [tau(h, CONF, smooth) for h in range(6)] == [1] * 6
+
+    def test_product_overflowing_on_the_way_is_not_saturated(self):
+        # c^2 * log term is inf without an exception; dividing by nu1^2 = c^2 undoes it
+        huge = ConfParams(1e154, 1.0, 0.01, 10_000), SmoothParams(1e154, 0.5, 0.01)
+        unit = ConfParams(1.0, 1.0, 0.01, 10_000), SmoothParams(1.0, 0.5, 0.01)
+        assert [tau(h, *huge) for h in range(6)] == [tau(h, *unit) for h in range(6)]
 
     def test_saturation_sits_above_finite_thresholds(self):
         smooth = SmoothParams(1.0, 1e-100, 0.01)

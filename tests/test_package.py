@@ -1,4 +1,5 @@
-"""The package's public names: importable, resolvable, sorted and unique, and no dead code."""
+"""The package's public names: importable, resolvable, sorted and unique, the
+demos' imports exactly, and no dead code."""
 import ast
 from pathlib import Path
 
@@ -20,6 +21,15 @@ def test_every_exported_name_resolves():
 
 def test_exports_sorted_without_duplicates():
     assert fedelim.__all__ == sorted(set(fedelim.__all__))
+
+
+def test_exports_are_what_the_demos_import():
+    # every other name is imported from its own module
+    imported = {alias.name for path in sorted((REPO / "demos").glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ImportFrom) and node.module == "fedelim"
+                for alias in node.names}
+    assert set(fedelim.__all__) == imported
 
 
 def unused_imports(source: str) -> list[str]:
@@ -128,9 +138,14 @@ def test_unreferenced_method_detector():
     assert unreferenced_methods(["def f(): pass\n"], []) == []  # module level: not a method
 
 
+# overrides that the standard library calls: argparse calls _Parser.error
+OVERRIDES = {"_Parser.error"}
+
+
 def test_every_method_is_referenced():
+    # a method that only tests call is unused: tests are not references
     package = Path(fedelim.__file__).parent
     sources = [path.read_text() for path in sorted(package.glob("*.py"))]
-    references = [path.read_text() for tree in ("src/fedelim", "tests", "demos", "perfbench")
+    references = [path.read_text() for tree in ("src/fedelim", "demos", "perfbench")
                   for path in sorted((REPO / tree).rglob("*.py"))]
-    assert unreferenced_methods(sources, references) == []
+    assert [m for m in unreferenced_methods(sources, references) if m not in OVERRIDES] == []
