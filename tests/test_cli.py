@@ -114,17 +114,23 @@ RASTRIGIN_DIGESTS = {
     "summary.json": "c9df7c252a775cc7db045be7a16fed4a731857bca6c2555112c205ab9ff05fb8",
 }
 
-# SHA-256 of `fedelim oracle` stdout, recorded while the suite still
-# certified its global optimum at construction.
+# SHA-256 of `fedelim oracle` stdout, keyed by (objective, clients, seed,
+# shift_std), with "" for the default shift.  The first eight were recorded
+# while the suite still certified its global optimum at construction; the
+# shifted three pin searched client certificates: garland's 1-D grid, the
+# separable rastrigin search, and himmelblau's 2-D grid for every client.
 ORACLE_DIGESTS = {
-    ("garland", "3", "0"): "ba51dcf8a30487fe59412a0925bf1e69d7d3a433e5bb8d4a8110c2f87ab586bf",
-    ("garland", "3", "1"): "06360df902b643f324f92136d9e56c31a7f1897bc25053843f98abc10bdb354f",
-    ("doublesine", "3", "0"): "3c6a9fe30cc3704f8e7fcd43589574ed87af2083392245d065675e8484f24a9e",
-    ("doublesine", "3", "1"): "b321e9d23c4930ef82d46c338d8d0460842885144a9b5b6b99d018763c7ced11",
-    ("himmelblau", "3", "0"): "889d35c65b51de06a2b234b91643e5bedcd95f0ace0450c41b9abe4932e53529",
-    ("himmelblau", "3", "1"): "9528a3561b9244d75bacaa89120978cdc6eff7275f726ccb2ffa1121d1bd9d70",
-    ("garland", "1", "0"): "0b5dd07f6a5e760755c0618b2dd8c1fe33d62c3c9551d77703c06e105be90fa5",
-    ("ackley", "3", "0"): "c66576de06decd3df88d3922f42af17002edef414b9d1450316a383d9fed87f1",
+    ("garland", "3", "0", ""): "ba51dcf8a30487fe59412a0925bf1e69d7d3a433e5bb8d4a8110c2f87ab586bf",
+    ("garland", "3", "1", ""): "06360df902b643f324f92136d9e56c31a7f1897bc25053843f98abc10bdb354f",
+    ("doublesine", "3", "0", ""): "3c6a9fe30cc3704f8e7fcd43589574ed87af2083392245d065675e8484f24a9e",
+    ("doublesine", "3", "1", ""): "b321e9d23c4930ef82d46c338d8d0460842885144a9b5b6b99d018763c7ced11",
+    ("himmelblau", "3", "0", ""): "889d35c65b51de06a2b234b91643e5bedcd95f0ace0450c41b9abe4932e53529",
+    ("himmelblau", "3", "1", ""): "9528a3561b9244d75bacaa89120978cdc6eff7275f726ccb2ffa1121d1bd9d70",
+    ("garland", "1", "0", ""): "0b5dd07f6a5e760755c0618b2dd8c1fe33d62c3c9551d77703c06e105be90fa5",
+    ("ackley", "3", "0", ""): "c66576de06decd3df88d3922f42af17002edef414b9d1450316a383d9fed87f1",
+    ("garland", "3", "0", "0.5"): "467baf3ec3748ffd6423503f77a4bf032d9fabe6eb37b226d61adc74dec94a9c",
+    ("rastrigin", "3", "0", "0.5"): "c05781a28a98b161308ec0e922fc5f3b7a2ee1625b73347998ed30165cdd4fa7",
+    ("himmelblau", "3", "0", "3"): "10b9e413a0e552d9c32491f9c1490c83e51533ebdb909651f6b3ef27cfb7b39d",
 }
 
 
@@ -701,13 +707,15 @@ class TestOracleCommand:
         glob = [l for l in out.splitlines() if l.startswith("global")][0]
         assert local.split("f*=")[1].split()[0] == glob.split("f*=")[1].split()[0]
 
-    @pytest.mark.parametrize("objective,clients,seed", sorted(ORACLE_DIGESTS),
-                             ids=["-".join(case) for case in sorted(ORACLE_DIGESTS)])
-    def test_output_matches_recorded_digests(self, capsys, objective, clients, seed):
-        code = main(["oracle", "--objective", objective, "--clients", clients, "--seed", seed])
+    @pytest.mark.parametrize("case", sorted(ORACLE_DIGESTS),
+                             ids=["-".join(filter(None, case)) for case in sorted(ORACLE_DIGESTS)])
+    def test_output_matches_recorded_digests(self, capsys, case):
+        objective, clients, seed, shift = case
+        code = main(["oracle", "--objective", objective, "--clients", clients, "--seed", seed,
+                     *(["--shift-std", shift] if shift else [])])
         assert code == 0
         out = capsys.readouterr().out.encode()
-        assert hashlib.sha256(out).hexdigest() == ORACLE_DIGESTS[objective, clients, seed]
+        assert hashlib.sha256(out).hexdigest() == ORACLE_DIGESTS[case]
 
     @pytest.mark.parametrize("flags", [
         ["--clients", "0"], ["--shift-std", "inf"], ["--shift-std", "-1"], ["--shift-std", "nan"],
