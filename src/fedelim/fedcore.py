@@ -157,25 +157,37 @@ def quota(tau_h: int, clients: int) -> int:
     return -(-tau_h // clients)
 
 
-def transition_depth(smooth: SmoothParams) -> int:
-    """Smallest h >= 0 with nu1 * rho**h <= delta_gap.
+def _within_gap(smooth: SmoothParams, h: int) -> bool:
+    """``nu1 * rho**h <= delta_gap``, in log space where ``rho**h`` or the product underflows."""
+    power = smooth.rho ** h
+    if min(power, smooth.nu1 * power) >= sys.float_info.min:
+        return smooth.nu1 * power <= smooth.delta_gap
+    return math.log(smooth.nu1) + h * math.log(smooth.rho) <= math.log(smooth.delta_gap)
 
-    The closed form ``ceil(log(nu1/delta) / -log(rho))`` is adjusted by one
-    step either way so exact boundary cases are decided by the predicate
-    itself rather than by floating-point log rounding.  The log ratio is a
-    difference of logs, since ``nu1 / delta`` can overflow to infinity; the
-    divisor is not ``log(1/rho)``, since ``1/rho`` rounds up to ``1 + 2**-52``
-    for ``rho = 1 - 2**-53``, which would halve the estimate.
+
+def transition_depth(smooth: SmoothParams) -> int:
+    """Smallest h >= 0 with nu1 * rho**h <= delta_gap, decided by ``_within_gap``.
+
+    The closed form ``ceil(log(nu1/delta) / -log(rho))`` only seeds a bracket
+    that widens by doubling steps and is then bisected, so exact boundary
+    cases are decided by the predicate, and every loop ends within about 64
+    steps.  The log ratio is a difference of logs, since ``nu1 / delta`` can
+    overflow; the divisor is not ``log(1/rho)``, since ``1/rho`` rounds up to
+    ``1 + 2**-52`` for ``rho = 1 - 2**-53``, which would halve the estimate.
     """
     if smooth.delta_gap >= smooth.nu1:
         return 0
     log_ratio = math.log(smooth.nu1) - math.log(smooth.delta_gap)
     h = max(0, math.ceil(log_ratio / -math.log(smooth.rho)))
-    while h > 0 and smooth.nu1 * smooth.rho ** (h - 1) <= smooth.delta_gap:
-        h -= 1
-    while smooth.nu1 * smooth.rho ** h > smooth.delta_gap:
-        h += 1
-    return h
+    lo, hi, step = h - 1, h, 1  # the predicate fails at lo (or lo = -1) and holds at hi
+    while not _within_gap(smooth, hi):
+        lo, hi, step = hi, hi + step, 2 * step
+    while lo >= 0 and _within_gap(smooth, lo):
+        lo, hi, step = max(lo - step, -1), lo, 2 * step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _within_gap(smooth, mid) else (mid, hi)
+    return hi
 
 
 def merge_global(reports: list[ClientReport], conf: ConfParams) -> dict[NodeId, NodeStats]:

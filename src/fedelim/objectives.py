@@ -2,9 +2,10 @@
 
 Five named benchmark objectives are normalized so their values lie in [0, 1]
 with a maximum of 1 at the certified optimizer.  A suite holds M shifted
-copies ``f_m(x) = base(clip(x - s_m))`` plus their average, a symmetric
-bounded noise model, and brute-force optimum certificates: the grid oracle
-below on domains of up to two dimensions, and, for rastrigin in any
+copies ``f_m(x) = base(clip(x - s_m))``, a symmetric bounded noise model,
+and brute-force optimum certificates of each copy and of their average,
+both the mean of copies over shift rows (one row, or all M): the grid
+oracle below on domains of up to two dimensions, and, for rastrigin in any
 dimension, the same oracle run one coordinate at a time on its separable
 sum.  The near-optimality census counts, at each depth of the protocol's
 own partition, the cells whose center value lies within ``6 * nu1 * rho**h``
@@ -385,6 +386,25 @@ class BaseObjective:
         return lambda lo, hi: self.raw_lipschitz(moved(lo), moved(hi)).reshape(
             len(shifts), -1).mean(axis=0) / self.normalization_max
 
+    def eval_shifted(self, X, shifts: np.ndarray) -> np.ndarray:
+        """Values at ``clip(x - s)``: a row per point ``x``, a column per ``shifts`` row ``s``."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        rows = self.domain.clip(X[:, None, :] - shifts).reshape(-1, X.shape[1])
+        return self.evaluate_batch(rows).reshape(len(X), len(shifts))
+
+    def shifted_mean(self, shifts: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """The mean of the copies ``f(clip(x - s))``, ``s`` a ``shifts`` row, as a batch function.
+
+        The copies are summed in row order from zero and divided by their
+        count, so one row gives that copy's values bit for bit.
+        """
+        def mean(X):
+            acc = np.zeros(len(np.atleast_2d(X)))
+            for s in shifts:
+                acc += self.eval_shifted(X, s[None])[:, 0]
+            return acc / len(shifts)
+        return mean
+
     def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
         raw = self.raw_fn(np.atleast_2d(np.asarray(X, dtype=float)))
         if self.orientation == ORIENT_VALUE:
@@ -473,31 +493,27 @@ class NoiseModel:
         return rng.uniform(-self.halfwidth, self.halfwidth, size=n)
 
 
-def _search(base: BaseObjective, fn, shifts: np.ndarray) -> OptimumCertificate:
-    """Searched certificate of ``fn``, the mean of the base's copies shifted by ``shifts`` rows."""
-    if base.name == "rastrigin":
-        return _certify_separable(fn, base.domain, shifts, -1.0 / base.normalization_max)
-    return oracle_optimum(fn, base.domain, lipschitz=base.shifted_lipschitz(shifts))
+def _certify_shifted(base: BaseObjective, shifts: np.ndarray) -> OptimumCertificate:
+    """Certificate of the mean of the base's copies over ``shifts`` rows: a client, or the average.
 
-
-def _certify_shifted(base: BaseObjective, shift: np.ndarray, fn) -> OptimumCertificate:
-    """Optimum certificate for one shifted local objective ``fn``.
-
-    When the base optimum is known and its shifted image stays inside the
-    domain, the clip is the identity there and translation preserves the
-    maximum: the image is certified without any search, provided it
-    evaluates to at least the base's own value at its optimum (rounding in
-    ``x + s - s`` can move it off by an ulp).  Otherwise the search runs:
-    one coordinate at a time for rastrigin, the grid oracle for the rest.
+    For one row whose shifted known base optimum stays inside the domain,
+    the clip is the identity there and translation preserves the maximum:
+    the image is certified without search, provided it evaluates to at least
+    the base's own value at its optimum (``x + s - s`` can round off by an
+    ulp).  Otherwise the search runs: one coordinate at a time for
+    rastrigin, the grid oracle for the rest.
     """
+    fn = base.shifted_mean(shifts)
     known = base.known_optimum
-    if known is not None:
-        cand = known + shift
+    if len(shifts) == 1 and known is not None:
+        cand = known + shifts[0]
         if base.domain.contains(cand, atol=0.0):
             val = float(fn(cand[None, :])[0])
             if val >= float(base.evaluate_batch(known[None, :])[0]):
                 return OptimumCertificate(x=cand, value=val, method="shift-translation", probes=1)
-    return _search(base, fn, shift[None, :])
+    if base.name == "rastrigin":
+        return _certify_separable(fn, base.domain, shifts, -1.0 / base.normalization_max)
+    return oracle_optimum(fn, base.domain, lipschitz=base.shifted_lipschitz(shifts))
 
 
 class ObjectiveSuite:
@@ -505,13 +521,12 @@ class ObjectiveSuite:
 
     Local objective m evaluates the base at ``clip(x - s_m)`` so shifted
     copies stay defined and bounded on the original domain; the global
-    objective is the arithmetic mean of the locals, accumulated in client
-    order.  ``eval_clients_batch`` gives every client's value at each of a
-    batch of in-domain points; the protocol's cell values come from it, a
-    batch per pull call, and so do ``eval_clients`` and ``eval_local`` at one
-    point, with the same bits.  The constructor certifies each local
-    optimum; the global optimum is certified on first read, which a run
-    never makes.  Both are certified on the batch evaluators themselves.
+    objective is their mean.  Each is ``BaseObjective.shifted_mean`` of
+    shift rows, one for a client and all for the average, and is certified
+    by ``_certify_shifted``: the locals at construction, the global on
+    first read, which a run never makes.  ``eval_clients_batch`` gives every
+    client's value at each of a batch of in-domain points; the protocol's
+    cell values come from it, and so does ``eval_local`` at one point.
     """
 
     def __init__(self, base: BaseObjective, shifts: np.ndarray, noise: NoiseModel):
@@ -520,17 +535,14 @@ class ObjectiveSuite:
         self.noise = noise
         if self.shifts.ndim != 2 or len(self.shifts) < 1 or self.shifts.shape[1] != base.domain.dim:
             raise ValueError("shifts must have shape (clients, dim) with at least one client")
-        self.local_optima = [
-            _certify_shifted(base, self.shifts[m - 1], functools.partial(self.eval_local_batch, m))
-            for m in range(1, self.clients + 1)
-        ]
+        self.local_optima = [_certify_shifted(base, row[None]) for row in self.shifts]
 
     @functools.cached_property
     def global_optimum(self) -> OptimumCertificate:
         """Certificate of the average, searched on first read; for one client, that client's."""
         if self.clients == 1:
             return self.local_optima[0]
-        return _search(self.base, self.eval_global_batch, self.shifts)
+        return _certify_shifted(self.base, self.shifts)
 
     @property
     def clients(self) -> int:
@@ -540,43 +552,17 @@ class ObjectiveSuite:
     def domain(self) -> BoxDomain:
         return self.base.domain
 
-    def _check_client(self, m: int) -> None:
-        if not 1 <= m <= self.clients:
-            raise ValueError(f"client index {m} out of range 1..{self.clients}")
-
-    def _eval_shifted(self, X, shifts: np.ndarray) -> np.ndarray:
-        """Base values at ``clip(x - s)``: a row per point ``x``, a column per shift row ``s``."""
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        rows = self.domain.clip(X[:, None, :] - shifts).reshape(-1, X.shape[1])
-        return self.base.evaluate_batch(rows).reshape(len(X), len(shifts))
-
-    def eval_local_batch(self, m: int, X: np.ndarray) -> np.ndarray:
-        self._check_client(m)
-        return self._eval_shifted(X, self.shifts[m - 1:m])[:, 0]
-
     def eval_clients_batch(self, X) -> np.ndarray:
         """Every client's value at each in-domain point: one row per point, in client order."""
         if not self.domain.contains(X, atol=1e-12):
             raise ValueError("evaluation point lies outside the domain")
-        return self._eval_shifted(X, self.shifts)
-
-    def eval_clients(self, x) -> np.ndarray:
-        """Every client's value at one in-domain point, in client order."""
-        return self.eval_clients_batch(np.atleast_1d(np.asarray(x, dtype=float))[None, :])[0]
+        return self.base.eval_shifted(X, self.shifts)
 
     def eval_local(self, m: int, x) -> float:
-        self._check_client(m)
-        return float(self.eval_clients(x)[m - 1])
-
-    def eval_global_batch(self, X: np.ndarray) -> np.ndarray:
-        acc = np.zeros(len(np.atleast_2d(X)))
-        for m in range(1, self.clients + 1):
-            acc += self.eval_local_batch(m, X)
-        return acc / self.clients
-
-    def local_star(self, m: int) -> float:
-        self._check_client(m)
-        return self.local_optima[m - 1].value
+        if not 1 <= m <= self.clients:
+            raise ValueError(f"client index {m} out of range 1..{self.clients}")
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return float(self.eval_clients_batch(x[None])[0, m - 1])
 
 
 def make_suite(base: BaseObjective, clients: int, shift_std: float | np.ndarray,

@@ -162,7 +162,7 @@ class Client:
         self.conf = conf
         self.smooth = smooth
         self.rng = rng
-        self.f_star = suite.local_star(m)
+        self.f_star = suite.local_optima[m - 1].value
 
         self.clock = 0
         self.depth = 0
@@ -356,7 +356,6 @@ class ProtocolResult:
     A run may drop its per-client records, ``pull_logs`` and ``client_events``.
     """
 
-    clients: int
     horizon: int
     h0: int
     pull_logs: list[PullLog] | None
@@ -423,7 +422,6 @@ def run_protocol(suite: ObjectiveSuite, spec: PartitionSpec, conf: ConfParams,
         raise ProtocolFault("clients disagree on the stage transition time")
 
     return ProtocolResult(
-        clients=m_count,
         horizon=conf.horizon_T,
         h0=h0,
         pull_logs=[c.pull_log for c in clients],

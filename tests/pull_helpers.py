@@ -26,7 +26,7 @@ def expand_pulls(log, suite, m, seed, spec=PartitionSpec(2)):
     rng = substream(seed, PURPOSE_NOISE, m)
     depths, indices, batches = [], [], []
     for k, (node, pulls, reward_sum, _) in enumerate(log.segments):
-        value = float(suite.eval_clients(representative(suite.domain, node, spec))[m - 1])
+        value = suite.eval_local(m, representative(suite.domain, node, spec))
         rewards = value + suite.noise.draw(rng, pulls)
         assert float(rewards.sum()) == reward_sum, (
             f"client {m}, segment {k} ({node}): replayed sum {float(rewards.sum())!r} "

@@ -169,7 +169,7 @@ class TestPullLog:
             depths, indices, rewards, regrets = expand_pulls(log, metrics.suite, m, 4)
             assert len(depths) == len(indices) == len(rewards) == len(regrets) == 1000
             if noise == 0.0:  # every reward is the cell's value
-                assert np.array_equal(regrets, metrics.suite.local_star(m) - rewards)
+                assert np.array_equal(regrets, metrics.suite.local_optima[m - 1].value - rewards)
 
     def test_shifted_replay_fails(self, monkeypatch):
         metrics = run(small_config(clients=3, horizon=1000, noise=0.1, depth_cap=5), 4)

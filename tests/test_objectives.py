@@ -1,5 +1,4 @@
 """Objective normalization, suites, the optimum oracle, and the cell census."""
-import functools
 import itertools
 import math
 
@@ -141,20 +140,20 @@ class TestSuite:
         base_value = suite.base.evaluate([x])
         for m in (1, 2, 3):
             assert suite.eval_local(m, [x]) == base_value
-            assert suite.local_star(m) == pytest.approx(1.0, abs=1e-9)
+            assert suite.local_optima[m - 1].value == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_shift_collapses_value_gap(self):
         suite = make_suite(make_base("doublesine"), clients=4, shift_std=0.0,
                            noise_halfwidth=0.1, seed=2)
         for m in range(1, 5):
-            assert abs(suite.global_optimum.value - suite.local_star(m)) <= 1e-12
+            assert abs(suite.global_optimum.value - suite.local_optima[m - 1].value) <= 1e-12
 
     def test_single_client_average_is_identity(self):
         suite = make_suite(make_base("garland"), clients=1, shift_std=0.05,
                            noise_halfwidth=0.0, seed=3)
         rng = np.random.default_rng(4)
         for x in rng.uniform(0, 1, size=10):
-            assert suite.eval_global_batch([[x]])[0] == suite.eval_local(1, [x])
+            assert suite.base.shifted_mean(suite.shifts)([[x]])[0] == suite.eval_local(1, [x])
 
     def test_distinct_shifts_and_unit_optima(self):
         suite = make_suite(make_base("garland"), clients=2, shift_std=0.05,
@@ -201,13 +200,13 @@ class TestSuite:
             acc = 0.0
             for m in range(1, 5):
                 acc += suite.eval_local(m, x)
-            assert suite.eval_global_batch(x[None, :])[0] == acc / 4
+            assert suite.base.shifted_mean(suite.shifts)(x[None, :])[0] == acc / 4
 
     @pytest.mark.parametrize("name", OBJECTIVE_NAMES)
     def test_client_values_match_the_batch_path_bit_for_bit(self, name):
-        # The protocol's cell table holds eval_clients rows; each entry must
-        # round exactly as one-row evaluation does, clipped shifts and
-        # rastrigin's 10-term row sum included.
+        # The protocol's cell table holds eval_clients_batch rows; each entry
+        # must round exactly as the mean over that client's one shift row
+        # does, clipped shifts and rastrigin's 10-term row sum included.
         base = make_base(name)
         domain = base.domain
         rng = np.random.default_rng(13)
@@ -215,9 +214,9 @@ class TestSuite:
         suite = ObjectiveSuite(base, shifts, NoiseModel(0.0))
         clipped = 0
         for x in rng.uniform(domain.lower, domain.upper, size=(40, domain.dim)):
-            values = suite.eval_clients(x)
+            values = suite.eval_clients_batch(x[None])[0]
             for m in range(1, 6):
-                assert values[m - 1] == suite.eval_local_batch(m, x[None])[0]
+                assert values[m - 1] == base.shifted_mean(shifts[m - 1:m])(x[None])[0]
                 assert suite.eval_local(m, x) == values[m - 1]
                 clipped += not domain.contains(x - shifts[m - 1])
         assert clipped > 0
@@ -241,7 +240,7 @@ class TestSuite:
         batch = suite.eval_clients_batch(X)
         assert batch.shape == (len(X), 4)
         for x, row in zip(X, batch):
-            assert row.tolist() == suite.eval_clients(x).tolist()
+            assert row.tolist() == suite.eval_clients_batch(x[None])[0].tolist()
             assert [suite.eval_local(m, x) for m in range(1, 5)] == row.tolist()
         outside = X.copy()
         outside[-1] = domain.upper + 1e-9
@@ -254,8 +253,8 @@ class TestSuite:
             suite = ObjectiveSuite(base, shifts * domain.widths, NoiseModel(0.0))
             acc = np.zeros(len(X))
             for m in range(1, clients + 1):
-                acc += suite.eval_local_batch(m, X)
-            assert suite.eval_global_batch(X).tolist() == (acc / clients).tolist()
+                acc += suite.eval_clients_batch(X)[:, m - 1]
+            assert base.shifted_mean(suite.shifts)(X).tolist() == (acc / clients).tolist()
 
     def test_bad_client_index_rejected(self):
         suite = make_suite(ramp_base(), clients=2, shift_std=0.0,
@@ -277,7 +276,7 @@ class TestSuite:
         assert second.value == 1.0
         glob = suite.global_optimum
         assert isinstance(glob, OptimumCertificate) and glob.method == "grid-zoom"
-        assert glob.value == suite.eval_global_batch(glob.x[None, :])[0]
+        assert glob.value == suite.base.shifted_mean(suite.shifts)(glob.x[None, :])[0]
 
     def test_constructor_rejects_bad_shifts(self):
         with pytest.raises(ValueError):
@@ -291,7 +290,7 @@ class TestSuite:
         with pytest.raises(ValueError):
             suite.eval_local(1, [1.5])
         with pytest.raises(ValueError):
-            suite.eval_clients([1.5])
+            suite.eval_clients_batch([[1.5]])
 
 
 class TestSampling:
@@ -418,12 +417,12 @@ class TestSeparable:
     def test_certificates_dominate_coordinate_brute_force(self):
         # large shifts push two of the three translated optima out of the box
         suite = make_suite(make_base("rastrigin"), 3, 0.8, 0.0, 0)
-        searched = [(functools.partial(suite.eval_local_batch, m), suite.shifts[m - 1:m], cert)
-                    for m, cert in enumerate(suite.local_optima, start=1)
+        searched = [(suite.shifts[m:m + 1], cert) for m, cert in enumerate(suite.local_optima)
                     if cert.method != "shift-translation"]
         assert len(searched) >= 1
-        searched.append((suite.eval_global_batch, suite.shifts, suite.global_optimum))
-        for fn, shifts, cert in searched:
+        searched.append((suite.shifts, suite.global_optimum))
+        for shifts, cert in searched:
+            fn = suite.base.shifted_mean(shifts)
             brute = coordinate_brute_force(fn, suite.domain, shifts)
             assert cert.value >= brute - objectives.ORACLE_TOL
             assert math.isfinite(cert.gap) and cert.gap >= 0.0
@@ -435,12 +434,10 @@ class TestSeparable:
         # every shifted image of the optimum at the origin leaves the box
         shifts = np.array([[1.5, 0.5], [-0.5, -1.8], [0.3, 3.4]])
         suite = ObjectiveSuite(base, shifts, NoiseModel(0.0))
-        fns = [functools.partial(suite.eval_local_batch, m) for m in (1, 2, 3)]
-        bounds = [base.shifted_lipschitz(shifts[m - 1:m]) for m in (1, 2, 3)]
-        certs = [*suite.local_optima, suite.global_optimum]
-        for fn, bound, cert in zip([*fns, suite.eval_global_batch],
-                                   [*bounds, base.shifted_lipschitz(shifts)], certs):
-            tiled = oracle_optimum(fn, base.domain, lipschitz=bound)
+        row_sets = [shifts[0:1], shifts[1:2], shifts[2:3], shifts]
+        for rows, cert in zip(row_sets, [*suite.local_optima, suite.global_optimum]):
+            tiled = oracle_optimum(base.shifted_mean(rows), base.domain,
+                                   lipschitz=base.shifted_lipschitz(rows))
             assert cert.method == "separable" and tiled.method == "grid-zoom"
             assert abs(cert.value - tiled.value) <= objectives.ORACLE_TOL
             assert cert.value + cert.gap >= tiled.value
@@ -499,13 +496,9 @@ class TestLipschitz:
         self.assert_lipschitz(base.raw_fn, domain, whole_domain(base.raw_lipschitz, domain), rng)
         # shifts up to a third of the width, so that clipping bites
         shifts = rng.uniform(-1 / 3, 1 / 3, size=(3, 2)) * domain.widths
-        suite = ObjectiveSuite(base, shifts, NoiseModel(0.0))
-        for m in (1, 2, 3):
-            self.assert_lipschitz(functools.partial(suite.eval_local_batch, m), domain,
-                                  whole_domain(base.shifted_lipschitz(shifts[m - 1:m]), domain),
-                                  rng)
-        self.assert_lipschitz(suite.eval_global_batch, domain,
-                              whole_domain(base.shifted_lipschitz(shifts), domain), rng)
+        for rows in (shifts[0:1], shifts[1:2], shifts[2:3], shifts):
+            self.assert_lipschitz(base.shifted_mean(rows), domain,
+                                  whole_domain(base.shifted_lipschitz(rows), domain), rng)
 
     @staticmethod
     def boxes(domain, rng, count=200):
@@ -534,11 +527,9 @@ class TestLipschitz:
         domain = base.domain
         rng = np.random.default_rng(51 + index)
         shifts = rng.uniform(-1 / 3, 1 / 3, size=(10, 2)) * domain.widths
-        suite = ObjectiveSuite(base, shifts, NoiseModel(0.0))
-        cases = [(base.raw_fn, base.raw_lipschitz), (suite.eval_global_batch,
-                                                     base.shifted_lipschitz(shifts))]
-        cases += [(functools.partial(suite.eval_local_batch, m),
-                   base.shifted_lipschitz(shifts[m - 1:m])) for m in range(1, 11)]
+        cases = [(base.raw_fn, base.raw_lipschitz)]
+        cases += [(base.shifted_mean(rows), base.shifted_lipschitz(rows))
+                  for rows in [shifts, *np.split(shifts, 10)]]
         lo, hi = self.boxes(domain, rng)
         assert np.all((domain.lower <= lo) & (lo <= hi) & (hi <= domain.upper))
         pairs = 50
@@ -585,7 +576,7 @@ class TestPrunedScreen:
         if case == "himmelblau-global":
             base = make_base("himmelblau")
             suite = make_suite(base, clients=3, shift_std=0.5, noise_halfwidth=0.0, seed=0)
-            fn, lipschitz = suite.eval_global_batch, base.shifted_lipschitz(suite.shifts)
+            fn, lipschitz = base.shifted_mean(suite.shifts), base.shifted_lipschitz(suite.shifts)
         else:
             base = make_base(case)
             fn, lipschitz = base.raw_fn, base.raw_lipschitz
@@ -642,10 +633,11 @@ class TestPrunedScreen:
         base = make_base("himmelblau")
         suite = make_suite(base, clients=10, shift_std=0.5, noise_halfwidth=0.0, seed=0)
         calls = []
+        average = base.shifted_mean(suite.shifts)
 
         def counted(X):
             calls.append(len(X))
-            return suite.eval_global_batch(X)
+            return average(X)
 
         cert = oracle_optimum(counted, base.domain, lipschitz=base.shifted_lipschitz(suite.shifts))
         assert cert.value.hex() == "0x1.fb87fb9d14018p-1"
@@ -660,7 +652,7 @@ class TestPrunedScreen:
         assert (sum(calls), cert.probes, cert.rounds) == (193319, 16941991, 39)
         cloud = np.random.default_rng(43).uniform(base.domain.lower, base.domain.upper,
                                                    size=(100_000, 2))
-        assert 0.0 <= cert.gap and np.max(suite.eval_global_batch(cloud)) <= cert.value + cert.gap
+        assert 0.0 <= cert.gap and np.max(average(cloud)) <= cert.value + cert.gap
 
     @pytest.mark.parametrize("lipschitz", [math.nan, math.inf])
     def test_non_finite_bound_keeps_every_tile(self, monkeypatch, lipschitz):

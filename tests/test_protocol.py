@@ -631,9 +631,9 @@ def per_cell_pulls(suite, m, seed, nodes, counts, spec=SPEC):
     noise = suite.noise.draw(substream(seed, PURPOSE_NOISE, m), sum(counts))
     segments, offset = [], 0
     for node, n in zip(nodes, counts):
-        value = float(suite.eval_clients(representative(suite.domain, node, spec))[m - 1])
+        value = suite.eval_local(m, representative(suite.domain, node, spec))
         rewards = noise[offset:offset + n] + value
-        segments.append((node, n, float(rewards.sum()), suite.local_star(m) - value))
+        segments.append((node, n, float(rewards.sum()), suite.local_optima[m - 1].value - value))
         offset += n
     return segments
 
