@@ -168,22 +168,14 @@ def _within_gap(smooth: SmoothParams, h: int) -> bool:
 def transition_depth(smooth: SmoothParams) -> int:
     """Smallest h >= 0 with nu1 * rho**h <= delta_gap, decided by ``_within_gap``.
 
-    The closed form ``ceil(log(nu1/delta) / -log(rho))`` only seeds a bracket
-    that widens by doubling steps and is then bisected, so exact boundary
-    cases are decided by the predicate, and every loop ends within about 64
-    steps.  The log ratio is a difference of logs, since ``nu1 / delta`` can
-    overflow; the divisor is not ``log(1/rho)``, since ``1/rho`` rounds up to
-    ``1 + 2**-52`` for ``rho = 1 - 2**-53``, which would halve the estimate.
+    A bracket from 0 doubles until the predicate holds and is then
+    bisected, so exact boundary cases are decided by the predicate
+    itself, and each loop ends within about 64 steps: the depth stays below
+    ``2**64`` for any valid parameters.
     """
-    if smooth.delta_gap >= smooth.nu1:
-        return 0
-    log_ratio = math.log(smooth.nu1) - math.log(smooth.delta_gap)
-    h = max(0, math.ceil(log_ratio / -math.log(smooth.rho)))
-    lo, hi, step = h - 1, h, 1  # the predicate fails at lo (or lo = -1) and holds at hi
+    lo, hi = -1, 0  # the predicate fails at lo (-1 standing for none) and holds at hi
     while not _within_gap(smooth, hi):
-        lo, hi, step = hi, hi + step, 2 * step
-    while lo >= 0 and _within_gap(smooth, lo):
-        lo, hi, step = max(lo - step, -1), lo, 2 * step
+        lo, hi = hi, 2 * hi + 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if _within_gap(smooth, mid) else (mid, hi)
