@@ -2,10 +2,10 @@
 
 An ``ExperimentConfig`` is checked when it is built and derives the run's
 parameters: the base objective, the shift scales, the confidence and
-smoothness parameters, the partition and the variant's stage split.  A run
-builds the shifted objective suite from them (local certificates only; no
-run reads the global one), drives the protocol to budget exhaustion, and
-accounts per-client regret plus communication.  Runs
+smoothness parameters and the partition.  A run builds the shifted
+objective suite from them (local certificates only; no run reads the global
+one), drives the protocol to budget exhaustion under the config's variant,
+and accounts per-client regret plus communication.  Runs
 are bit-deterministic for a fixed (config, seed) pair; seeds are independent
 and may be executed in any order or in parallel.
 """
@@ -17,12 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fedcore import ConfParams, SmoothParams, transition_depth
+from .fedcore import ConfParams, SmoothParams
 from .objectives import BaseObjective, NoiseModel, ObjectiveSuite, make_base, make_suite
 from .partition import BoxDomain, PartitionSpec
-from .protocol import ProtocolResult, PullLog, run_protocol
-
-VARIANTS = ("pfpne", "global-only", "local-only")
+from .protocol import VARIANTS, ProtocolResult, PullLog, run_protocol
 
 
 class ConfigError(ValueError):
@@ -75,8 +73,10 @@ class ExperimentConfig:
             raise ConfigError("at least one seed is required")
         if min(self.seeds) < 0:
             raise ConfigError("seeds must be nonnegative")
+        if self.variant not in VARIANTS:
+            raise ConfigError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
         try:  # build each derived parameter, so that a bad one fails here
-            self.schedule, self.conf, self.spec, NoiseModel(self.noise), self.base
+            self.smooth, self.conf, self.spec, NoiseModel(self.noise), self.base
         except (ValueError, OverflowError) as exc:  # OverflowError: an int too large for a float
             raise ConfigError(str(exc)) from exc
         if self.arity > self.horizon:  # a depth-1 sweep pulls each of its cells once
@@ -115,34 +115,6 @@ class ExperimentConfig:
     @functools.cached_property
     def spec(self) -> PartitionSpec:
         return PartitionSpec(self.arity)
-
-    @functools.cached_property
-    def schedule(self) -> VariantWiring:
-        return variant_schedule(self.variant, self.smooth, self.depth_cap)
-
-
-@dataclass(frozen=True)
-class VariantWiring:
-    """Protocol wiring derived from a variant name."""
-
-    h0: int
-    pe_enabled: bool
-
-
-def variant_schedule(variant: str, smooth: SmoothParams, depth_cap: int) -> VariantWiring:
-    """Stage split per variant: the ``(h0, pe_enabled)`` pair that ``run_protocol`` reads.
-
-    The full protocol transitions at the gap-matching depth; global-only runs
-    server rounds through ``depth_cap`` and never personalizes; local-only
-    runs personal elimination from the first pull and never communicates.
-    """
-    if variant == "pfpne":
-        return VariantWiring(h0=min(transition_depth(smooth), depth_cap), pe_enabled=True)
-    if variant == "global-only":
-        return VariantWiring(h0=depth_cap, pe_enabled=False)
-    if variant == "local-only":
-        return VariantWiring(h0=0, pe_enabled=True)
-    raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
 
 @dataclass
@@ -232,8 +204,7 @@ def run(config: ExperimentConfig, seed: int, client_records: bool = True) -> Run
         config.spec,
         config.conf,
         config.smooth,
-        h0=config.schedule.h0,
-        pe_enabled=config.schedule.pe_enabled,
+        variant=config.variant,
         depth_cap=config.depth_cap,
         seed=seed,
     )

@@ -496,20 +496,27 @@ def _certify_shifted(base: BaseObjective, shifts: np.ndarray) -> OptimumCertific
     the clip is the identity there and translation preserves the maximum:
     the image is certified without search, provided it evaluates to at least
     the base's own value at its optimum (``x + s - s`` can round off by an
-    ulp).  Otherwise the search runs: one coordinate at a time for
-    rastrigin, the grid oracle for the rest.
+    ulp).  Where every row carries the whole domain past a corner of the
+    box, ``clip(x - s)`` is that corner for every ``x``, and the constant is
+    certified at one probe.  Otherwise the search runs: one coordinate at a
+    time for rastrigin, the grid oracle for the rest.
     """
     fn = base.shifted_mean(shifts)
+    domain = base.domain
+    if np.array_equal(domain.clip(domain.lower - shifts), domain.clip(domain.upper - shifts)):
+        x = domain.upper.copy()
+        return OptimumCertificate(x=x, value=float(fn(x[None, :])[0]), method="constant",
+                                  probes=1, gap=0.0)
     known = base.known_optimum
     if len(shifts) == 1 and known is not None:
         cand = known + shifts[0]
-        if base.domain.contains(cand, atol=0.0):
+        if domain.contains(cand, atol=0.0):
             val = float(fn(cand[None, :])[0])
             if val >= float(base.evaluate_batch(known[None, :])[0]):
                 return OptimumCertificate(x=cand, value=val, method="shift-translation", probes=1)
     if base.name == "rastrigin":
-        return _certify_separable(fn, base.domain, shifts, -1.0 / base.normalization_max)
-    return oracle_optimum(fn, base.domain, lipschitz=base.shifted_lipschitz(shifts))
+        return _certify_separable(fn, domain, shifts, -1.0 / base.normalization_max)
+    return oracle_optimum(fn, domain, lipschitz=base.shifted_lipschitz(shifts))
 
 
 class ObjectiveSuite:

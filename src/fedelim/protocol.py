@@ -44,10 +44,13 @@ from .fedcore import (
     quota,
     select_best,
     tau,
+    transition_depth,
 )
 from .objectives import ObjectiveSuite
 from .partition import ROOT, NodeId, PartitionSpec, children, parent, representative
 from .seeding import PURPOSE_NOISE, substream
+
+VARIANTS = ("pfpne", "global-only", "local-only")
 
 
 class Stage(enum.Enum):
@@ -369,20 +372,29 @@ class ProtocolResult:
 
 
 def run_protocol(suite: ObjectiveSuite, spec: PartitionSpec, conf: ConfParams,
-                 smooth: SmoothParams, h0: int, pe_enabled: bool, depth_cap: int,
+                 smooth: SmoothParams, variant: str, depth_cap: int,
                  seed: int) -> ProtocolResult:
     """Drive a full run: the one record of the stage schedule, then each client's ending.
 
-    Clients run synchronous stage-one phases and server rounds at depths
-    ``0..h0``; their schedules are identical, so a phase leaves them all
-    ``STAGE1`` or all ``EXHAUSTED``, which ends the run before the server
-    step.  After the last round, ``pe_enabled`` moves ``STAGE1`` clients to
-    ``PE`` (personal elimination down to ``depth_cap``); the rest spend their
-    budget on the server's best cell.  Every client ends ``EXHAUSTED``.
+    Server rounds run at depths ``0..h0``, where ``h0`` is the transition
+    depth of ``smooth`` capped at ``depth_cap`` for ``pfpne``, ``depth_cap``
+    for ``global-only`` and 0 for ``local-only``.  Every variant but
+    ``global-only`` has a personal stage, and ``h0 = 0`` with one means no
+    round at all.  Clients' schedules are identical, so a phase leaves them
+    all ``STAGE1`` or all ``EXHAUSTED``, which ends the run before the server
+    step.  After the last round, a personal stage moves ``STAGE1`` clients
+    to ``PE`` (personal elimination down to ``depth_cap``); without one they
+    spend their budget on the server's best cell.  Every client ends ``EXHAUSTED``.
     """
-    if h0 < 0:
-        raise ValueError(f"h0 must be non-negative, got {h0}")
-    # h0 = 0 with a personal stage means no collaborative round at all.
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if depth_cap < 0:
+        raise ValueError(f"depth_cap must be non-negative, got {depth_cap}")
+    pe_enabled = variant != "global-only"
+    if variant == "pfpne":
+        h0 = min(transition_depth(smooth), depth_cap)
+    else:
+        h0 = depth_cap if variant == "global-only" else 0
     rounds = h0 + 1 if h0 or not pe_enabled else 0
     m_count = suite.clients
     cell_values: dict[NodeId, np.ndarray] = {}  # each cell evaluated once, for every client

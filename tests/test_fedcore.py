@@ -217,11 +217,12 @@ class TestTransitionDepth:
         # so the product once decided every depth near the estimate and a
         # downward walk took about 6e18 steps; a config with these values hung
         # while it was built.  The depth is decided in log space, and matches
-        # the real-valued boundary h = log(nu1 / delta) / -log(rho).
+        # the real-valued boundary h = log(nu1 / delta) / -log(rho).  A run with
+        # these values caps the schedule at depth_cap.
         code = (
             "import math, time\n"
             "from fedelim.fedcore import SmoothParams, _within_gap, transition_depth\n"
-            "from fedelim.harness import ExperimentConfig\n"
+            "from fedelim.harness import ExperimentConfig, run\n"
             "start = time.perf_counter()\n"
             "smooth = SmoothParams(1e300, 0.9999999999999999, 1e-300)\n"
             "h = transition_depth(smooth)\n"
@@ -229,8 +230,9 @@ class TestTransitionDepth:
             "assert _within_gap(smooth, h) and not _within_gap(smooth, h - 1), h\n"
             "assert smooth.rho ** h == 0.0\n"
             "assert abs(h - 600 * math.log(10) / 2 ** -53) < 1e-12 * h, h\n"
-            "config = ExperimentConfig(nu1=1e300, rho=0.9999999999999999, delta_gap=1e-300)\n"
-            "assert config.schedule.h0 == config.depth_cap\n"
+            "config = ExperimentConfig(nu1=1e300, rho=0.9999999999999999, delta_gap=1e-300,\n"
+            "                          clients=1, horizon=8)\n"
+            "assert run(config, 0).h0 == config.depth_cap\n"
         )
         env = dict(os.environ, PYTHONPATH=str(Path(fedelim.__file__).parents[1]))
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

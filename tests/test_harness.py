@@ -17,8 +17,8 @@ from fedelim.harness import (
     checkpoint_grid,
     run,
     run_many,
-    variant_schedule,
 )
+from fedelim.objectives import make_suite
 from fedelim.partition import PartitionSpec
 from fedelim.seeding import PURPOSE_SHIFTS, substream
 import pull_helpers
@@ -35,25 +35,39 @@ def small_config(**overrides):
 
 
 class TestVariantSchedule:
+    """Each variant's stage schedule, read from a run: ``h0``, the round depths, the transition."""
+
     def test_full_protocol_switches_after_depth_seven(self):
-        wiring = variant_schedule("pfpne", SMOOTH, depth_cap=40)
-        assert wiring.h0 == 7 and wiring.pe_enabled
+        metrics = run(small_config(clients=10, horizon=5000), 1)
+        assert metrics.h0 == 7
+        assert [rnd.depth for rnd in metrics.comm_rounds] == list(range(8))
+        assert metrics.stage_transition_t == metrics.comm_rounds[-1].clock
 
     def test_global_only_never_transitions(self):
-        wiring = variant_schedule("global-only", SMOOTH, depth_cap=40)
-        assert wiring.h0 == 40 and not wiring.pe_enabled
+        metrics = run(small_config(variant="global-only", depth_cap=4, horizon=2000), 0)
+        assert metrics.h0 == 4
+        assert [rnd.depth for rnd in metrics.comm_rounds] == list(range(5))
+        assert metrics.stage_transition_t is None and not any(metrics.client_events)
 
     def test_local_only_never_communicates(self):
-        wiring = variant_schedule("local-only", SMOOTH, depth_cap=40)
-        assert wiring.h0 == 0 and wiring.pe_enabled
+        metrics = run(small_config(variant="local-only"), 0)
+        assert metrics.h0 == 0 and metrics.comm_rounds == []
+        assert metrics.stage_transition_t == 0
 
     def test_depth_cap_clamps_transition(self):
-        wiring = variant_schedule("pfpne", SmoothParams(1.0, 0.5, 1e-9), depth_cap=5)
-        assert wiring.h0 == 5
+        metrics = run(small_config(delta_gap=1e-9, depth_cap=5, horizon=2000), 0)
+        assert metrics.h0 == 5
+        assert [rnd.depth for rnd in metrics.comm_rounds] == list(range(6))
+        assert metrics.stage_transition_t == metrics.comm_rounds[-1].clock
 
     def test_unknown_variant_rejected(self):
-        with pytest.raises(ConfigError):
-            variant_schedule("centralized", SMOOTH, 40)
+        with pytest.raises(ConfigError, match="unknown variant 'centralized'; expected one of"):
+            small_config(variant="centralized")
+        config = small_config()
+        suite = make_suite(config.base, clients=1, shift_std=0.0, noise_halfwidth=0.0, seed=0)
+        with pytest.raises(ValueError, match="unknown variant 'centralized'"):
+            protocol.run_protocol(suite, config.spec, config.conf, SMOOTH, variant="centralized",
+                                  depth_cap=40, seed=0)
 
 
 class TestRun:
@@ -366,4 +380,3 @@ class TestConfigValidation:
         assert config.conf == ConfParams(0.1, 1.0, 0.2, 800)
         assert config.smooth == SmoothParams(1.0, 0.5, 0.01)
         assert config.spec == PartitionSpec(3)
-        assert (config.schedule.h0, config.schedule.pe_enabled) == (9, False)

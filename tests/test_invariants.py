@@ -9,9 +9,23 @@ import dataclasses
 import math
 import random
 
-from fedelim.harness import VARIANTS, ConfigError, ExperimentConfig, run, variant_schedule
+from fedelim.harness import VARIANTS, ConfigError, ExperimentConfig, run
 
 DRAWS = 60
+
+
+def reference_h0(config: ExperimentConfig) -> int:
+    """The last depth of a server round, written out from the paper's schedule.
+
+    The full protocol stops at the first depth ``h`` with ``nu1 * rho**h <= delta_gap``,
+    or at the cap; the drawn parameters keep that product in the normal float range.
+    """
+    if config.variant == "local-only":
+        return 0
+    if config.variant == "global-only":
+        return config.depth_cap
+    return next((h for h in range(config.depth_cap)
+                 if config.nu1 * config.rho ** h <= config.delta_gap), config.depth_cap)
 
 
 def draw_config(rng: random.Random, seed: int, objectives: tuple[str, ...]) -> ExperimentConfig:
@@ -59,7 +73,7 @@ def check_invariants(config: ExperimentConfig, metrics) -> None:
         assert not any(metrics.client_events), config
     # The schedule: rounds at depths 0..h0, or none when h0 = 0 with a
     # personal stage; a transition means the schedule ran to its end.
-    h0 = variant_schedule(config.variant, config.smooth, config.depth_cap).h0
+    h0 = reference_h0(config)
     assert metrics.h0 == h0, config
     assert len(metrics.comm_rounds) <= h0 + 1, config
     if t is not None:

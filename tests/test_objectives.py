@@ -180,6 +180,25 @@ class TestSuite:
         suite.shifts[0, 0] = 0.5
         assert suite.eval_local(1, [0.2]) == suite.base.evaluate([0.0])  # clipped
 
+    def test_a_copy_made_constant_by_its_shift_is_certified_at_one_probe(self, monkeypatch):
+        # every row carries the whole box past a corner, so each copy and their
+        # mean are constant; the grid scan once evaluated about 17 million rows
+        base = make_base("himmelblau")
+        rows = []
+        evaluate = BaseObjective.evaluate_batch
+        monkeypatch.setattr(BaseObjective, "evaluate_batch",
+                            lambda obj, X: rows.append(len(X)) or evaluate(obj, X))
+        suite = make_suite(base, clients=3, shift_std=1e308, noise_halfwidth=0.0, seed=0)
+        certs = suite.local_optima + [suite.global_optimum]
+        assert [cert.value for cert in certs] == [
+            0.4044943820224719, 0.7191011235955056, 0.3146067415730337, 0.47940074906367042]
+        assert all(cert.method == "constant" and cert.probes == 1 and cert.gap == 0.0
+                   and cert.x.tolist() == [5.0, 5.0] for cert in certs)
+        assert sum(rows) <= 8
+        # a row that saturates one coordinate only leaves a copy that varies
+        partly = ObjectiveSuite(base, np.array([[4e16, 0.3]]), NoiseModel(0.0))
+        assert partly.local_optima[0].method == "grid-zoom"
+
     def test_equal_scales_per_dimension_draw_the_scalar_shifts(self):
         base = make_base("himmelblau")
         scalar = make_suite(base, clients=4, shift_std=0.3, noise_halfwidth=0.0, seed=9)

@@ -61,6 +61,14 @@ def make_client(suite, conf, smooth, pe=False, m=1, seed=1):
 SMOOTH = SmoothParams(nu1=1.0, rho=0.5, delta_gap=0.01)
 
 
+def smooth_to(h0: int) -> SmoothParams:
+    """``SMOOTH`` with the gap ``nu1 * rho**h0``, whose transition depth is exactly ``h0``.
+
+    Only the transition depth reads the gap, so a run's pulls and bounds are ``SMOOTH``'s.
+    """
+    return SmoothParams(SMOOTH.nu1, SMOOTH.rho, SMOOTH.nu1 * SMOOTH.rho ** h0)
+
+
 def personal_eliminations(result):
     return sum(len(e.eliminated) for events in result.client_events for e in events)
 
@@ -327,7 +335,7 @@ class TestDrivenRuns:
     def test_synchrony_and_budget_conservation(self):
         suite = ramp_suite(clients=3, noise=0.1, seed=4)
         conf = ConfParams(0.1, 1.0, 1 / 3, 300)
-        result = run_protocol(suite, SPEC, conf, SMOOTH, h0=3, pe_enabled=True,
+        result = run_protocol(suite, SPEC, conf, smooth_to(3), variant="pfpne",
                               depth_cap=40, seed=4)
         for log in result.pull_logs:
             assert len(log) == 300
@@ -337,7 +345,7 @@ class TestDrivenRuns:
     def test_driver_moves_clients_to_pe_after_round_h0(self, h0):
         suite = ramp_suite(clients=2, noise=0.1, seed=3)
         conf = ConfParams(0.1, 1.0, 0.5, 1000)
-        result = run_protocol(suite, SPEC, conf, SMOOTH, h0=h0, pe_enabled=True,
+        result = run_protocol(suite, SPEC, conf, smooth_to(h0), variant="pfpne",
                               depth_cap=40, seed=3)
         # h0 = 0 means no collaborative round; otherwise rounds at depths 0..h0.
         assert [rnd.depth for rnd in result.comm_rounds] == (list(range(h0 + 1)) if h0 else [])
@@ -364,14 +372,18 @@ class TestDrivenRuns:
         assert {name for name, _, segments, _ in calls if segments > 1} == {
             "run_stage1_phase", "pe_step"}
 
-    @pytest.mark.parametrize("pe_enabled", [True, False])
-    def test_negative_h0_is_rejected_before_any_client(self, pe_enabled, monkeypatch):
+    @pytest.mark.parametrize("variant, depth_cap, message", [
+        ("centralized", 40, "unknown variant 'centralized'"),
+        ("pfpne", -1, "depth_cap must be non-negative"),
+        ("global-only", -1, "depth_cap must be non-negative"),
+    ], ids=["unknown-variant", "pfpne-negative-cap", "global-only-negative-cap"])
+    def test_bad_schedule_is_rejected_before_any_client(self, variant, depth_cap, message,
+                                                         monkeypatch):
         clients = record_clients(monkeypatch)
         suite = ramp_suite()
         conf = ConfParams(0.1, 1.0, 0.5, 100)
-        with pytest.raises(ValueError, match="h0 must be non-negative"):
-            run_protocol(suite, SPEC, conf, SMOOTH, h0=-1, pe_enabled=pe_enabled,
-                         depth_cap=40, seed=0)
+        with pytest.raises(ValueError, match=message):
+            run_protocol(suite, SPEC, conf, SMOOTH, variant=variant, depth_cap=depth_cap, seed=0)
         assert clients == []
 
     def test_stage1_report_transcript_matches_direct_recomputation(self, monkeypatch):
@@ -390,7 +402,7 @@ class TestDrivenRuns:
         suite = ramp_suite(clients=2, noise=0.0, seed=6)
         conf = ConfParams(0.2, 1.0, 0.5, 400)
         smooth = SmoothParams(1.0, 0.5, 0.26)  # transition depth 2
-        result = run_protocol(suite, SPEC, conf, smooth, h0=2, pe_enabled=True,
+        result = run_protocol(suite, SPEC, conf, smooth, variant="pfpne",
                               depth_cap=40, seed=6)
         assert result.h0 == 2
         # messages cover exactly the three collaborative depths
@@ -423,7 +435,7 @@ class TestDrivenRuns:
         base = make_base("garland")
         suite = make_suite(base, clients=3, shift_std=0.05, noise_halfwidth=0.1, seed=9)
         conf = ConfParams(0.1, 1.0, 1 / 3, 1500)
-        result = run_protocol(suite, SPEC, conf, SMOOTH, h0=5, pe_enabled=True,
+        result = run_protocol(suite, SPEC, conf, smooth_to(5), variant="pfpne",
                               depth_cap=40, seed=9)
         assert result.stage_transition_t is not None and personal_eliminations(result) > 0
         assert len(result.comm_rounds) == result.h0 + 1
@@ -445,7 +457,7 @@ class TestDrivenRuns:
         base = make_base("garland")
         suite = make_suite(base, clients=4, shift_std=0.05, noise_halfwidth=0.1, seed=8)
         conf = ConfParams(0.1, 1.0, 0.25, 2000)
-        result = run_protocol(suite, SPEC, conf, SMOOTH, h0=5, pe_enabled=True,
+        result = run_protocol(suite, SPEC, conf, smooth_to(5), variant="pfpne",
                               depth_cap=40, seed=8)
         assert personal_eliminations(result) > 0
         server_survivors = {e.depth: set(e.survivors) for e in result.comm_rounds}
@@ -458,7 +470,7 @@ class TestDrivenRuns:
         base = make_base("garland")
         suite = make_suite(base, clients=3, shift_std=0.05, noise_halfwidth=0.1, seed=9)
         conf = ConfParams(0.1, 1.0, 1 / 3, 1500)
-        result = run_protocol(suite, SPEC, conf, SMOOTH, h0=5, pe_enabled=True,
+        result = run_protocol(suite, SPEC, conf, smooth_to(5), variant="pfpne",
                               depth_cap=40, seed=9)
         assert personal_eliminations(result) > 0
         # own rewards per node per client, accumulated over the whole run
@@ -500,7 +512,7 @@ class TestDrivenRuns:
         base = make_base("garland")
         suite = make_suite(base, clients=5, shift_std=0.05, noise_halfwidth=0.1, seed=10)
         conf = ConfParams(0.1, 1.0, 0.2, 5000)
-        result = run_protocol(suite, SPEC, conf, SMOOTH, h0=5, pe_enabled=True,
+        result = run_protocol(suite, SPEC, conf, smooth_to(5), variant="pfpne",
                               depth_cap=40, seed=10)
         assert result.stage_transition_t is not None
         for rnd in result.comm_rounds:
@@ -511,7 +523,7 @@ class TestDrivenRuns:
         for seed in (0, 1):
             suite = make_suite(base, clients=5, shift_std=0.05, noise_halfwidth=0.0, seed=seed)
             conf = ConfParams(0.1, 1.0, 0.2, 3000)
-            result = run_protocol(suite, SPEC, conf, SMOOTH, h0=5, pe_enabled=True,
+            result = run_protocol(suite, SPEC, conf, smooth_to(5), variant="pfpne",
                                   depth_cap=40, seed=seed)
             assert personal_eliminations(result) > 0
             gx = suite.global_optimum.x
@@ -526,7 +538,7 @@ class TestDrivenRuns:
         base = make_base("doublesine")
         suite = make_suite(base, clients=3, shift_std=0.05, noise_halfwidth=0.1, seed=12)
         conf = ConfParams(0.1, 1.0, 1 / 3, 1000)
-        result = run_protocol(suite, SPEC, conf, SMOOTH, h0=7, pe_enabled=True,
+        result = run_protocol(suite, SPEC, conf, smooth_to(7), variant="pfpne",
                               depth_cap=40, seed=12)
         for m, log in enumerate(result.pull_logs, start=1):
             _, _, _, regrets = expand_pulls(log, suite, m, 12)
