@@ -84,10 +84,13 @@ class PullLog:
 
 @dataclass
 class EliminationEvent:
-    """One elimination decision at one depth: a client's personal step, or a server round's."""
+    """One elimination decision at one depth: a client's personal step, or a server round's.
+
+    ``best`` is the best cell over the depth's statistics; every decision names one.
+    """
 
     depth: int
-    best: NodeId | None
+    best: NodeId
     eliminated: frozenset[NodeId]
     survivors: tuple[NodeId, ...]
 
@@ -117,8 +120,8 @@ class Server:
 
     def step(self, reports: list[ClientReport], clock: int) -> ServerBroadcast:
         """Process one depth: merge, eliminate, broadcast, expand."""
-        if len(reports) != self.clients:
-            raise ProtocolFault(f"expected {self.clients} reports, got {len(reports)}")
+        if sorted(r.client for r in reports) != list(range(1, self.clients + 1)):
+            raise ProtocolFault(f"expected one report from each client 1..{self.clients}")
         for report in reports:
             if report.depth != self.depth:
                 raise ProtocolFault(
@@ -168,7 +171,6 @@ class Client:
         self.f_star = suite.local_optima[m - 1].value
 
         self.clock = 0
-        self.depth = 0
         self.pe_depth = 0
         self.stats: dict[NodeId, NodeStats] = {}
         self.protected: dict[int, frozenset[NodeId]] = {}
@@ -233,11 +235,15 @@ class Client:
         self.clock += offset
 
     def _spend_rest(self, frontier: list[NodeId]) -> None:
-        """Spend the remaining budget on the frontier cell with the best ancestor mean.
+        """Spend the rest of the budget on the frontier cell of highest own, else parent, mean.
 
-        Ties go to the first cell of ``frontier``.
+        Ties go to the first cell.  Every frontier cell has statistics itself
+        or through its parent: it survived the last server round, or is a
+        child of a survivor of the last personal step.
         """
-        self._pull_cells([max(frontier, key=self._ancestor_mean)], [self.budget])
+        stats = self.stats
+        cell = max(frontier, key=lambda n: stats[n if n in stats else parent(n, self.spec)].mean)
+        self._pull_cells([cell], [self.budget])
         self.stage = Stage.EXHAUSTED
 
     # ---- collaborative stage --------------------------------------------
@@ -254,24 +260,22 @@ class Client:
             raise ProtocolFault(f"client {self.m} cannot sample stage one in stage {self.stage}")
         self._pull_cells(active, [per_node_quota] * len(active))
         entries = {n: (s.mean, s.pulls) for n, s in self._stats_view(active).items()}
-        return ClientReport(client=self.m, depth=self.depth, entries=entries)
+        return ClientReport(client=self.m, depth=len(self.protected), entries=entries)
 
     def absorb_broadcast(self, broadcast: ServerBroadcast) -> None:
         """Adopt merged statistics for survivors and advance one depth, staying in ``STAGE1``."""
         if self.stage != Stage.STAGE1:
             raise ProtocolFault(f"client {self.m} received a broadcast in stage {self.stage}")
-        if broadcast.depth != self.depth:
-            raise ProtocolFault(
-                f"client {self.m} at depth {self.depth} received a depth-{broadcast.depth} broadcast"
-            )
+        if broadcast.depth != len(self.protected):
+            raise ProtocolFault(f"client {self.m} at depth {len(self.protected)} "
+                                f"received a depth-{broadcast.depth} broadcast")
         for node, (mean, bound) in broadcast.stats.items():
             prev = self.stats.get(node)
             if prev is None:
                 raise ProtocolFault(f"broadcast names unknown node {node}")
             self.stats[node] = NodeStats(pulls=prev.pulls, reward_sum=prev.reward_sum,
                                          mean=mean, bound=bound)
-        self.protected[self.depth] = frozenset(broadcast.stats)
-        self.depth += 1
+        self.protected[broadcast.depth] = frozenset(broadcast.stats)
 
     def enter_pe(self) -> None:
         """Start personal elimination from the root at the current clock."""
@@ -294,7 +298,7 @@ class Client:
         top-up.  Every other unprotected cell is topped up to the depth
         threshold, stage-one pulls counting toward it, from one noise draw.
         A budget that falls short exhausts the client there, before the
-        depth's elimination.
+        depth's elimination; every step completed names its best cell.
         """
         h = self.pe_depth
         prot = self.protected.get(h, frozenset())
@@ -313,11 +317,8 @@ class Client:
         if self.stage is Stage.EXHAUSTED:
             return
         view = self._stats_view(self.local_active)
-        if to_sample or settled:
-            best = select_best(view)
-            removed = settled | eliminate(view, to_sample, best, h, self.smooth)
-        else:
-            best, removed = None, set()
+        best = select_best(view)
+        removed = settled | eliminate(view, to_sample, best, h, self.smooth)
         if not prot.isdisjoint(removed):
             raise ProtocolFault(f"client {self.m} eliminated protected nodes at depth {h}")
         survivors = tuple(n for n in self.local_active if n not in removed)
@@ -328,20 +329,13 @@ class Client:
     def run_pe(self, depth_cap: int) -> None:
         """Personal steps down to ``depth_cap``, then the rest of the budget on the best cell.
 
-        A step that exhausts the client ends the personal stage there.
+        A step that exhausts the client ends the personal stage there.  At
+        least one step runs, so ``_spend_rest`` finds statistics for every cell.
         """
         while self.stage is Stage.PE and self.pe_depth < depth_cap:
             self.pe_step()
         if self.stage is Stage.PE:
             self._spend_rest(self.local_active)
-
-    def _ancestor_mean(self, node: NodeId) -> float:
-        """Mean of the nearest ancestor-or-self with recorded statistics."""
-        while node not in self.stats:
-            if node.depth == 0:
-                return float("-inf")
-            node = parent(node, self.spec)
-        return self.stats[node].mean
 
     def finish_stage1_only(self) -> None:
         """No personal stage: the rest of the budget goes to the server's best last survivor."""
@@ -385,11 +379,12 @@ def run_protocol(suite: ObjectiveSuite, spec: PartitionSpec, conf: ConfParams,
     step.  After the last round, a personal stage moves ``STAGE1`` clients
     to ``PE`` (personal elimination down to ``depth_cap``); without one they
     spend their budget on the server's best cell.  Every client ends ``EXHAUSTED``.
+    ``depth_cap`` must be at least 1, as ``ExperimentConfig`` requires.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if depth_cap < 0:
-        raise ValueError(f"depth_cap must be non-negative, got {depth_cap}")
+    if depth_cap < 1:
+        raise ValueError(f"depth_cap must be at least 1, got {depth_cap}")
     pe_enabled = variant != "global-only"
     if variant == "pfpne":
         h0 = min(transition_depth(smooth), depth_cap)

@@ -166,6 +166,11 @@ class TestQuota:
             assert q * m >= t
             assert (q - 1) * m < t
 
+    @pytest.mark.parametrize("tau_h, clients", [(0, 3), (5, 0)])
+    def test_nonpositive_arguments_rejected(self, tau_h, clients):
+        with pytest.raises(ValueError, match="must be positive"):
+            quota(tau_h, clients)
+
 
 class TestTransitionDepth:
     def test_defaults_give_seven(self):
@@ -373,6 +378,11 @@ class TestEliminate:
         m = {NodeId(1, 1): stats(0.9, 0.05)}
         with pytest.raises(ValueError):
             eliminate(m, {NodeId(1, 2)}, NodeId(1, 1), 1, SMOOTH)
+
+    def test_unknown_best_rejected(self):
+        m = {NodeId(1, 1): stats(0.9, 0.05)}
+        with pytest.raises(ValueError, match="best node missing"):
+            eliminate(m, {NodeId(1, 1)}, NodeId(1, 2), 1, SMOOTH)
 
 
 class TestParamValidation:

@@ -132,6 +132,10 @@ class TestBaseValues:
 
 
 class TestSuite:
+    def test_no_clients_rejected(self):
+        with pytest.raises(ValueError, match="at least one client"):
+            make_suite(ramp_base(), clients=0, shift_std=0.0, noise_halfwidth=0.0, seed=0)
+
     def test_zero_shift_degeneracy(self):
         suite = make_suite(make_base("garland"), clients=3, shift_std=0.0,
                            noise_halfwidth=0.0, seed=5)

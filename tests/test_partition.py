@@ -50,6 +50,10 @@ class TestAddressing:
         with pytest.raises(ValueError):
             children(NodeId(0, 0), K2)
 
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="negative depth"):
+            children(NodeId(-1, 1), K2)
+
     def test_roundtrip_random_nodes(self):
         rng = np.random.default_rng(0)
         for spec in (K2, K3):
@@ -233,6 +237,10 @@ class TestNodeContaining:
         with pytest.raises(ValueError):
             node_containing(UNIT, [1.5], 3, K2)
 
+    def test_negative_depth_rejected(self):
+        with pytest.raises(ValueError, match="depth must be nonnegative"):
+            node_containing(UNIT, [0.5], -1, K2)
+
 
 class TestDomainValidation:
     def test_degenerate_interval_rejected(self):
@@ -242,6 +250,15 @@ class TestDomainValidation:
     def test_mismatched_shapes_rejected(self):
         with pytest.raises(ValueError):
             BoxDomain([0.0, 1.0], [1.0])
+
+    def test_zero_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="at least one dimension"):
+            BoxDomain([], [])
+
+    @pytest.mark.parametrize("x", [[0.0], [0.0, 0.0, 0.0], np.zeros((1, 1, 2))],
+                             ids=["short", "long", "3-d"])
+    def test_contains_refuses_a_wrong_shape(self, x):
+        assert SQUARE.contains(x) is False
 
     @pytest.mark.parametrize("lower, upper", [
         ([-np.inf], [1.0]), ([0.0], [np.inf]), ([0.0, np.nan], [1.0, 1.0]),

@@ -165,6 +165,23 @@ class TestServerStep:
         with pytest.raises(ProtocolFault):
             server.step([ClientReport(1, 2, {ROOT: (0.4, 3)})], clock=0)
 
+    @pytest.mark.parametrize("ids", [(1, 1), (1, 3)], ids=["repeated", "unknown"])
+    def test_report_set_must_name_each_client_once(self, ids):
+        conf = ConfParams(0.1, 1.0, 0.1, 10_000)
+        server = Server(SPEC, conf, SMOOTH, clients=2)
+        reports = [ClientReport(m, 0, {ROOT: (mean, 3)}) for m, mean in zip(ids, (0.2, 0.9))]
+        with pytest.raises(ProtocolFault, match="one report from each client 1..2"):
+            server.step(reports, clock=0)
+        assert server.comm_rounds == []
+
+    def test_report_missing_an_active_cell_fault(self):
+        conf = ConfParams(0.1, 1.0, 0.1, 10_000)
+        server = Server(SPEC, conf, SMOOTH, clients=1)
+        server.depth = 1
+        server.active = [NodeId(1, 1), NodeId(1, 2)]
+        with pytest.raises(ProtocolFault, match="does not cover the active set"):
+            server.step([ClientReport(1, 1, {NodeId(1, 1): (0.4, 3)})], clock=0)
+
     def test_scalar_accounting(self):
         conf = ConfParams(0.1, 1.0, 0.1, 10_000)
         server = Server(SPEC, conf, SMOOTH, clients=3)
@@ -192,13 +209,25 @@ class TestAbsorb:
         assert stats.mean == 0.42 and stats.bound == 0.05
         assert stats.pulls == 2  # local counts retained
         assert client.protected[0] == frozenset({ROOT})
-        assert client.depth == 1
+        assert len(client.protected) == 1
 
     def test_unknown_node_fault(self):
         client, _ = self._client_after_phase()
         broadcast = ServerBroadcast(0, {NodeId(0, 1): (0.4, 0.1), NodeId(1, 1): (0.4, 0.1)})
         with pytest.raises(ProtocolFault):
             client.absorb_broadcast(broadcast)
+
+    def test_broadcast_in_pe_fault(self):
+        client, _ = self._client_after_phase()
+        client.enter_pe()
+        with pytest.raises(ProtocolFault, match="received a broadcast in stage"):
+            client.absorb_broadcast(ServerBroadcast(0, {ROOT: (0.4, 0.1)}))
+
+    def test_broadcast_of_the_wrong_depth_fault(self):
+        client, _ = self._client_after_phase()
+        with pytest.raises(ProtocolFault, match="at depth 0 received a depth-1 broadcast"):
+            client.absorb_broadcast(ServerBroadcast(1, {ROOT: (0.4, 0.1)}))
+        assert client.protected == {}
 
     def test_absorb_leaves_the_client_in_stage_one(self):
         # The driver, not the broadcast, moves a client to PE.
@@ -211,7 +240,7 @@ class TestAbsorb:
         client.run_stage1_phase(list(kids), 1)
         client.absorb_broadcast(ServerBroadcast(1, {k: (0.5, 0.1) for k in kids}))
         assert client.stage is Stage.STAGE1
-        assert client.depth == 2 and client.stage_transition_t is None
+        assert len(client.protected) == 2 and client.stage_transition_t is None
 
 
 class TestPersonalElimination:
@@ -283,7 +312,7 @@ class TestPersonalElimination:
         client.pe_step()
         assert client.stage is Stage.PE
         assert client.clock == 0
-        assert client.pe_events[-1].best is None
+        assert client.pe_events[-1].best == ROOT
         assert client.local_active == [NodeId(1, 1), NodeId(1, 2)]
 
     def test_budget_exhaustion_mid_depth(self):
@@ -374,9 +403,11 @@ class TestDrivenRuns:
 
     @pytest.mark.parametrize("variant, depth_cap, message", [
         ("centralized", 40, "unknown variant 'centralized'"),
-        ("pfpne", -1, "depth_cap must be non-negative"),
-        ("global-only", -1, "depth_cap must be non-negative"),
-    ], ids=["unknown-variant", "pfpne-negative-cap", "global-only-negative-cap"])
+        ("pfpne", -1, "depth_cap must be at least 1, got -1"),
+        ("global-only", -1, "depth_cap must be at least 1, got -1"),
+        ("local-only", 0, "depth_cap must be at least 1, got 0"),
+    ], ids=["unknown-variant", "pfpne-negative-cap", "global-only-negative-cap",
+            "local-only-zero-cap"])
     def test_bad_schedule_is_rejected_before_any_client(self, variant, depth_cap, message,
                                                          monkeypatch):
         clients = record_clients(monkeypatch)
