@@ -223,6 +223,8 @@ def cmd_run(args) -> int:
         threads = int(raw)
     except ValueError:
         raise ConfigError(f"FEDELIM_THREADS must be an integer, got {raw!r}") from None
+    if threads < 1:
+        raise ConfigError(f"FEDELIM_THREADS must be at least 1, got {threads}")
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)
     except OSError as exc:

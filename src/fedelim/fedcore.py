@@ -74,7 +74,7 @@ class SmoothParams:
         return self.nu1 * self.rho ** depth
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeStats:
     """Pull count, reward sum, mean estimate and confidence half-width.
 
@@ -92,12 +92,7 @@ class NodeStats:
     def from_counts(cls, pulls: int, reward_sum: float, conf: ConfParams) -> "NodeStats":
         if pulls < 1:
             raise ValueError("local statistics need at least one pull")
-        return cls(
-            pulls=pulls,
-            reward_sum=reward_sum,
-            mean=reward_sum / pulls,
-            bound=confidence_bound(pulls, conf),
-        )
+        return cls(pulls, reward_sum, reward_sum / pulls, confidence_bound(pulls, conf))
 
 
 @dataclass

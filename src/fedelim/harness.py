@@ -181,17 +181,21 @@ def average_regret_trace(pull_logs: list[PullLog], checkpoints: np.ndarray) -> n
     """Client-average cumulative regret at each checkpoint, in closed form per segment.
 
     A segment's pulls share one instant regret ``r``: at its pull ``t``, after ``start``
-    earlier pulls, a client has accrued its regret before the segment plus ``(t - start) * r``.
-    The client average sums in client order, so recomputation through this function is exact.
+    earlier pulls, a client has accrued its regret before the segment plus ``(t - start) * r``,
+    with ``start = end - pulls`` in exact integers.  The client average sums in client order,
+    so recomputation through this function is exact.
     """
     acc = np.zeros(len(checkpoints))
     for log in pull_logs:
         _, pulls, _, regret = zip(*log.segments)
         pulls, regret = np.array(pulls, dtype=np.int64), np.array(regret, dtype=float)
         ends = np.cumsum(pulls)
-        accrued = np.concatenate(([0.0], np.cumsum(pulls * regret)[:-1]))  # before each segment
+        accrued = np.cumsum(pulls * regret)
+        accrued[1:], accrued[0] = accrued[:-1], 0.0  # shifted in place: before each segment
         k = np.searchsorted(ends, checkpoints)  # the segment that holds pull t
-        acc += accrued[k] + (checkpoints - ends[k] + pulls[k]) * regret[k]
+        row = (checkpoints - (ends - pulls)[k]) * regret[k]
+        row += accrued[k]
+        acc += row
     return acc / len(pull_logs)
 
 

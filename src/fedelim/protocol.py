@@ -106,11 +106,30 @@ class CommRound(EliminationEvent):
     clock: int
 
 
+class CellTable:
+    """A run's partition and what it knows of each cell, shared by the server and every client.
+
+    Each entry is made once.  ``values``: every client's value at the cell's
+    center, filled by ``Client._pull_cells``.  ``children``: the cell's
+    children, built by ``partition.children`` when it is first expanded.
+    """
+
+    def __init__(self, spec: PartitionSpec):
+        self.spec = spec
+        self.values: dict[NodeId, list[float]] = {}
+        self.children: dict[NodeId, list[NodeId]] = {}
+
+    def expand(self, cells) -> list[NodeId]:
+        """The children of ``cells``, cell by cell, each in index order."""
+        kids, spec = self.children, self.spec
+        return [c for n in cells for c in kids.get(n) or kids.setdefault(n, children(n, spec))]
+
+
 class Server:
     """Merges client reports, eliminates, and broadcasts survivors."""
 
-    def __init__(self, spec: PartitionSpec, conf: ConfParams, smooth: SmoothParams, clients: int):
-        self.spec = spec
+    def __init__(self, table: CellTable, conf: ConfParams, smooth: SmoothParams, clients: int):
+        self.table = table
         self.conf = conf
         self.smooth = smooth
         self.clients = clients
@@ -122,16 +141,17 @@ class Server:
         """Process one depth: merge, eliminate, broadcast, expand."""
         if sorted(r.client for r in reports) != list(range(1, self.clients + 1)):
             raise ProtocolFault(f"expected one report from each client 1..{self.clients}")
+        active = set(self.active)
         for report in reports:
             if report.depth != self.depth:
                 raise ProtocolFault(
                     f"client {report.client} reported depth {report.depth}, server is at {self.depth}"
                 )
-            if set(report.entries) != set(self.active):
+            if report.entries.keys() != active:
                 raise ProtocolFault(f"client {report.client} report does not cover the active set")
         merged = merge_global(reports, self.conf)
         best = select_best(merged)
-        removed = eliminate(merged, set(self.active), best, self.depth, self.smooth)
+        removed = eliminate(merged, active, best, self.depth, self.smooth)
         survivors = tuple(n for n in self.active if n not in removed)
         stats = {n: (merged[n].mean, merged[n].bound) for n in survivors}
 
@@ -151,7 +171,7 @@ class Server:
         ))
 
         broadcast = ServerBroadcast(depth=self.depth, stats=stats)
-        self.active = [c for n in survivors for c in children(n, self.spec)]  # in index order
+        self.active = self.table.expand(survivors)  # in index order
         self.depth += 1
         return broadcast
 
@@ -159,12 +179,11 @@ class Server:
 class Client:
     """One client's pulls, broadcasts and personal steps; ``run_protocol`` decides when."""
 
-    def __init__(self, m: int, suite: ObjectiveSuite, spec: PartitionSpec,
-                 conf: ConfParams, smooth: SmoothParams, rng: np.random.Generator,
-                 cell_values: dict[NodeId, np.ndarray]):
+    def __init__(self, m: int, suite: ObjectiveSuite, table: CellTable,
+                 conf: ConfParams, smooth: SmoothParams, rng: np.random.Generator):
         self.m = m
         self.suite = suite
-        self.spec = spec
+        self.table = table  # the run's, shared with the server and every client
         self.conf = conf
         self.smooth = smooth
         self.rng = rng
@@ -179,7 +198,6 @@ class Client:
         self.pe_events: list[EliminationEvent] = []
         self.stage = Stage.STAGE1
         self.stage_transition_t: int | None = None
-        self.cell_values = cell_values  # the run's table: cell -> every client's value
 
     @property
     def budget(self) -> int:
@@ -194,14 +212,15 @@ class Client:
         A want of zero or less pulls nothing.  The first cell the budget
         cannot fill is cut at the budget and exhausts the client; no later
         cell is pulled.  Cells not yet in the run's table are evaluated for
-        every client in one batch.  A block of consecutive cells with equal
+        every client in one batch; each pulled cell then reads only this
+        client's value from it.  A block of consecutive cells with equal
         pull counts is one (cells x pulls) view of the draw, summed by row:
         each row reduces exactly as the cell's own slice would.  Each cell's
         pulls are logged as one segment.
         """
         pulled, left = [], self.budget
         for node, want in zip(nodes, wants):
-            k = min(max(want, 0), left)  # Python ints: a want may be TAU_SATURATED
+            k = min(want, left) if want > 0 else 0  # Python ints: a want may be TAU_SATURATED
             if k:
                 pulled.append((node, k))
             left -= k
@@ -210,27 +229,28 @@ class Client:
                 break
         if not pulled:
             return
-        table = self.cell_values
+        table = self.table.values
         new = [node for node, _ in pulled if node not in table]
         if new:
-            centers = [representative(self.suite.domain, node, self.spec) for node in new]
-            table.update(zip(new, self.suite.eval_clients_batch(np.array(centers))))
-        values = np.array([table[node] for node, _ in pulled])[:, self.m - 1]
+            centers = [representative(self.suite.domain, node, self.table.spec) for node in new]
+            table.update(zip(new, self.suite.eval_clients_batch(np.array(centers)).tolist()))
+        values = [table[node][self.m - 1] for node, _ in pulled]
+        column = np.array(values)
         rewards = self.suite.noise.draw(self.rng, self.budget - left)
         sums, offset = [], 0
         for k, block in itertools.groupby(k for _, k in pulled):
             first, r = len(sums), len(list(block))
             rows = rewards[offset:offset + r * k].reshape(r, k)
-            rows += values[first:first + r, None]  # in place: one array per call
+            rows += column[first:first + r, None]  # in place: one array per call
             sums += rows.sum(axis=1).tolist()
             offset += r * k
-        segments = []
-        for (node, k), value, total in zip(pulled, values.tolist(), sums):
-            segments.append((node, k, total, self.f_star - value))
-            prev = self.stats.get(node)
+        stats, conf, f_star, segments = self.stats, self.conf, self.f_star, []
+        for (node, k), value, total in zip(pulled, values, sums):
+            segments.append((node, k, total, f_star - value))
+            prev = stats.get(node)
             if prev is not None:
                 k, total = prev.pulls + k, prev.reward_sum + total
-            self.stats[node] = NodeStats.from_counts(k, total, self.conf)
+            stats[node] = NodeStats.from_counts(k, total, conf)
         self.pull_log.append_batch(segments, rewards)
         self.clock += offset
 
@@ -241,8 +261,8 @@ class Client:
         or through its parent: it survived the last server round, or is a
         child of a survivor of the last personal step.
         """
-        stats = self.stats
-        cell = max(frontier, key=lambda n: stats[n if n in stats else parent(n, self.spec)].mean)
+        stats, spec = self.stats, self.table.spec
+        cell = max(frontier, key=lambda n: stats[n if n in stats else parent(n, spec)].mean)
         self._pull_cells([cell], [self.budget])
         self.stage = Stage.EXHAUSTED
 
@@ -273,8 +293,7 @@ class Client:
             prev = self.stats.get(node)
             if prev is None:
                 raise ProtocolFault(f"broadcast names unknown node {node}")
-            self.stats[node] = NodeStats(pulls=prev.pulls, reward_sum=prev.reward_sum,
-                                         mean=mean, bound=bound)
+            self.stats[node] = NodeStats(prev.pulls, prev.reward_sum, mean, bound)
         self.protected[broadcast.depth] = frozenset(broadcast.stats)
 
     def enter_pe(self) -> None:
@@ -300,7 +319,7 @@ class Client:
         A budget that falls short exhausts the client there, before the
         depth's elimination; every step completed names its best cell.
         """
-        h = self.pe_depth
+        h, stats = self.pe_depth, self.stats
         prot = self.protected.get(h, frozenset())
         tau_h = tau(h, self.conf, self.smooth)
         to_sample = [n for n in self.local_active if n not in prot]
@@ -312,7 +331,7 @@ class Client:
             ref = select_best({n: view[n] for n in prot})
             settled = eliminate(view, [n for n in to_sample if n in view], ref, h, self.smooth)
             to_sample = [n for n in to_sample if n not in settled]
-        self._pull_cells(to_sample, [tau_h - (self.stats[n].pulls if n in self.stats else 0)
+        self._pull_cells(to_sample, [tau_h - stats[n].pulls if n in stats else tau_h
                                      for n in to_sample])
         if self.stage is Stage.EXHAUSTED:
             return
@@ -323,7 +342,7 @@ class Client:
             raise ProtocolFault(f"client {self.m} eliminated protected nodes at depth {h}")
         survivors = tuple(n for n in self.local_active if n not in removed)
         self.pe_events.append(EliminationEvent(h, best, frozenset(removed), survivors))
-        self.local_active = [c for n in survivors for c in children(n, self.spec)]  # sorted
+        self.local_active = self.table.expand(survivors)  # sorted
         self.pe_depth += 1
 
     def run_pe(self, depth_cap: int) -> None:
@@ -392,12 +411,10 @@ def run_protocol(suite: ObjectiveSuite, spec: PartitionSpec, conf: ConfParams,
         h0 = depth_cap if variant == "global-only" else 0
     rounds = h0 + 1 if h0 or not pe_enabled else 0
     m_count = suite.clients
-    cell_values: dict[NodeId, np.ndarray] = {}  # each cell evaluated once, for every client
-    clients = [
-        Client(m, suite, spec, conf, smooth, substream(seed, PURPOSE_NOISE, m), cell_values)
-        for m in range(1, m_count + 1)
-    ]
-    server = Server(spec, conf, smooth, m_count)
+    table = CellTable(spec)  # each cell evaluated and expanded once, for every client
+    clients = [Client(m, suite, table, conf, smooth, substream(seed, PURPOSE_NOISE, m))
+               for m in range(1, m_count + 1)]
+    server = Server(table, conf, smooth, m_count)
 
     while clients[0].stage is Stage.STAGE1 and server.depth < rounds:
         per_node = quota(tau(server.depth, conf, smooth), m_count)

@@ -603,6 +603,18 @@ class TestRunCommand:
         assert "Traceback" not in err and pool_sizes == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_2(self, tmp_path, capsys, monkeypatch, pool_sizes, threads):
+        monkeypatch.setenv("FEDELIM_THREADS", threads)
+        code = main(["run", "--objective", "garland", "--clients", "2", "--horizon", "100",
+                     "--runs", "2", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert config_errors(err) == [
+            f"fedelim: config error: FEDELIM_THREADS must be at least 1, got {threads}"]
+        assert "Traceback" not in err and pool_sizes == []
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("line", [
         "rho = 1e-160", "nu1 = 1e-200", "c1 = 1e308", "delta_conf = 1e-320",
     ])

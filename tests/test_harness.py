@@ -1,6 +1,7 @@
 """Experiment orchestration: configs, variants, determinism, aggregation."""
 import dataclasses
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -143,6 +144,16 @@ class TestRun:
         # personal stages revisit cells: one table per client would evaluate more
         assert len(cells) < sum(len(c) for c in per_client)
 
+    def test_each_cell_is_expanded_once_per_run(self, monkeypatch):
+        calls = []
+        children = protocol.children
+        monkeypatch.setattr(protocol, "children", lambda *a: calls.append(a[0]) or children(*a))
+        metrics = run(small_config(clients=20, horizon=20_000), 1)
+        expanded = {n for rnd in metrics.comm_rounds for n in rnd.survivors}
+        expanded.update(n for steps in metrics.client_events for e in steps for n in e.survivors)
+        # the server and all 20 clients expand these cells; each is built once
+        assert sorted(calls) == sorted(expanded) and len(calls) == 83
+
     def test_run_never_certifies_the_global_optimum(self):
         for variant in ("pfpne", "global-only", "local-only"):
             metrics = run(small_config(variant=variant), 0)
@@ -204,39 +215,78 @@ class TestPullLog:
 # SHA-256 of ``repr`` of every pull-log segment of a run, client by client:
 # the cell, the pull count and the exact bits of the reward sum and the
 # instant regret.  The CSV digests read only cell values, so a last-bit
-# change in a reward sum can pass them; it cannot pass these.
+# change in a reward sum can pass them; it cannot pass these.  The last
+# field overrides further ``ExperimentConfig`` settings.
 SEGMENT_DIGESTS = [
     ("garland", 3, 3000, "pfpne", 0,
-     "b2bb46a30bf7766533269da5d2a79ba34bb39f26d71983714ea544d6b9540955"),
+     "b2bb46a30bf7766533269da5d2a79ba34bb39f26d71983714ea544d6b9540955", {}),
     ("garland", 3, 3000, "pfpne", 1,
-     "782fa42be428212e088cedd72e0134f01bc972b854f0dee4165cecff4d4ad9d0"),
+     "782fa42be428212e088cedd72e0134f01bc972b854f0dee4165cecff4d4ad9d0", {}),
     ("garland", 3, 3000, "global-only", 0,
-     "b2bb46a30bf7766533269da5d2a79ba34bb39f26d71983714ea544d6b9540955"),
+     "b2bb46a30bf7766533269da5d2a79ba34bb39f26d71983714ea544d6b9540955", {}),
     ("garland", 3, 3000, "global-only", 1,
-     "782fa42be428212e088cedd72e0134f01bc972b854f0dee4165cecff4d4ad9d0"),
+     "782fa42be428212e088cedd72e0134f01bc972b854f0dee4165cecff4d4ad9d0", {}),
     ("garland", 3, 3000, "local-only", 0,
-     "23bef263ae3083e30b8d771015aaf37505a950c04752051ea9d943eff99e7705"),
+     "23bef263ae3083e30b8d771015aaf37505a950c04752051ea9d943eff99e7705", {}),
     ("garland", 3, 3000, "local-only", 1,
-     "5323bd54502e3c29b28de7b9df24ac8116c921374ded6396d80424b18885e542"),
+     "5323bd54502e3c29b28de7b9df24ac8116c921374ded6396d80424b18885e542", {}),
     ("ackley", 2, 5000, "pfpne", 0,
-     "dedf7c0b70896c1fb019cea7d201f8a8e339dbbc4ae0255497d4a7ed050feac7"),
+     "dedf7c0b70896c1fb019cea7d201f8a8e339dbbc4ae0255497d4a7ed050feac7", {}),
     ("ackley", 2, 5000, "pfpne", 1,
-     "d0edeb042a658afc069555de97a5fbc387484a31e9bbc25760fcd5da0c934fdd"),
+     "d0edeb042a658afc069555de97a5fbc387484a31e9bbc25760fcd5da0c934fdd", {}),
+    # Many clients: every client expands the cells the server kept.
+    ("garland", 20, 20000, "pfpne", 1,
+     "79efd5e19f5adbbf104d9b57e18c550966434fbe53b898a5fcba9b5259d07a03", {}),
+    # Every client reaches the depth cap with budget left and spends it on one cell.
+    ("garland", 10, 4000, "local-only", 0,
+     "dd0d9b113cdafba4bdefcf7173cffa05990908a100e994798272f0fb52be8c31", {"depth_cap": 2}),
 ]
 
 
-@pytest.mark.parametrize("objective,clients,horizon,variant,seed,digest", SEGMENT_DIGESTS,
-                         ids=[f"{c[0]}-{c[3]}-{c[4]}" for c in SEGMENT_DIGESTS])
-def test_every_segment_matches_recorded_hashes(objective, clients, horizon, variant, seed,
-                                               digest):
-    config = ExperimentConfig(objective=objective, variant=variant, clients=clients,
-                              horizon=horizon, seeds=(seed,))
-    metrics = run(config, seed)
-    sha = hashlib.sha256()
+def segment_case_id(case):
+    """``objective-variant-seed``, naming the clients and overrides where there are many."""
+    objective, clients, _, variant, seed, _, overrides = case
+    extra = f"-M{clients}" if clients > 3 else ""
+    return f"{objective}-{variant}-{seed}{extra}" + "".join(f"-{k}{v}" for k, v in overrides.items())
+
+
+def hash_segments(sha, metrics):
+    """``sha`` updated with ``repr`` of every segment of ``metrics``, client by client."""
     for log in metrics.pull_logs:
         for segment in log.segments:
             sha.update(repr(segment).encode())
-    assert sha.hexdigest() == digest
+    return sha
+
+
+@pytest.mark.parametrize("objective,clients,horizon,variant,seed,digest,overrides",
+                         SEGMENT_DIGESTS, ids=map(segment_case_id, SEGMENT_DIGESTS))
+def test_every_segment_matches_recorded_hashes(objective, clients, horizon, variant, seed,
+                                               digest, overrides):
+    config = ExperimentConfig(objective=objective, variant=variant, clients=clients,
+                              horizon=horizon, seeds=(seed,), **overrides)
+    assert hash_segments(hashlib.sha256(), run(config, seed)).hexdigest() == digest
+
+
+# SHA-256 over a grid of small runs: for each, ``repr`` of every segment, the
+# trace bytes, the server rounds, the personal steps, ``h0`` and the
+# transition time.
+BATTERY_DIGEST = "7f7246d4e0eec3e875c0b5968a80e64ec5220d485eaafab91b106ff1c53b9613"
+
+
+def test_run_battery_matches_recorded_hash():
+    sha = hashlib.sha256()
+    for objective, variant, clients, horizon, depth_cap, arity, noise, seed in itertools.product(
+            ("garland", "doublesine", "himmelblau", "ackley", "rastrigin"), protocol.VARIANTS,
+            (1, 3), (60, 700, 4000), (1, 2, 40), (2, 3), (0.0, 0.1), (0, 1)):
+        config = ExperimentConfig(objective=objective, variant=variant, clients=clients,
+                                  horizon=horizon, depth_cap=depth_cap, arity=arity,
+                                  noise=noise, delta_gap=0.05, seeds=(seed,))
+        metrics = run(config, seed)
+        hash_segments(sha, metrics).update(metrics.avg_cum_regret.tobytes())
+        sha.update(repr((metrics.comm_rounds, metrics.client_events, metrics.h0,
+                         metrics.stage_transition_t)).encode())
+    assert sha.hexdigest() == BATTERY_DIGEST
+
 
 def segment_log(segments):
     """A pull log of (pulls, instant regret) segments, all in the root cell."""

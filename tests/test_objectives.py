@@ -1,6 +1,7 @@
 """Objective normalization, suites, the optimum oracle, and the cell census."""
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -343,6 +344,25 @@ class TestSampling:
         rewards = value + suite.noise.draw(rng, n)
         tolerance = 3 * 0.1 / math.sqrt(3 * n)
         assert abs(rewards.mean() - value) < tolerance
+
+    @pytest.mark.parametrize("halfwidth", [
+        5e-324, 1e-300, 1e-5, 0.1, 1.0, 3.0e7, 1e300, math.nextafter(sys.float_info.max / 2, 0.0),
+    ])
+    def test_draw_is_numpy_uniform_bit_for_bit(self, halfwidth):
+        # The draw fills and scales in place; numpy's uniform is the reference.
+        for seed in range(20):
+            for n in (1, 2, 3, 8, 9, 1000, 65537):
+                rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                out = NoiseModel(halfwidth).draw(rng, n)
+                assert out.tobytes() == ref.uniform(-halfwidth, halfwidth, n).tobytes()
+                assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("halfwidth", [0.0, -0.0])
+    def test_zero_halfwidth_draws_zeros_and_leaves_the_generator(self, halfwidth):
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        assert NoiseModel(halfwidth).draw(rng, 5).tolist() == [0.0] * 5
+        assert rng.bit_generator.state == state
 
     def test_noise_model_validation(self):
         with pytest.raises(ValueError):

@@ -30,7 +30,7 @@ from fedelim.partition import (
     node_containing,
     representative,
 )
-from fedelim.protocol import Client, Server, Stage, run_protocol
+from fedelim.protocol import CellTable, Client, Server, Stage, run_protocol
 from fedelim.seeding import PURPOSE_NOISE, substream
 from pull_helpers import expand_pulls
 
@@ -52,7 +52,7 @@ def ramp_suite(clients=1, noise=0.0, seed=1, shift_std=0.0):
 
 def make_client(suite, conf, smooth, pe=False, m=1, seed=1):
     """A client in ``STAGE1``, or moved to ``PE`` at clock 0 when ``pe``."""
-    client = Client(m, suite, SPEC, conf, smooth, substream(seed, PURPOSE_NOISE, m), {})
+    client = Client(m, suite, CellTable(SPEC), conf, smooth, substream(seed, PURPOSE_NOISE, m))
     if pe:
         client.enter_pe()
     return client
@@ -126,7 +126,7 @@ class TestServerStep:
     def test_single_client_elimination_example(self):
         # noiseless sibling means 0.9 / 0.2 at depth 3 with b <= 0.2875
         conf = ConfParams(0.1, 1.0, 0.1, 10_000)
-        server = Server(SPEC, conf, SMOOTH, clients=1)
+        server = Server(CellTable(SPEC), conf, SMOOTH, clients=1)
         server.depth = 3
         server.active = [NodeId(3, 1), NodeId(3, 2)]
         pulls = tau(3, conf, SMOOTH)
@@ -140,7 +140,7 @@ class TestServerStep:
 
     def test_equal_means_keep_everything(self):
         conf = ConfParams(0.1, 1.0, 0.1, 10_000)
-        server = Server(SPEC, conf, SMOOTH, clients=2)
+        server = Server(CellTable(SPEC), conf, SMOOTH, clients=2)
         server.depth = 4
         server.active = [NodeId(4, 1), NodeId(4, 2), NodeId(4, 3)]
         reports = [
@@ -153,7 +153,7 @@ class TestServerStep:
 
     def test_singleton_active_set(self):
         conf = ConfParams(0.1, 1.0, 0.1, 10_000)
-        server = Server(SPEC, conf, SMOOTH, clients=1)
+        server = Server(CellTable(SPEC), conf, SMOOTH, clients=1)
         report = ClientReport(1, 0, {ROOT: (0.4, 3)})
         broadcast = server.step([report], clock=3)
         assert tuple(broadcast.stats) == (ROOT,)
@@ -161,14 +161,14 @@ class TestServerStep:
 
     def test_depth_mismatch_fault(self):
         conf = ConfParams(0.1, 1.0, 0.1, 10_000)
-        server = Server(SPEC, conf, SMOOTH, clients=1)
+        server = Server(CellTable(SPEC), conf, SMOOTH, clients=1)
         with pytest.raises(ProtocolFault):
             server.step([ClientReport(1, 2, {ROOT: (0.4, 3)})], clock=0)
 
     @pytest.mark.parametrize("ids", [(1, 1), (1, 3)], ids=["repeated", "unknown"])
     def test_report_set_must_name_each_client_once(self, ids):
         conf = ConfParams(0.1, 1.0, 0.1, 10_000)
-        server = Server(SPEC, conf, SMOOTH, clients=2)
+        server = Server(CellTable(SPEC), conf, SMOOTH, clients=2)
         reports = [ClientReport(m, 0, {ROOT: (mean, 3)}) for m, mean in zip(ids, (0.2, 0.9))]
         with pytest.raises(ProtocolFault, match="one report from each client 1..2"):
             server.step(reports, clock=0)
@@ -176,7 +176,7 @@ class TestServerStep:
 
     def test_report_missing_an_active_cell_fault(self):
         conf = ConfParams(0.1, 1.0, 0.1, 10_000)
-        server = Server(SPEC, conf, SMOOTH, clients=1)
+        server = Server(CellTable(SPEC), conf, SMOOTH, clients=1)
         server.depth = 1
         server.active = [NodeId(1, 1), NodeId(1, 2)]
         with pytest.raises(ProtocolFault, match="does not cover the active set"):
@@ -184,7 +184,7 @@ class TestServerStep:
 
     def test_scalar_accounting(self):
         conf = ConfParams(0.1, 1.0, 0.1, 10_000)
-        server = Server(SPEC, conf, SMOOTH, clients=3)
+        server = Server(CellTable(SPEC), conf, SMOOTH, clients=3)
         reports = [ClientReport(m, 0, {ROOT: (0.5, 2)}) for m in (1, 2, 3)]
         server.step(reports, clock=2)
         rnd = server.comm_rounds[-1]
