@@ -182,8 +182,9 @@ def average_regret_trace(pull_logs: list[PullLog], checkpoints: np.ndarray) -> n
 
     A segment's pulls share one instant regret ``r``: at its pull ``t``, after ``start``
     earlier pulls, a client has accrued its regret before the segment plus ``(t - start) * r``,
-    with ``start = end - pulls`` in exact integers.  The client average sums in client order,
-    so recomputation through this function is exact.
+    with ``start = end - pulls`` in exact integers.  Each segment's terms are repeated over
+    the checkpoints it holds, counted by one search of the segment ends into the checkpoints.
+    The client average sums in client order, so recomputation through this function is exact.
     """
     acc = np.zeros(len(checkpoints))
     for log in pull_logs:
@@ -192,9 +193,9 @@ def average_regret_trace(pull_logs: list[PullLog], checkpoints: np.ndarray) -> n
         ends = np.cumsum(pulls)
         accrued = np.cumsum(pulls * regret)
         accrued[1:], accrued[0] = accrued[:-1], 0.0  # shifted in place: before each segment
-        k = np.searchsorted(ends, checkpoints)  # the segment that holds pull t
-        row = (checkpoints - (ends - pulls)[k]) * regret[k]
-        row += accrued[k]
+        held = np.diff(np.searchsorted(checkpoints, ends, side="right"), prepend=0)  # per segment
+        row = (checkpoints - np.repeat(ends - pulls, held)) * np.repeat(regret, held)
+        row += np.repeat(accrued, held)
         acc += row
     return acc / len(pull_logs)
 
