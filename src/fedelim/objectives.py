@@ -407,6 +407,11 @@ class BaseObjective:
             return raw / self.normalization_max
         return 1.0 - raw / self.normalization_max
 
+    @functools.cached_property
+    def known_value(self) -> float:
+        """The value at ``known_optimum``, evaluated once for every shifted copy's certificate."""
+        return float(self.evaluate_batch(self.known_optimum[None, :])[0])
+
     def evaluate(self, x) -> float:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if not self.domain.contains(x, atol=1e-12):
@@ -520,7 +525,7 @@ def _certify_shifted(base: BaseObjective, shifts: np.ndarray) -> OptimumCertific
         cand = known + shifts[0]
         if domain.contains(cand, atol=0.0):
             val = float(fn(cand[None, :])[0])
-            if val >= float(base.evaluate_batch(known[None, :])[0]):
+            if val >= base.known_value:
                 return OptimumCertificate(x=cand, value=val, method="shift-translation", probes=1)
     if base.name == "rastrigin":
         return _certify_separable(fn, domain, shifts, -1.0 / base.normalization_max)

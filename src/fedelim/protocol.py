@@ -21,8 +21,9 @@ The driver is synchronous and deterministic: given a suite and a master
 seed, every pull, message and elimination event is reproducible.  A phase or
 step draws its noise once, in ``Client._pull_cells``, which evaluates its new
 cells in one batch and sums each block of equal-count cells in one reduction.
-A client's pull log keeps one segment per cell pulled (the cell, the pull
-count, the reward sum and their shared instant regret), not one per pull.
+The call that exhausts a client draws none: nothing reads its rewards.  A
+client's pull log keeps a segment per cell pulled (cell, pull count, reward
+sum, ``None`` in that last call, and shared instant regret), not one per pull.
 """
 from __future__ import annotations
 
@@ -65,21 +66,26 @@ class PullLog:
     All pulls of a cell in one call share the cell, so a segment is the
     cell, the pull count, the reward sum and the instant regret shared by
     all its pulls.  The rewards themselves are not kept: elimination reads
-    only counts and sums.
+    only counts and sums.  The call that exhausts the client draws no
+    rewards, so its segments' reward sum is ``None``.
     """
 
     def __init__(self):
-        self.segments: list[tuple[NodeId, int, float, float]] = []
+        self.segments: list[tuple[NodeId, int, float | None, float]] = []
+        self._pulls = 0
 
-    def append_batch(self, segments: list[tuple[NodeId, int, float, float]],
-                     rewards: np.ndarray) -> None:
-        """Log one call's segments, in pull order; their pulls are the call's ``rewards``."""
-        if sum(pulls for _, pulls, _, _ in segments) != len(rewards):
-            raise ProtocolFault("segments do not account for every reward of the call")
+    def append_batch(self, segments: list[tuple[NodeId, int, float | None, float]],
+                     steps: range) -> None:
+        """Log one call's segments, in pull order; the call takes the clock ticks ``steps``."""
+        if steps.start != self._pulls:
+            raise ProtocolFault(f"a call at pull {steps.start} does not follow pull {self._pulls}")
+        if sum(pulls for _, pulls, _, _ in segments) != len(steps):
+            raise ProtocolFault("segments do not account for every pull of the call")
         self.segments += segments
+        self._pulls = steps.stop
 
     def __len__(self) -> int:
-        return sum(pulls for _, pulls, _, _ in self.segments)
+        return self._pulls
 
 
 @dataclass
@@ -213,10 +219,11 @@ class Client:
         cannot fill is cut at the budget and exhausts the client; no later
         cell is pulled.  Cells not yet in the run's table are evaluated for
         every client in one batch; each pulled cell then reads only this
-        client's value from it.  A block of consecutive cells with equal
-        pull counts is one (cells x pulls) view of the draw, summed by row:
-        each row reduces exactly as the cell's own slice would.  Each cell's
-        pulls are logged as one segment.
+        client's value from it.  Each cell's pulls are logged as one
+        segment.  A call that exhausts the client, its last, draws no noise:
+        nothing reads its rewards.  Otherwise a block of consecutive cells
+        with equal pull counts is one (cells x pulls) view of the draw,
+        summed by row: each row reduces exactly as the cell's own slice would.
         """
         pulled, left = [], self.budget
         for node, want in zip(nodes, wants):
@@ -235,8 +242,13 @@ class Client:
             centers = [representative(self.suite.domain, node, self.table.spec) for node in new]
             table.update(zip(new, self.suite.eval_clients_batch(np.array(centers)).tolist()))
         values = [table[node][self.m - 1] for node, _ in pulled]
+        steps = range(self.clock, self.clock + self.budget - left)
+        self.clock = steps.stop
+        if self.stage is Stage.EXHAUSTED:
+            segments = [(node, k, None, self.f_star - v) for (node, k), v in zip(pulled, values)]
+            return self.pull_log.append_batch(segments, steps)
         column = np.array(values)
-        rewards = self.suite.noise.draw(self.rng, self.budget - left)
+        rewards = self.suite.noise.draw(self.rng, len(steps))
         sums, offset = [], 0
         for k, block in itertools.groupby(k for _, k in pulled):
             first, r = len(sums), len(list(block))
@@ -251,34 +263,36 @@ class Client:
             if prev is not None:
                 k, total = prev.pulls + k, prev.reward_sum + total
             stats[node] = NodeStats.from_counts(k, total, conf)
-        self.pull_log.append_batch(segments, rewards)
-        self.clock += offset
+        self.pull_log.append_batch(segments, steps)
 
     def _spend_rest(self, frontier: list[NodeId]) -> None:
         """Spend the rest of the budget on the frontier cell of highest own, else parent, mean.
 
         Ties go to the first cell.  Every frontier cell has statistics itself
         or through its parent: it survived the last server round, or is a
-        child of a survivor of the last personal step.
+        child of a survivor of the last personal step.  The client is
+        exhausted before the pull, which thus draws no noise.
         """
         stats, spec = self.stats, self.table.spec
         cell = max(frontier, key=lambda n: stats[n if n in stats else parent(n, spec)].mean)
-        self._pull_cells([cell], [self.budget])
         self.stage = Stage.EXHAUSTED
+        self._pull_cells([cell], [self.budget])
 
     # ---- collaborative stage --------------------------------------------
 
-    def run_stage1_phase(self, active: list[NodeId], per_node_quota: int) -> ClientReport:
+    def run_stage1_phase(self, active: list[NodeId], per_node_quota: int) -> ClientReport | None:
         """Pull every active cell ``per_node_quota`` times, in index order, from one noise draw.
 
         If the budget falls short, the client is exhausted in the middle of
-        the phase and reports only the cells it actually pulled.  A budget
-        that ends exactly with the phase exhausts the client on the first
-        cell of the next phase.
+        the phase, and reports nothing (``None``).  A budget that ends
+        exactly with the phase exhausts the client on the first cell of the
+        next phase.
         """
         if self.stage != Stage.STAGE1:
             raise ProtocolFault(f"client {self.m} cannot sample stage one in stage {self.stage}")
         self._pull_cells(active, [per_node_quota] * len(active))
+        if self.stage is Stage.EXHAUSTED:
+            return None
         entries = {n: (s.mean, s.pulls) for n, s in self._stats_view(active).items()}
         return ClientReport(client=self.m, depth=len(self.protected), entries=entries)
 

@@ -780,7 +780,10 @@ class TestReadmeCommandLine:
 
 class TestInstalledEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # pyproject's pythonpath reaches pytest's process, not its children
         env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "fedelim.cli", "oracle", "--objective", "garland",
              "--clients", "1"],

@@ -1,4 +1,5 @@
 """Objective normalization, suites, the optimum oracle, and the cell census."""
+import dataclasses
 import itertools
 import math
 import sys
@@ -203,6 +204,19 @@ class TestSuite:
         # a row that saturates one coordinate only leaves a copy that varies
         partly = ObjectiveSuite(base, np.array([[4e16, 0.3]]), NoiseModel(0.0))
         assert partly.local_optima[0].method == "grid-zoom"
+
+    def test_the_base_optimum_is_evaluated_once(self, monkeypatch):
+        # every client's translation test compares against the base's value at
+        # its known optimum, one value for every client
+        base = dataclasses.replace(make_base("garland"))  # a copy that has evaluated nothing
+        rows = []
+        evaluate = BaseObjective.evaluate_batch
+        monkeypatch.setattr(BaseObjective, "evaluate_batch",
+                            lambda obj, X: rows.append(len(X)) or evaluate(obj, X))
+        suite = make_suite(base, clients=100, shift_std=0.05, noise_halfwidth=0.0, seed=0)
+        assert all(cert.method == "shift-translation" for cert in suite.local_optima)
+        assert rows == [1] * 101  # one probe per client, and the base's once
+        assert base.known_value == float(evaluate(base, base.known_optimum[None, :])[0])
 
     def test_equal_scales_per_dimension_draw_the_scalar_shifts(self):
         base = make_base("himmelblau")

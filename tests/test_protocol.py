@@ -1,4 +1,5 @@
 """Protocol state machines: stage-one phases, broadcasts, PE, fallback."""
+import dataclasses
 import math
 
 import numpy as np
@@ -30,7 +31,7 @@ from fedelim.partition import (
     node_containing,
     representative,
 )
-from fedelim.protocol import CellTable, Client, Server, Stage, run_protocol
+from fedelim.protocol import CellTable, Client, PullLog, Server, Stage, run_protocol
 from fedelim.seeding import PURPOSE_NOISE, substream
 from pull_helpers import expand_pulls
 
@@ -109,10 +110,12 @@ class TestStage1Phase:
         conf = ConfParams(0.1, 1.0, 0.1, 2)
         client = make_client(suite, conf, SMOOTH)
         active = [NodeId(2, i) for i in range(1, 5)]
-        report = client.run_stage1_phase(active, per_node_quota=1)
+        assert client.run_stage1_phase(active, per_node_quota=1) is None
         assert client.stage is Stage.EXHAUSTED
         assert client.clock == 2
-        assert set(report.entries) == {NodeId(2, 1), NodeId(2, 2)}
+        # the two cells it cut the phase to, logged without a drawn sum
+        assert [segment[:3] for segment in client.pull_log.segments] == [
+            (NodeId(2, 1), 1, None), (NodeId(2, 2), 1, None)]
 
     def test_wrong_stage_fault(self):
         suite = ramp_suite()
@@ -386,20 +389,41 @@ class TestDrivenRuns:
         draw = NoiseModel.draw
         monkeypatch.setattr(NoiseModel, "draw",
                             lambda model, rng, n: draws.append(n) or draw(model, rng, n))
-        calls = []  # (method, pulls, segments, draws) of every call
-        for name in ("run_stage1_phase", "pe_step"):
+        calls = []  # (method, pulls, segments, draws, exhausted after) of every call
+        drawn = {}  # each client's generator state after its last call that drew
+        for name in ("run_stage1_phase", "pe_step", "_spend_rest"):
             def counted(client, *args, method=getattr(Client, name), name=name):
                 clock, segments, start = client.clock, len(client.pull_log.segments), len(draws)
                 out = method(client, *args)
-                calls.append((name, client.clock - clock,
-                              len(client.pull_log.segments) - segments, len(draws) - start))
+                calls.append((name, client.clock - clock, len(client.pull_log.segments) - segments,
+                              len(draws) - start, client.stage is Stage.EXHAUSTED))
+                if len(draws) > start:
+                    drawn[client.m] = client.rng.bit_generator.state
                 return out
             monkeypatch.setattr(Client, name, counted)
-        run(ExperimentConfig(objective="garland", clients=2, horizon=1000, depth_cap=5), 0)
-        assert [taken for *_, taken in calls] == [int(pulls > 0) for _, pulls, *_ in calls]
-        # both stages have calls that pull several cells from their one draw
-        assert {name for name, _, segments, _ in calls if segments > 1} == {
-            "run_stage1_phase", "pe_step"}
+        clients = record_clients(monkeypatch)
+        # At horizon 1000 a pfpne run on garland exhausts its clients in a
+        # stage-one phase; a larger gap moves the transition to depth 2 and
+        # the end into a personal step; a depth cap of 5 leaves budget for
+        # _spend_rest.  Each names the stages with calls that pull several
+        # cells from their one draw.
+        for ending, overrides, stages in [
+                ("run_stage1_phase", {}, {"run_stage1_phase"}),
+                ("pe_step", {"delta_gap": 0.3}, {"run_stage1_phase", "pe_step"}),
+                ("_spend_rest", {"depth_cap": 5}, {"run_stage1_phase", "pe_step"})]:
+            calls.clear()
+            clients.clear()
+            drawn.clear()
+            run(ExperimentConfig(objective="garland", clients=2, horizon=1000, **overrides), 0)
+            # a call that pulls draws once, unless it exhausts the client: then it draws nothing
+            assert [taken for _, _, _, taken, _ in calls] == [
+                int(pulls > 0 and not exhausted) for _, pulls, _, _, exhausted in calls], ending
+            # each client's one exhausting call pulls, and ends its run as named
+            assert [(name, pulls > 0) for name, pulls, *_, exhausted in calls if exhausted] == [
+                (ending, True)] * 2
+            assert [c.rng.bit_generator.state for c in clients] == [drawn[1], drawn[2]], ending
+            assert {name for name, _, segments, taken, _ in calls
+                    if segments > 1 and taken} == stages, ending
 
     @pytest.mark.parametrize("variant, depth_cap, message", [
         ("centralized", 40, "unknown variant 'centralized'"),
@@ -611,9 +635,10 @@ class TestBudgetEnds:
         assert [c.clock for c in clients] == [horizon, horizon]
 
     def test_clients_exhausting_in_different_phases_fault(self, monkeypatch):
-        # Client 2 starts one pull down, so it falls short in the last phase
+        # Client 2 has one pull less, so it falls short in the last phase
         # that client 1 completes exactly.
-        record_clients(monkeypatch, lambda c: setattr(c, "clock", 1) if c.m == 2 else None)
+        shorter = lambda c: setattr(c, "conf", dataclasses.replace(c.conf, horizon_T=22))
+        record_clients(monkeypatch, lambda c: shorter(c) if c.m == 2 else None)
         with pytest.raises(ProtocolFault, match="clients exhausted asynchronously in stage one"):
             run(two_client_config(23), 0)
 
@@ -701,6 +726,7 @@ class TestBlockedPulls:
         (1300, [500, 500, 130, 130, 130, 7000], [500, 500, 130, 130, 40], True),  # cut in a block
         (3000, [500, 500, TAU_SATURATED, 3], [500, 500, 2000], True),  # saturated: the rest
         (9000, [40, 0, 40, -2, 40, 40], [40, 0, 40, 0, 40, 40], False),  # skipped cells
+        (9000, [500, 500, 130, 130, 40], [500, 500, 130, 130, 40], False),  # a short last block
     ])
     def test_pull_cells_matches_a_per_cell_reference(self, horizon, wants, counts, exhausted):
         suite = make_suite(make_base("garland"), clients=3, shift_std=0.05,
@@ -708,11 +734,37 @@ class TestBlockedPulls:
         conf = ConfParams(0.1, 1.0, 0.1, horizon)
         nodes = [NodeId(3, i) for i in (2, 3, 5, 6, 7, 8)]
         client = make_client(suite, conf, SMOOTH, m=2, seed=4)
+        state = client.rng.bit_generator.state
         client._pull_cells(nodes, wants)
         pulled = [(node, n) for node, n in zip(nodes, counts) if n]
         expected = per_cell_pulls(suite, 2, 4, *zip(*pulled))
-        assert client.pull_log.segments == expected
-        assert client.stats == {node: NodeStats.from_counts(n, total, conf)
-                                for node, n, total, _ in expected}
+        if exhausted:  # the client's last call: no draw, no sum, no statistics
+            assert client.pull_log.segments == [(node, n, None, regret)
+                                                 for node, n, _, regret in expected]
+            assert client.stats == {}
+            assert client.rng.bit_generator.state == state
+        else:
+            assert client.pull_log.segments == expected
+            assert client.stats == {node: NodeStats.from_counts(n, total, conf)
+                                    for node, n, total, _ in expected}
         assert client.clock == sum(counts)
         assert client.stage is (Stage.EXHAUSTED if exhausted else Stage.STAGE1)
+
+
+class TestPullLogSteps:
+    @pytest.mark.parametrize("start", [4, 6], ids=["overlap", "gap"])
+    def test_a_call_must_continue_the_log(self, start):
+        log = PullLog()
+        log.append_batch([(ROOT, 5, 2.5, 0.1)], range(5))
+        with pytest.raises(ProtocolFault, match=f"a call at pull {start} does not follow pull 5"):
+            log.append_batch([(ROOT, 2, None, 0.1)], range(start, start + 2))
+        assert len(log) == 5 and log.segments == [(ROOT, 5, 2.5, 0.1)]
+        log.append_batch([(ROOT, 2, None, 0.1)], range(5, 7))
+        assert len(log) == 7
+
+    @pytest.mark.parametrize("stop", [2, 4], ids=["short", "long"])
+    def test_segments_must_account_for_every_pull_of_the_call(self, stop):
+        log = PullLog()
+        with pytest.raises(ProtocolFault, match="segments do not account for every pull"):
+            log.append_batch([(ROOT, 3, 1.5, 0.1)], range(stop))
+        assert len(log) == 0 and log.segments == []
