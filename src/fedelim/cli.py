@@ -20,7 +20,7 @@ import os
 import sys
 import types
 import typing
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from pathlib import Path
 
 from .fedcore import ProtocolFault
@@ -281,7 +281,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"fedelim: config error: {exc}", file=sys.stderr)
         return 2
-    except (OracleFailure, ProtocolFault, ValueError, OSError, MemoryError) as exc:
+    except (OracleFailure, ProtocolFault, ValueError, OSError, MemoryError,
+            BrokenExecutor) as exc:  # BrokenExecutor: a pool worker died
         print(f"fedelim: runtime fault: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 

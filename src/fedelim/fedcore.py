@@ -89,10 +89,17 @@ class NodeStats:
     bound: float
 
     @classmethod
-    def from_counts(cls, pulls: int, reward_sum: float, conf: ConfParams) -> "NodeStats":
+    def from_counts(cls, pulls: int, reward_sum: float, conf: ConfParams,
+                    bounds: dict[int, float] | None = None) -> "NodeStats":
+        """``bounds``, if given, caches ``confidence_bound`` under ``conf`` by pull count."""
         if pulls < 1:
             raise ValueError("local statistics need at least one pull")
-        return cls(pulls, reward_sum, reward_sum / pulls, confidence_bound(pulls, conf))
+        if bounds is None:
+            return cls(pulls, reward_sum, reward_sum / pulls, confidence_bound(pulls, conf))
+        bound = bounds.get(pulls)
+        if bound is None:
+            bound = bounds[pulls] = confidence_bound(pulls, conf)
+        return cls(pulls, reward_sum, reward_sum / pulls, bound)
 
 
 @dataclass

@@ -483,6 +483,7 @@ class NoiseModel:
 
     A draw is ``rng.uniform(-h, h, n)`` bit for bit: the same ``low + range * u`` on the
     same doubles of ``rng.random``, computed in place without ``uniform``'s per-element call.
+    It fills ``out``, a float array of ``n`` doubles, when one is given.
     """
 
     halfwidth: float
@@ -492,11 +493,14 @@ class NoiseModel:
         if not 0 <= 2 * self.halfwidth < math.inf:
             raise ValueError("noise halfwidth must be nonnegative, with 2 * halfwidth finite")
 
-    def draw(self, rng: np.random.Generator, n: int) -> np.ndarray:
+    def draw(self, rng: np.random.Generator, n: int, out: np.ndarray | None = None) -> np.ndarray:
         h = self.halfwidth
+        if out is None:
+            out = np.empty(n)
         if h == 0.0:  # the only path for -0.0: numpy rejects uniform(0.0, -0.0)
-            return np.zeros(n)
-        out = rng.random(n)
+            out.fill(0.0)
+            return out
+        rng.random(out=out)
         out *= h - -h
         out += -h
         return out

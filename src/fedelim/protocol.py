@@ -18,12 +18,18 @@ be eliminated.  A cell thus disappears for a client only after failing both
 the collaborative test and a personal test on the client's own rewards.
 
 The driver is synchronous and deterministic: given a suite and a master
-seed, every pull, message and elimination event is reproducible.  A phase or
-step draws its noise once, in ``Client._pull_cells``, which evaluates its new
-cells in one batch and sums each block of equal-count cells in one reduction.
-The call that exhausts a client draws none: nothing reads its rewards.  A
-client's pull log keeps a segment per cell pulled (cell, pull count, reward
-sum, ``None`` in that last call, and shared instant regret), not one per pull.
+seed, every pull, message and elimination event is reproducible.  Clients
+take the same steps side by side, so ``run_protocol`` steps them together:
+each stage-one round and each personal depth is one *cohort*, one call per
+client, pulled by ``pull_cohort``, the one pull path.  It evaluates the
+cohort's new cells in one batch, draws each client's noise once from the
+client's own generator into a shared buffer, and sums each run of
+equal-count cells in one reduction.  The call that exhausts a client draws
+none: nothing reads its rewards.  The one-client methods
+(``Client._pull_cells``, ``run_stage1_phase``, ``pe_step``, ``run_pe``) are
+the cohort of one.  A client's pull log keeps a segment per cell pulled
+(cell, pull count, reward sum, ``None`` in that last call, and shared
+instant regret), not one per pull.
 """
 from __future__ import annotations
 
@@ -116,7 +122,7 @@ class CellTable:
     """A run's partition and what it knows of each cell, shared by the server and every client.
 
     Each entry is made once.  ``values``: every client's value at the cell's
-    center, filled by ``Client._pull_cells``.  ``children``: the cell's
+    center, filled by ``pull_cohort``.  ``children``: the cell's
     children, built by ``partition.children`` when it is first expanded.
     """
 
@@ -213,57 +219,8 @@ class Client:
     # ---- shared pull machinery ------------------------------------------
 
     def _pull_cells(self, nodes: list[NodeId], wants: list[int]) -> None:
-        """Pull each cell up to its want, in order, from one noise draw.
-
-        A want of zero or less pulls nothing.  The first cell the budget
-        cannot fill is cut at the budget and exhausts the client; no later
-        cell is pulled.  Cells not yet in the run's table are evaluated for
-        every client in one batch; each pulled cell then reads only this
-        client's value from it.  Each cell's pulls are logged as one
-        segment.  A call that exhausts the client, its last, draws no noise:
-        nothing reads its rewards.  Otherwise a block of consecutive cells
-        with equal pull counts is one (cells x pulls) view of the draw,
-        summed by row: each row reduces exactly as the cell's own slice would.
-        """
-        pulled, left = [], self.budget
-        for node, want in zip(nodes, wants):
-            k = min(want, left) if want > 0 else 0  # Python ints: a want may be TAU_SATURATED
-            if k:
-                pulled.append((node, k))
-            left -= k
-            if k < want:
-                self.stage = Stage.EXHAUSTED
-                break
-        if not pulled:
-            return
-        table = self.table.values
-        new = [node for node, _ in pulled if node not in table]
-        if new:
-            centers = [representative(self.suite.domain, node, self.table.spec) for node in new]
-            table.update(zip(new, self.suite.eval_clients_batch(np.array(centers)).tolist()))
-        values = [table[node][self.m - 1] for node, _ in pulled]
-        steps = range(self.clock, self.clock + self.budget - left)
-        self.clock = steps.stop
-        if self.stage is Stage.EXHAUSTED:
-            segments = [(node, k, None, self.f_star - v) for (node, k), v in zip(pulled, values)]
-            return self.pull_log.append_batch(segments, steps)
-        column = np.array(values)
-        rewards = self.suite.noise.draw(self.rng, len(steps))
-        sums, offset = [], 0
-        for k, block in itertools.groupby(k for _, k in pulled):
-            first, r = len(sums), len(list(block))
-            rows = rewards[offset:offset + r * k].reshape(r, k)
-            rows += column[first:first + r, None]  # in place: one array per call
-            sums += rows.sum(axis=1).tolist()
-            offset += r * k
-        stats, conf, f_star, segments = self.stats, self.conf, self.f_star, []
-        for (node, k), value, total in zip(pulled, values, sums):
-            segments.append((node, k, total, f_star - value))
-            prev = stats.get(node)
-            if prev is not None:
-                k, total = prev.pulls + k, prev.reward_sum + total
-            stats[node] = NodeStats.from_counts(k, total, conf)
-        self.pull_log.append_batch(segments, steps)
+        """Pull each cell up to its want, in order: ``pull_cohort`` of this client alone."""
+        pull_cohort([(self, nodes, wants)])
 
     def _spend_rest(self, frontier: list[NodeId]) -> None:
         """Spend the rest of the budget on the frontier cell of highest own, else parent, mean.
@@ -281,16 +238,11 @@ class Client:
     # ---- collaborative stage --------------------------------------------
 
     def run_stage1_phase(self, active: list[NodeId], per_node_quota: int) -> ClientReport | None:
-        """Pull every active cell ``per_node_quota`` times, in index order, from one noise draw.
+        """This client's stage-one phase: ``stage1_cohort`` of this client alone."""
+        return stage1_cohort([self], active, per_node_quota)[0]
 
-        If the budget falls short, the client is exhausted in the middle of
-        the phase, and reports nothing (``None``).  A budget that ends
-        exactly with the phase exhausts the client on the first cell of the
-        next phase.
-        """
-        if self.stage != Stage.STAGE1:
-            raise ProtocolFault(f"client {self.m} cannot sample stage one in stage {self.stage}")
-        self._pull_cells(active, [per_node_quota] * len(active))
+    def _report(self, active: list[NodeId]) -> ClientReport | None:
+        """The phase's upload, (mean, pulls) per active cell; ``None`` once exhausted."""
         if self.stage is Stage.EXHAUSTED:
             return None
         entries = {n: (s.mean, s.pulls) for n, s in self._stats_view(active).items()}
@@ -321,17 +273,16 @@ class Client:
         return {node: self.stats[node] for node in nodes if node in self.stats}
 
     def pe_step(self) -> None:
-        """One personal depth: settle, top up unprotected cells, eliminate, expand.
+        """One personal depth: ``pe_cohort`` of this client alone."""
+        pe_cohort([self])
 
-        Protected cells keep their broadcast statistics, still compete for
-        the best-cell slot, and are exempt from both sampling and
-        elimination.  A cell the server eliminated at this depth is first
-        tested on the client's own stage-one pulls against the best
-        protected cell; if that test eliminates it, it is settled without a
-        top-up.  Every other unprotected cell is topped up to the depth
-        threshold, stage-one pulls counting toward it, from one noise draw.
-        A budget that falls short exhausts the client there, before the
-        depth's elimination; every step completed names its best cell.
+    def _pe_plan(self) -> tuple[list[NodeId], list[int], set[NodeId]]:
+        """A personal step up to its pulls: the cells to top up, their wants, the settled cells.
+
+        A cell the server eliminated at this depth is tested on the client's
+        own stage-one pulls against the best protected cell; if that test
+        eliminates it, it is settled without a top-up.  Every other
+        unprotected cell wants the depth threshold, less its stage-one pulls.
         """
         h, stats = self.pe_depth, self.stats
         prot = self.protected.get(h, frozenset())
@@ -341,18 +292,18 @@ class Client:
         if prot:
             # Unprotected cells with stage-one pulls are exactly the cells the
             # server eliminated at depth h.
-            view = self._stats_view(self.local_active)
-            ref = select_best({n: view[n] for n in prot})
-            settled = eliminate(view, [n for n in to_sample if n in view], ref, h, self.smooth)
+            ref = select_best({n: stats[n] for n in prot})
+            settled = eliminate(stats, [n for n in to_sample if n in stats], ref, h, self.smooth)
             to_sample = [n for n in to_sample if n not in settled]
-        self._pull_cells(to_sample, [tau_h - stats[n].pulls if n in stats else tau_h
-                                     for n in to_sample])
-        if self.stage is Stage.EXHAUSTED:
-            return
-        view = self._stats_view(self.local_active)
-        best = select_best(view)
-        removed = settled | eliminate(view, to_sample, best, h, self.smooth)
-        if not prot.isdisjoint(removed):
+        wants = [tau_h - stats[n].pulls if n in stats else tau_h for n in to_sample]
+        return to_sample, wants, settled
+
+    def _pe_finish(self, sampled: list[NodeId], settled: set[NodeId]) -> None:
+        """Finish a personal step the budget covered: best cell, elimination, event, expansion."""
+        h = self.pe_depth
+        best = select_best(self._stats_view(self.local_active))
+        removed = settled | eliminate(self.stats, sampled, best, h, self.smooth)
+        if not self.protected.get(h, frozenset()).isdisjoint(removed):
             raise ProtocolFault(f"client {self.m} eliminated protected nodes at depth {h}")
         survivors = tuple(n for n in self.local_active if n not in removed)
         self.pe_events.append(EliminationEvent(h, best, frozenset(removed), survivors))
@@ -360,21 +311,168 @@ class Client:
         self.pe_depth += 1
 
     def run_pe(self, depth_cap: int) -> None:
-        """Personal steps down to ``depth_cap``, then the rest of the budget on the best cell.
-
-        A step that exhausts the client ends the personal stage there.  At
-        least one step runs, so ``_spend_rest`` finds statistics for every cell.
-        """
-        while self.stage is Stage.PE and self.pe_depth < depth_cap:
-            self.pe_step()
-        if self.stage is Stage.PE:
-            self._spend_rest(self.local_active)
+        """This client's personal stage: ``run_pe_cohort`` of this client alone."""
+        run_pe_cohort([self], depth_cap)
 
     def finish_stage1_only(self) -> None:
         """No personal stage: the rest of the budget goes to the server's best last survivor."""
         if not self.protected:
             raise ProtocolFault(f"client {self.m} finished stage one without a server round")
         self._spend_rest(sorted(self.protected[max(self.protected)]))
+
+
+# Consecutive drawing calls of a cohort share one noise buffer of at most this
+# many doubles; a longer call gets an array of its own.
+BUFFER_DOUBLES = 1 << 16
+
+
+def pull_cohort(calls: list[tuple[Client, list[NodeId], list[int]]]) -> None:
+    """The one pull path: each ``(client, nodes, wants)`` call pulls its cells up to their wants.
+
+    The calls are one stage-one round's or one personal depth's, one per
+    client of one run.  A want of zero or less pulls nothing.  The first
+    cell a client's budget cannot fill is cut at the budget and exhausts the
+    client; no later cell is pulled.  New cells are evaluated for every
+    client in one batch.  Each cell's pulls are one segment, each call's
+    segments one ``PullLog.append_batch``.  A call that exhausts its
+    client, its last, draws no noise: nothing reads its rewards, so its
+    reward sums are ``None``.  The other calls draw from their own clients'
+    generators, in call order, into buffers of at most ``BUFFER_DOUBLES``
+    doubles (``_draw_and_sum``).  Statistics take one ``confidence_bound``
+    per distinct pull count.
+    """
+    planned = []  # (client, cells, their pulls, total) of each call that pulls
+    for client, nodes, wants in calls:
+        left, n = client.budget, sum(wants)
+        if wants and min(wants) > 0 and n <= left:  # the usual call: every want in full
+            planned.append((client, nodes, wants, n))
+            continue
+        cells, ks = [], []
+        for node, want in zip(nodes, wants):
+            k = min(want, left) if want > 0 else 0  # Python ints: a want may be TAU_SATURATED
+            if k:
+                cells.append(node)
+                ks.append(k)
+            left -= k
+            if k < want:
+                client.stage = Stage.EXHAUSTED
+                break
+        if cells:
+            planned.append((client, cells, ks, client.budget - left))
+    if not planned:
+        return
+    table, suite = planned[0][0].table, planned[0][0].suite
+    values = table.values
+    new = dict.fromkeys(node for _, cells, _, _ in planned for node in cells if node not in values)
+    if new:
+        centers = [representative(suite.domain, node, table.spec) for node in new]
+        values.update(zip(new, suite.eval_clients_batch(np.array(centers)).tolist()))
+    drawing = []  # (client, cells, pulls, cell values, clock ticks) of each call that draws
+    for client, cells, ks, n in planned:
+        cell_values = [values[node][client.m - 1] for node in cells]
+        steps = range(client.clock, client.clock + n)
+        client.clock = steps.stop
+        if client.stage is Stage.EXHAUSTED:
+            f_star = client.f_star
+            client.pull_log.append_batch([(node, k, None, f_star - v)
+                                          for node, k, v in zip(cells, ks, cell_values)], steps)
+        else:
+            drawing.append((client, cells, ks, cell_values, steps))
+
+    sums, group, size = [], [], 0
+    for call in drawing:
+        if group and size + len(call[4]) > BUFFER_DOUBLES:
+            sums += _draw_and_sum(group, size, suite.noise)
+            group, size = [], 0
+        group.append(call)
+        size += len(call[4])
+    if group:
+        sums += _draw_and_sum(group, size, suite.noise)
+
+    bounds, conf, first = {}, None, 0
+    for client, cells, ks, cell_values, steps in drawing:
+        if client.conf is not conf:
+            bounds, conf = {}, client.conf
+        stats, f_star, segments = client.stats, client.f_star, []
+        for node, k, value, total in zip(cells, ks, cell_values, sums[first:first + len(cells)]):
+            segments.append((node, k, total, f_star - value))
+            prev = stats.get(node)
+            if prev is not None:
+                k, total = prev.pulls + k, prev.reward_sum + total
+            stats[node] = NodeStats.from_counts(k, total, conf, bounds)
+        first += len(cells)
+        client.pull_log.append_batch(segments, steps)
+
+
+def _draw_and_sum(group: list, size: int, noise) -> list[float]:
+    """The reward sums of ``group``'s cells, in order, from one buffer of ``size`` doubles.
+
+    Each call draws its slice from its own client's generator.  A run of
+    consecutive equal-count cells, across calls, is one (cells x pulls) view
+    of the buffer, summed by row: each row reduces exactly as the cell's own
+    slice would.
+    """
+    rewards, offset = np.empty(size), 0
+    for client, _, _, _, steps in group:
+        noise.draw(client.rng, len(steps), out=rewards[offset:offset + len(steps)])
+        offset += len(steps)
+    column = np.array(list(itertools.chain.from_iterable(call[3] for call in group)))
+    sums, offset = [], 0
+    for k, block in itertools.groupby(itertools.chain.from_iterable(call[2] for call in group)):
+        first, r = len(sums), len(list(block))
+        rows = rewards[offset:offset + r * k].reshape(r, k)
+        rows += column[first:first + r, None]  # in place: one array per buffer
+        sums += rows.sum(axis=1).tolist()
+        offset += r * k
+    return sums
+
+
+def stage1_cohort(clients: list[Client], active: list[NodeId],
+                  per_node_quota: int) -> list[ClientReport | None]:
+    """One stage-one round: every client pulls every active cell ``per_node_quota`` times.
+
+    The pulls are one ``pull_cohort``, each client's in index order.  A
+    client whose budget falls short is exhausted in the middle of the
+    phase, and reports nothing (``None``).  A budget that ends exactly with
+    the phase exhausts the client on the first cell of the next phase.
+    """
+    for client in clients:
+        if client.stage != Stage.STAGE1:
+            raise ProtocolFault(
+                f"client {client.m} cannot sample stage one in stage {client.stage}")
+    wants = [per_node_quota] * len(active)
+    pull_cohort([(client, active, wants) for client in clients])
+    return [client._report(active) for client in clients]
+
+
+def pe_cohort(clients: list[Client]) -> None:
+    """One personal depth for every client: settle, top up unprotected cells, eliminate, expand.
+
+    Protected cells keep their broadcast statistics, still compete for the
+    best-cell slot, and are exempt from both sampling and elimination.  The
+    top-ups of all clients are one ``pull_cohort``.  A budget that falls
+    short exhausts its client there, before the depth's elimination; every
+    step completed names its best cell.
+    """
+    plans = [client._pe_plan() for client in clients]
+    pull_cohort([(client, nodes, wants) for client, (nodes, wants, _) in zip(clients, plans)])
+    for client, (nodes, _, settled) in zip(clients, plans):
+        if client.stage is not Stage.EXHAUSTED:
+            client._pe_finish(nodes, settled)
+
+
+def run_pe_cohort(clients: list[Client], depth_cap: int) -> None:
+    """Personal steps to ``depth_cap``, one ``pe_cohort`` per depth, then each rest on one cell.
+
+    A step that exhausts a client ends its personal stage there.  At least
+    one step runs, so ``_spend_rest`` finds statistics for every cell.
+    """
+    stepping = clients
+    while stepping := [c for c in stepping if c.stage is Stage.PE and c.pe_depth < depth_cap]:
+        pe_cohort(stepping)
+    for client in clients:
+        if client.stage is Stage.PE:
+            client._spend_rest(client.local_active)
 
 
 @dataclass
@@ -407,11 +505,13 @@ def run_protocol(suite: ObjectiveSuite, spec: PartitionSpec, conf: ConfParams,
     depth of ``smooth`` capped at ``depth_cap`` for ``pfpne``, ``depth_cap``
     for ``global-only`` and 0 for ``local-only``.  Every variant but
     ``global-only`` has a personal stage, and ``h0 = 0`` with one means no
-    round at all.  Clients' schedules are identical, so a phase leaves them
-    all ``STAGE1`` or all ``EXHAUSTED``, which ends the run before the server
+    round at all.  Each round's phases are one ``stage1_cohort`` of every
+    client.  Clients' schedules are identical, so a round leaves them all
+    ``STAGE1`` or all ``EXHAUSTED``, which ends the run before the server
     step.  After the last round, a personal stage moves ``STAGE1`` clients
-    to ``PE`` (personal elimination down to ``depth_cap``); without one they
-    spend their budget on the server's best cell.  Every client ends ``EXHAUSTED``.
+    to ``PE``, and ``run_pe_cohort`` steps them together, one ``pe_cohort``
+    per depth, down to ``depth_cap``; without one they spend their budget
+    on the server's best cell.  Every client ends ``EXHAUSTED``.
     ``depth_cap`` must be at least 1, as ``ExperimentConfig`` requires.
     """
     if variant not in VARIANTS:
@@ -432,7 +532,7 @@ def run_protocol(suite: ObjectiveSuite, spec: PartitionSpec, conf: ConfParams,
 
     while clients[0].stage is Stage.STAGE1 and server.depth < rounds:
         per_node = quota(tau(server.depth, conf, smooth), m_count)
-        reports = [client.run_stage1_phase(server.active, per_node) for client in clients]
+        reports = stage1_cohort(clients, server.active, per_node)
         if len({c.stage for c in clients}) != 1:
             raise ProtocolFault("clients exhausted asynchronously in stage one")
         if clients[0].stage is Stage.EXHAUSTED:
@@ -444,10 +544,9 @@ def run_protocol(suite: ObjectiveSuite, spec: PartitionSpec, conf: ConfParams,
     for client in clients:
         if client.stage is Stage.STAGE1 and pe_enabled:
             client.enter_pe()
-        if client.stage is Stage.PE:
-            client.run_pe(depth_cap)
         elif client.stage is Stage.STAGE1:
             client.finish_stage1_only()
+    run_pe_cohort(clients, depth_cap)
 
     for client in clients:
         if client.clock != conf.horizon_T:

@@ -30,6 +30,11 @@ from fedelim.cli import (
 from fedelim.harness import ConfigError, ExperimentConfig
 from test_objectives import CENSUS_COUNTS
 
+def dying_run(payload):
+    """A pool task whose worker process dies at once; a pool pickles it by name."""
+    os._exit(7)
+
+
 TINY_CONFIG = """
 [experiment]
 objective = garland
@@ -431,6 +436,17 @@ class TestRunCommand:
         assert code == 3
         assert err.startswith("fedelim: runtime fault:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_dead_pool_worker_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch):
+        # A worker that dies, as one the OOM killer takes, breaks the pool.
+        monkeypatch.setenv("FEDELIM_THREADS", "2")
+        monkeypatch.setattr(cli, "_run_one", dying_run)
+        argv = ["run", "--objective", "garland", "--clients", "2", "--horizon", "100",
+                "--runs", "2", "--out", str(tmp_path)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "fedelim: runtime fault: A process in the process pool was terminated abruptly "
+            "while the future was running or pending.\n")
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_out_of_memory_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch, threads):

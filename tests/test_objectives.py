@@ -371,6 +371,17 @@ class TestSampling:
                 assert out.tobytes() == ref.uniform(-halfwidth, halfwidth, n).tobytes()
                 assert rng.bit_generator.state == ref.bit_generator.state
 
+    @pytest.mark.parametrize("halfwidth", [0.1, 0.0, -0.0])
+    def test_draw_into_a_buffer_slice_is_the_plain_draw(self, halfwidth):
+        # A cohort's calls draw into consecutive slices of one buffer.
+        buffer = np.full(70_000, np.nan)
+        for seed, (start, n) in enumerate([(0, 1), (3, 9), (17, 65_537)]):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = NoiseModel(halfwidth).draw(rng, n, out=buffer[start:start + n])
+            assert out.base is buffer
+            assert out.tobytes() == NoiseModel(halfwidth).draw(ref, n).tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
+
     @pytest.mark.parametrize("halfwidth", [0.0, -0.0])
     def test_zero_halfwidth_draws_zeros_and_leaves_the_generator(self, halfwidth):
         rng = np.random.default_rng(3)

@@ -19,7 +19,9 @@ from fedelim.fedcore import (
     quota,
     select_best,
     tau,
+    transition_depth,
 )
+from fedelim import protocol
 from fedelim.harness import ExperimentConfig, run
 from fedelim.objectives import BaseObjective, NoiseModel, ORIENT_VALUE, make_base, make_suite
 from fedelim.partition import (
@@ -385,22 +387,41 @@ class TestDrivenRuns:
         assert all(events for events in result.client_events)
 
     def test_one_noise_draw_per_phase_and_per_sampling_step(self, monkeypatch):
-        draws = []
+        draws = []  # the generator of every draw, in draw order
+        drawn = {}  # each generator's state after its last draw
         draw = NoiseModel.draw
-        monkeypatch.setattr(NoiseModel, "draw",
-                            lambda model, rng, n: draws.append(n) or draw(model, rng, n))
-        calls = []  # (method, pulls, segments, draws, exhausted after) of every call
-        drawn = {}  # each client's generator state after its last call that drew
-        for name in ("run_stage1_phase", "pe_step", "_spend_rest"):
-            def counted(client, *args, method=getattr(Client, name), name=name):
-                clock, segments, start = client.clock, len(client.pull_log.segments), len(draws)
-                out = method(client, *args)
-                calls.append((name, client.clock - clock, len(client.pull_log.segments) - segments,
-                              len(draws) - start, client.stage is Stage.EXHAUSTED))
-                if len(draws) > start:
-                    drawn[client.m] = client.rng.bit_generator.state
-                return out
-            monkeypatch.setattr(Client, name, counted)
+
+        def counted_draw(model, rng, n, **kwargs):
+            out = draw(model, rng, n, **kwargs)
+            draws.append(rng)
+            drawn[id(rng)] = rng.bit_generator.state
+            return out
+
+        monkeypatch.setattr(NoiseModel, "draw", counted_draw)
+        stage = []  # the stage function each cohort is pulled for, innermost last
+        for owner, name in ((protocol, "stage1_cohort"), (protocol, "pe_cohort"),
+                            (Client, "_spend_rest")):
+            def named(*args, method=getattr(owner, name), name=name):
+                stage.append(name)
+                try:
+                    return method(*args)
+                finally:
+                    stage.pop()
+            monkeypatch.setattr(owner, name, named)
+        calls = []  # (stage, pulls, segments, own draws, exhausted after) of each client's call
+        pull = protocol.pull_cohort
+
+        def counted_pull(cohort):
+            before = [(client.clock, len(client.pull_log.segments)) for client, _, _ in cohort]
+            start = len(draws)
+            pull(cohort)
+            for (client, _, _), (clock, segments) in zip(cohort, before):
+                calls.append((stage[-1], client.clock - clock,
+                              len(client.pull_log.segments) - segments,
+                              sum(rng is client.rng for rng in draws[start:]),
+                              client.stage is Stage.EXHAUSTED))
+
+        monkeypatch.setattr(protocol, "pull_cohort", counted_pull)
         clients = record_clients(monkeypatch)
         # At horizon 1000 a pfpne run on garland exhausts its clients in a
         # stage-one phase; a larger gap moves the transition to depth 2 and
@@ -408,20 +429,24 @@ class TestDrivenRuns:
         # _spend_rest.  Each names the stages with calls that pull several
         # cells from their one draw.
         for ending, overrides, stages in [
-                ("run_stage1_phase", {}, {"run_stage1_phase"}),
-                ("pe_step", {"delta_gap": 0.3}, {"run_stage1_phase", "pe_step"}),
-                ("_spend_rest", {"depth_cap": 5}, {"run_stage1_phase", "pe_step"})]:
+                ("stage1_cohort", {}, {"stage1_cohort"}),
+                ("pe_cohort", {"delta_gap": 0.3}, {"stage1_cohort", "pe_cohort"}),
+                ("_spend_rest", {"depth_cap": 5}, {"stage1_cohort", "pe_cohort"})]:
             calls.clear()
             clients.clear()
+            draws.clear()
             drawn.clear()
             run(ExperimentConfig(objective="garland", clients=2, horizon=1000, **overrides), 0)
-            # a call that pulls draws once, unless it exhausts the client: then it draws nothing
+            # a call that pulls draws once from its own client's generator,
+            # unless it exhausts the client: then it draws nothing
             assert [taken for _, _, _, taken, _ in calls] == [
                 int(pulls > 0 and not exhausted) for _, pulls, _, _, exhausted in calls], ending
+            assert len(draws) == sum(taken for _, _, _, taken, _ in calls), ending
             # each client's one exhausting call pulls, and ends its run as named
             assert [(name, pulls > 0) for name, pulls, *_, exhausted in calls if exhausted] == [
                 (ending, True)] * 2
-            assert [c.rng.bit_generator.state for c in clients] == [drawn[1], drawn[2]], ending
+            assert [c.rng.bit_generator.state for c in clients] == [
+                drawn[id(c.rng)] for c in clients], ending
             assert {name for name, _, segments, taken, _ in calls
                     if segments > 1 and taken} == stages, ending
 
@@ -768,3 +793,101 @@ class TestPullLogSteps:
         with pytest.raises(ProtocolFault, match="segments do not account for every pull"):
             log.append_batch([(ROOT, 3, 1.5, 0.1)], range(stop))
         assert len(log) == 0 and log.segments == []
+
+
+def step_alone(suite, spec, conf, smooth, variant, depth_cap, seed):
+    """``run_protocol``'s schedule, each client stepped alone through the one-client methods.
+
+    Returns the clients and the server.
+    """
+    if variant == "pfpne":
+        h0 = min(transition_depth(smooth), depth_cap)
+    else:
+        h0 = depth_cap if variant == "global-only" else 0
+    rounds = h0 + 1 if h0 or variant == "global-only" else 0
+    table = CellTable(spec)
+    clients = [Client(m, suite, table, conf, smooth, substream(seed, PURPOSE_NOISE, m))
+               for m in range(1, suite.clients + 1)]
+    server = Server(table, conf, smooth, suite.clients)
+    while clients[0].stage is Stage.STAGE1 and server.depth < rounds:
+        per_node = quota(tau(server.depth, conf, smooth), suite.clients)
+        reports = [client.run_stage1_phase(server.active, per_node) for client in clients]
+        if clients[0].stage is Stage.EXHAUSTED:
+            break
+        broadcast = server.step(reports, clock=clients[0].clock)
+        for client in clients:
+            client.absorb_broadcast(broadcast)
+    for client in clients:
+        if client.stage is Stage.STAGE1 and variant != "global-only":
+            client.enter_pe()
+        if client.stage is Stage.PE:
+            client.run_pe(depth_cap)
+        elif client.stage is Stage.STAGE1:
+            client.finish_stage1_only()
+    return clients, server
+
+
+def client_record(client):
+    return (client.pull_log.segments, client.stats, client.pe_events,
+            client.rng.bit_generator.state, client.clock, client.stage_transition_t)
+
+
+class TestCohortSteps:
+    """``run_protocol`` steps a round's or depth's clients at once; alone, each ends the same."""
+
+    def run_both(self, monkeypatch, config, seed=1):
+        """The clients of ``run`` on ``config``, and those of ``step_alone`` on the same suite."""
+        clients = record_clients(monkeypatch)
+        metrics = run(config, seed)
+        driven = list(clients)
+        alone, server = step_alone(metrics.suite, config.spec, config.conf, config.smooth,
+                                   config.variant, config.depth_cap, seed)
+        assert server.comm_rounds == metrics.comm_rounds
+        assert [client_record(c) for c in driven] == [client_record(c) for c in alone]
+        return driven
+
+    # At these horizons, 20 clients with noise exhaust at personal depths 7 and 8.
+    @pytest.mark.parametrize("noise", [0.1, 0.0, -0.0], ids=["noisy", "zero", "negative-zero"])
+    @pytest.mark.parametrize("variant", ["pfpne", "global-only", "local-only"])
+    @pytest.mark.parametrize("clients", [1, 3, 20])
+    @pytest.mark.parametrize("objective, horizon", [("garland", 20000), ("himmelblau", 60000)])
+    def test_cohort_steps_match_clients_stepped_alone(self, objective, horizon, clients, variant,
+                                                     noise, monkeypatch):
+        config = ExperimentConfig(objective=objective, clients=clients, horizon=horizon,
+                                  variant=variant, noise=noise, seeds=(1,))
+        driven = self.run_both(monkeypatch, config)
+        if noise == 0.0:  # no step touches a generator
+            assert [c.rng.bit_generator.state for c in driven] == [
+                substream(1, PURPOSE_NOISE, c.m).bit_generator.state for c in driven]
+        elif clients == 20 and variant != "global-only":
+            assert len({c.pe_depth for c in driven}) > 1
+
+    @pytest.mark.parametrize("variant", ["pfpne", "global-only", "local-only"])
+    @pytest.mark.parametrize("clients", [3, 20])
+    @pytest.mark.parametrize("objective", ["garland", "himmelblau"])
+    def test_depth_cap_spends_the_rest_as_alone(self, objective, clients, variant, monkeypatch):
+        spent = []
+        spend_rest = Client._spend_rest
+        monkeypatch.setattr(Client, "_spend_rest",
+                            lambda c, frontier: spent.append(c.budget) or spend_rest(c, frontier))
+        config = ExperimentConfig(objective=objective, clients=clients, horizon=4000,
+                                  variant=variant, depth_cap=2, seeds=(1,))
+        self.run_both(monkeypatch, config)
+        # every client of both runs spends a rest, cohort first
+        assert len(spent) == 2 * clients and min(spent) > 0
+
+    @pytest.mark.parametrize("cap", [50, protocol.BUFFER_DOUBLES])
+    @pytest.mark.parametrize("variant", ["pfpne", "local-only"])
+    def test_calls_longer_than_the_buffer_and_calls_sharing_one(self, cap, variant, monkeypatch):
+        monkeypatch.setattr(protocol, "BUFFER_DOUBLES", cap)
+        buffers = []  # (calls, doubles) of each buffer
+        draw_and_sum = protocol._draw_and_sum
+        monkeypatch.setattr(protocol, "_draw_and_sum", lambda group, size, noise: buffers.append(
+            (len(group), size)) or draw_and_sum(group, size, noise))
+        horizon = 20000 if cap == 50 else 1_000_000
+        config = ExperimentConfig(objective="garland", clients=3, horizon=horizon,
+                                  variant=variant, seeds=(1,))
+        self.run_both(monkeypatch, config)
+        assert any(calls == 1 and size > cap for calls, size in buffers)
+        assert any(calls > 1 for calls, _ in buffers)
+        assert all(size <= cap for calls, size in buffers if calls > 1)
