@@ -23,6 +23,8 @@ import typing
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from .fedcore import ProtocolFault
 from .harness import (
     VARIANTS,
@@ -45,6 +47,11 @@ COMM_HEADER = ["variant", "seed", "round_index", "depth", "scalars_up", "scalars
                "cumulative_scalars"]
 FLOAT_FORMAT = "%.17g"  # 17 significant digits round-trip a float64
 ROW_BLOCK = 4096  # regret rows formatted per write, so no run's text is built whole
+# "%.17g" writes |x| in [1e-4, 1e17) in fixed point, with no exponent: the range
+# `_regret_text` formats.  Its digit routine takes t below 10**18.
+FIXED_MIN, FIXED_MAX, T_LIMIT = 1e-4, 1e17, 10 ** 18
+_POW10 = np.array([float(10 ** p) for p in range(23)])  # 10**0..10**22: exact doubles
+_SPLITTER = 2.0 ** 27 + 1  # Dekker's split of a double into two 26-bit halves
 
 # A config file's keys and their types: ExperimentConfig's fields, plus
 # `variants`, which lists several `variant` values.
@@ -187,6 +194,97 @@ def _write_rows(fh, cells: list, width: int) -> None:
     fh.write((line + "\r\n") * (len(cells) // width) % tuple(cells))
 
 
+def _times_pow10(a, p):
+    """``round(a * 10**p)``, half to even, exact: ``a * 10**p`` rounds to at least 2**53."""
+    b = _POW10[p]
+    prod = a * b
+    c = _SPLITTER * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    c = _SPLITTER * b
+    b_hi = c - (c - b)
+    b_lo = b - b_hi
+    err = a_lo * b_lo - (((prod - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)  # a*b - prod
+    # prod is an even integer (doubles past 2**53 are), so rint's tie rule decides
+    return prod.astype(np.int64) + np.rint(err).astype(np.int64)
+
+
+def _digits(v, width: int):
+    """Decimal digits of the int64s ``0 <= v < 10**width``, ``width <= 18``, as a
+    (width, len(v)) uint8 matrix, most significant first: divmod on uint32 halves."""
+    out = np.empty((width, len(v)), np.uint8)
+    high, low = np.divmod(v, 10 ** 9)
+    for part, end in ((low.astype(np.uint32), width), (high.astype(np.uint32), width - 9)):
+        for row in range(end - 1, max(end - 9, 0) - 1, -1):
+            quotient = part // 10  # a multiply and shift; numpy's % divides
+            out[row] = part - quotient * 10
+            part = quotient
+    return out
+
+
+def _regret_text(prefix: str, t, x) -> str | None:
+    """The rows ``prefix + t,x`` as `_write_rows` writes them, or None if a cell is out of range.
+
+    Each |x| in [FIXED_MIN, FIXED_MAX) becomes its 17 significant digits
+    ``d = round(|x| * 10**(16 - k))``, an exact int64 with ``k`` its decimal
+    exponent.  The rows are built as the columns of a uint8 matrix, the
+    digits placed about one decimal point, with NUL for what "%.17g" leaves
+    out: leading zeros, trailing zeros and an empty fraction's point.
+    """
+    a = np.abs(x)
+    if (x.dtype != np.float64 or t.dtype.kind not in "iu" or "\0" in prefix
+            or not ((a >= FIXED_MIN) & (a < FIXED_MAX)).all()
+            or t.min() < 0 or t.max() >= T_LIMIT):
+        return None
+    k = np.floor(np.log10(a)).astype(np.int64).clip(-4, 16)
+    d = _times_pow10(a, 16 - k)
+    while True:  # log10 may be one off near a power of ten; so may rounding up
+        off = np.flatnonzero((d < 10 ** 16) | (d >= 10 ** 17))
+        if not len(off):
+            break
+        k[off] += np.where(d[off] >= 10 ** 17, 1, -1)
+        d[off] = _times_pow10(a[off], 16 - k[off])
+    lo, hi = int(k.min()), int(k.max())
+    k = k.astype(np.int8)
+    digits = _digits(d, 17)
+    order = np.arange(17, dtype=np.int8)[:, None]
+    last = (order * (digits != 0)).max(axis=0)  # the last digit that is not zero
+    fraction = last > k  # "%.17g" writes a point
+    digits += ord("0")
+    digits *= order <= np.maximum(last, k)  # no trailing zero after the point
+    t_width = len(str(int(t.max())))
+    t_digits = _digits(t, t_width)
+    t_digits += ord("0")
+    t_digits[:-1] *= t >= 10 ** np.arange(t_width - 1, 0, -1)[:, None]  # no leading zero
+
+    head = np.frombuffer(prefix.encode(), np.uint8)[:, None]
+    comma = len(head) + t_width
+    signed = bool((x < 0).any())
+    point = comma + 1 + signed + max(hi, 0) + 1
+    cols = np.zeros((point + 1 + 16 - lo + 2, len(x)), np.uint8)
+    cols[:len(head)] = head
+    cols[len(head):comma] = t_digits
+    cols[comma] = ord(",")
+    if signed:
+        cols[comma + 1] = np.where(x < 0, ord("-"), 0)
+    cols[point] = ord(".") * fraction
+    for e in range(lo, hi + 1):  # one slice assignment per exponent
+        at = k == e
+        if not at.any():
+            continue
+        at = slice(None) if at.all() else at
+        if e >= 0:
+            cols[point - 1 - e:point, at] = digits[:e + 1, at]
+            cols[point + 1:point + 17 - e, at] = digits[e + 1:, at]
+        else:
+            cols[point - 1, at] = ord("0")
+            cols[point + 1:point - e, at] = ord("0")
+            cols[point - e:point - e + 17, at] = digits[:, at]
+    cols[-2] = ord("\r")
+    cols[-1] = ord("\n")
+    return cols.T.tobytes().translate(None, b"\0").decode()
+
+
 def write_outputs(results: dict[str, AggregateMetrics], out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {}
@@ -202,11 +300,17 @@ def write_outputs(results: dict[str, AggregateMetrics], out_dir: Path) -> None:
                 "stage_transition_t_mean": agg.stage_transition_t_mean,
             }
             for metrics in sorted(agg.runs, key=lambda r: r.seed):
+                prefix = "%s,%s," % (variant, metrics.seed)
                 for start in range(0, len(metrics.checkpoints), ROW_BLOCK):
-                    t = metrics.checkpoints[start:start + ROW_BLOCK].tolist()
+                    t = metrics.checkpoints[start:start + ROW_BLOCK]
+                    values = metrics.avg_cum_regret[start:start + ROW_BLOCK]
+                    text = _regret_text(prefix, t, values)
+                    if text is not None:
+                        regret.write(text)
+                        continue
                     cells = [variant, metrics.seed, None, None] * len(t)
-                    cells[2::4] = t
-                    cells[3::4] = metrics.avg_cum_regret[start:start + ROW_BLOCK].tolist()
+                    cells[2::4] = t.tolist()
+                    cells[3::4] = values.tolist()
                     _write_rows(regret, cells, len(REGRET_HEADER))
                 _write_rows(comm, [cell for rnd in metrics.comm_rounds for cell in (
                     variant, metrics.seed, rnd.round_index, rnd.depth, rnd.scalars_up,

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 import shlex
@@ -12,16 +13,22 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from decimal import Decimal
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fedelim import cli, harness, objectives
 from fedelim.cli import (
     COMM_HEADER,
+    FIXED_MAX,
+    FIXED_MIN,
     REGRET_HEADER,
     ROW_BLOCK,
+    T_LIMIT,
     format_float,
     load_config_file,
     main,
@@ -121,6 +128,24 @@ RASTRIGIN_DIGESTS = {
     "summary.json": "c9df7c252a775cc7db045be7a16fed4a731857bca6c2555112c205ab9ff05fb8",
 }
 
+# 10,000 regret rows per run, three blocks of cli.ROW_BLOCK each, every
+# value in the fixed-point range: recorded before regret rows were formatted
+# by numpy, when every row went through cli._write_rows.
+MULTIBLOCK_CONFIG = """
+[experiment]
+objective = garland
+clients = 3
+horizon = 100000
+seeds = 0, 1
+variants = pfpne, local-only
+"""
+
+MULTIBLOCK_DIGESTS = {
+    "regret.csv": "b624e97d67011929d95bfab94f44e563627f1df1feaf4c2b36b3a6ca6cf6adf9",
+    "comm.csv": "7e6833f7eb5b032aacba4c3d5bb68323446da615ab0654eca135412ee20de6ca",
+    "summary.json": "cc16e1426e3c5746260880af8d5e290cd34519651747f5107c2e29a785b0c1bb",
+}
+
 # SHA-256 of `fedelim oracle` stdout through its `global  :` line, keyed by
 # (objective, clients, seed, shift_std), with "" for the default shift.  The
 # first eight were recorded while the suite still certified its global
@@ -180,6 +205,21 @@ def assert_digests(tmp_path, monkeypatch, threads, config, digests):
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     for name, digest in digests.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.fixture()
+def fixed_point_blocks(monkeypatch):
+    """For each regret block written, whether ``cli._regret_text`` formatted it."""
+    formatted = []
+    fixed_point = cli._regret_text
+
+    def spy(prefix, t, x):
+        text = fixed_point(prefix, t, x)
+        formatted.append(text is not None)
+        return text
+
+    monkeypatch.setattr(cli, "_regret_text", spy)
+    return formatted
 
 
 def config_errors(err):
@@ -321,6 +361,12 @@ class TestRunCommand:
                                                             threads, config, digests):
         # Recorded while each new cell was still evaluated on its own.
         assert_digests(tmp_path, monkeypatch, threads, config, digests)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_multiblock_outputs_match_recorded_hashes(self, tmp_path, monkeypatch, threads,
+                                                      fixed_point_blocks):
+        assert_digests(tmp_path, monkeypatch, threads, MULTIBLOCK_CONFIG, MULTIBLOCK_DIGESTS)
+        assert fixed_point_blocks == [True] * 12  # four runs of three blocks
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_global_certificate_failure_does_not_fail_a_run(self, tmp_path, monkeypatch,
@@ -690,6 +736,24 @@ def reference_write(results, out_dir):
                                      rnd.scalars_up, rnd.scalars_down, rnd.cumulative_scalars])
 
 
+def fixed_point_values(rng, n):
+    """``n`` values with |x| log-uniform over [FIXED_MIN, FIXED_MAX): a quarter of
+    them negative, and a third of those above 1 rounded to 0-4 decimals, so
+    that trailing zeros occur."""
+    x = 10.0 ** rng.uniform(-4, 17, n)
+    rounded = (x >= 1) & (rng.random(n) < 1 / 3)
+    for places in range(5):
+        at = rounded & (np.arange(n) % 5 == places)
+        x[at] = np.round(x[at], places)
+    x[rng.random(n) < 0.25] *= -1
+    return x[(np.abs(x) >= FIXED_MIN) & (np.abs(x) < FIXED_MAX)]
+
+
+def printf_rows(prefix, t, x):
+    """The rows ``prefix + t,x`` with every value through "%.17g"."""
+    return "".join("%s%d,%.17g\r\n" % (prefix, a, b) for a, b in zip(t.tolist(), x.tolist()))
+
+
 class TestWriteOutputs:
     def test_rows_match_csv_writer_byte_for_byte(self, tmp_path):
         # Runs shorter than, equal to and past one block, and past two; the
@@ -716,6 +780,150 @@ class TestWriteOutputs:
             tracemalloc.stop()
         assert (tmp_path / "regret.csv").read_bytes().count(b"\r\n") == 200_001
         assert peak < 4_000_000, peak
+
+    def test_fixed_point_rows_match_csv_writer_byte_for_byte(self, tmp_path, fixed_point_blocks):
+        # The same shapes as above, every value in range: every block is formatted by numpy.
+        b = ROW_BLOCK
+        results = synthetic_results({
+            "pfpne": [(7, b + 1, 3), (2, 2 * b + 3, 5), (4, 1, 1)],
+            "local-only": [(7, b - 1, 0), (2, b, 0)],
+        })
+        rng = np.random.default_rng(33)
+        for agg in results.values():
+            for run in agg.runs:
+                run.avg_cum_regret = fixed_point_values(rng, 2 * len(run.checkpoints))[
+                    :len(run.checkpoints)]
+                assert len(run.avg_cum_regret) == len(run.checkpoints)
+        write_outputs(results, tmp_path / "out")
+        reference_write(results, tmp_path)
+        for name in ("regret.csv", "comm.csv"):
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / name).read_bytes(), name
+        assert fixed_point_blocks == [True] * 8
+
+    def test_a_long_fixed_point_run_is_written_in_bounded_memory(self, tmp_path,
+                                                                fixed_point_blocks):
+        results = synthetic_results({"pfpne": [(1, 200_000, 4)]})
+        run = results["pfpne"].runs[0]
+        run.avg_cum_regret = 1.0 + np.cumsum(np.random.default_rng(1).random(200_000))
+        tracemalloc.start()
+        try:
+            write_outputs(results, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "regret.csv").read_bytes().count(b"\r\n") == 200_001
+        assert peak < 4_000_000, peak
+        assert fixed_point_blocks == [True] * -(-200_000 // ROW_BLOCK)
+
+
+class TestRegretText:
+    """``cli._regret_text`` against "%.17g": the same text, or None out of its range."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=1000)
+    @given(st.floats(), st.integers(1, 2 ** 63 - 1))
+    def test_any_float_and_t_match_printf_or_decline(self, x, t):
+        text = cli._regret_text("pfpne,3,", np.array([t]), np.array([x]))
+        if FIXED_MIN <= abs(x) < FIXED_MAX and t < T_LIMIT:
+            assert text == printf_rows("pfpne,3,", np.array([t]), np.array([x]))
+        else:
+            assert text is None
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.lists(st.tuples(st.integers(0, T_LIMIT - 1),
+                              st.floats(FIXED_MIN, FIXED_MAX, exclude_max=True),
+                              st.booleans()), min_size=1, max_size=60))
+    def test_mixed_rows_match_printf(self, rows):
+        # One block of several exponents, signs and t widths.
+        t = np.array([row[0] for row in rows])
+        x = np.array([-row[1] if row[2] else row[1] for row in rows])
+        assert cli._regret_text("local-only,12,", t, x) == printf_rows("local-only,12,", t, x)
+
+    def test_dense_values_match_printf(self):
+        rng = np.random.default_rng(20261021)
+        x = fixed_point_values(rng, 250_000)
+        t = np.sort(rng.integers(0, 10 ** rng.integers(1, 19, len(x))))
+        assert len(x) > 200_000 and (x < 0).any() and (x == np.round(x)).any()
+        for start in range(0, len(x), ROW_BLOCK):
+            block = slice(start, start + ROW_BLOCK)
+            assert (cli._regret_text("pfpne,0,", t[block], x[block])
+                    == printf_rows("pfpne,0,", t[block], x[block])), start
+
+    def test_powers_of_ten_and_their_neighbours(self):
+        powers = np.array([float(f"1e{e}") for e in range(-4, 17)])
+        x = np.concatenate([powers, np.nextafter(powers[1:], 0), np.nextafter(powers, np.inf),
+                            [np.nextafter(FIXED_MAX, 0)]])
+        x = np.concatenate([x, -x])
+        t = np.arange(len(x)) * 7
+        assert cli._regret_text("pfpne,0,", t, x) == printf_rows("pfpne,0,", t, x)
+        for i in range(len(x)):  # alone, each is the block's only exponent
+            assert (cli._regret_text("pfpne,0,", t[i:i + 1], x[i:i + 1])
+                    == printf_rows("pfpne,0,", t[i:i + 1], x[i:i + 1])), x[i]
+
+    @pytest.mark.parametrize("x", [
+        np.nextafter(FIXED_MIN, 0), FIXED_MAX, np.nextafter(FIXED_MAX, np.inf), 0.0, -0.0,
+        5e-324, -1e-310, 2.2250738585072014e-308, math.nan, math.inf, -math.inf,
+    ])
+    def test_a_value_out_of_range_declines_the_block(self, x):
+        values = np.array([1.5, x, -2.25])
+        assert cli._regret_text("pfpne,0,", np.array([1, 2, 3]), values) is None
+
+    def test_t_at_the_limit_declines_and_below_it_matches(self):
+        x = np.array([0.5, 0.25])
+        for t in ([0, T_LIMIT - 1], [1, 10 ** 17]):
+            assert cli._regret_text("a,1,", np.array(t), x) == printf_rows("a,1,", np.array(t), x)
+        assert cli._regret_text("a,1,", np.array([1, T_LIMIT]), x) is None
+        assert cli._regret_text("a,1,", np.array([-1, 1]), x) is None
+
+    def test_ties_at_the_seventeenth_digit_round_half_to_even(self):
+        # N * 2**-s with N odd ends in a 5 at its s-th decimal; at s = 17 - k,
+        # for a value of exponent k, that 5 is the 18th significant digit.
+        rng = np.random.default_rng(17)
+        ties = [1 + 2 ** -17]
+        for k in range(-4, 16):
+            s = 17 - k
+            low = math.ceil(Fraction(10) ** k * 2 ** s)
+            high = min(math.ceil(Fraction(10) ** (k + 1) * 2 ** s), 2 ** 53)
+            ties += [(int(n) | 1) * 2.0 ** -s for n in rng.integers(low, high - 1, 300)]
+        x = np.array(ties)
+        digits = [Decimal(v).normalize().as_tuple().digits for v in ties]
+        assert all(len(d) == 18 and d[-1] == 5 for d in digits)
+        assert sum(d[-2] % 2 == 0 for d in digits) > 1000  # half-up would round these up
+        t = np.arange(len(x))
+        for start in range(0, len(x), ROW_BLOCK):
+            block = slice(start, start + ROW_BLOCK)
+            assert (cli._regret_text("pfpne,0,", t[block], x[block])
+                    == printf_rows("pfpne,0,", t[block], x[block]))
+
+    def test_other_types_decline(self):
+        t = np.array([1, 2])
+        assert cli._regret_text("a,1,", t, np.array([0.5, 2.0], np.float32)) is None
+        assert cli._regret_text("a,1,", t, np.array([1, 2])) is None
+        assert cli._regret_text("a,1,", t.astype(float), np.array([0.5, 2.0])) is None
+        assert cli._regret_text("a\0,1,", t, np.array([0.5, 2.0])) is None
+        wide = np.array([10 ** 16 - 1, 10 ** 16], np.uint64)
+        assert (cli._regret_text("a,1,", wide, np.array([0.5, 2.0]))
+                == "a,1,9999999999999999,0.5\r\na,1,10000000000000000,2\r\n")
+
+
+class TestColdStart:
+    def test_a_run_imports_no_numpy_submodule_beyond_random(self, tmp_path):
+        # np.unique imports numpy.ma: about 20 ms and 1.5 MB more for every cold run.
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        listing = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from fedelim.cli import main; "
+             f"assert main(sys.argv[1:]) == 0; {listing}",
+             "run", "--objective", "garland", "--clients", "3", "--horizon", "2000",
+             "--out", str(tmp_path)], capture_output=True, text=True, env=env)
+        bare = subprocess.run([sys.executable, "-c", f"import sys, numpy.random; {listing}"],
+                              capture_output=True, text=True, env=env)
+        assert run.returncode == 0 and bare.returncode == 0, run.stderr + bare.stderr
+        extra = set(eval(run.stdout.splitlines()[-1])) - set(eval(bare.stdout))
+        assert not extra, sorted(extra)
+        values = [float(row[3]) for row in read_csv(tmp_path / "regret.csv")[1:]]
+        assert all(FIXED_MIN <= abs(v) < FIXED_MAX for v in values)  # numpy formatted them
 
 
 class TestOracleCommand:
