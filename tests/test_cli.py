@@ -146,6 +146,28 @@ MULTIBLOCK_DIGESTS = {
     "summary.json": "cc16e1426e3c5746260880af8d5e290cd34519651747f5107c2e29a785b0c1bb",
 }
 
+# The benchmark's three workload commands at seed 1, as config files: the
+# argv's `--runs N --seed 1` is `seeds = 1, ..., N`.  Recorded before the
+# per-run statistics moved into the cell table, each checked at the
+# workload's own FEDELIM_THREADS.
+WORKLOAD_DIGESTS = {
+    "cert-ackley": ("ackley", 2, 5000, "1", "pfpne, local-only", "1", {
+        "regret.csv": "cecdbfb5a887203a1d98a749d8465c11863f194cea232fe0859cc2694a4c4231",
+        "comm.csv": "a038d486c011292439bf400bd77b73cfb8a8facb036042593c25b2fc50ae4501",
+        "summary.json": "0af58fa911467dcd490855594f84e3cd6236b8fcbc96976a4b10ac23d5a87e93",
+    }),
+    "long-horizon": ("garland", 10, 1_000_000, "1", "pfpne", "1", {
+        "regret.csv": "b305a37964c1c15090c9ecb2167e94f8759a05b0b1e887a322a8dc5fbb672742",
+        "comm.csv": "e98fc69ad033743a2b2356996019e994193d60e4831d3964720d83e7204ca467",
+        "summary.json": "cc3c95b1d7742f835f9afa92c01a2c03d783603fc93ee5b15a429aa30726682d",
+    }),
+    "wide-pool": ("garland", 100, 100_000, "1, 2", "pfpne, local-only", "2", {
+        "regret.csv": "744790ad4a08292ee50446148be08d02f6fc6f94086c2475f526a99b32b84669",
+        "comm.csv": "1c7e7aa348ec0f8466c0d01dc99ad5bc04595f5f34026ee87c80375f182933d4",
+        "summary.json": "5a0f5b75b19c0bb82249f55fa408214ab9f1776cb49d1184ea4106915f7ff118",
+    }),
+}
+
 # SHA-256 of `fedelim oracle` stdout through its `global  :` line, keyed by
 # (objective, clients, seed, shift_std), with "" for the default shift.  The
 # first eight were recorded while the suite still certified its global
@@ -367,6 +389,14 @@ class TestRunCommand:
                                                       fixed_point_blocks):
         assert_digests(tmp_path, monkeypatch, threads, MULTIBLOCK_CONFIG, MULTIBLOCK_DIGESTS)
         assert fixed_point_blocks == [True] * 12  # four runs of three blocks
+
+    @pytest.mark.parametrize("workload", list(WORKLOAD_DIGESTS))
+    def test_benchmark_workload_outputs_match_recorded_hashes(self, tmp_path, monkeypatch,
+                                                              workload):
+        objective, clients, horizon, seeds, variants, threads, digests = WORKLOAD_DIGESTS[workload]
+        config = (f"[experiment]\nobjective = {objective}\nclients = {clients}\n"
+                  f"horizon = {horizon}\nseeds = {seeds}\nvariants = {variants}\n")
+        assert_digests(tmp_path, monkeypatch, threads, config, digests)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_global_certificate_failure_does_not_fail_a_run(self, tmp_path, monkeypatch,

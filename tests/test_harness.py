@@ -269,6 +269,33 @@ def test_every_segment_matches_recorded_hashes(objective, clients, horizon, vari
     assert hash_segments(hashlib.sha256(), run(config, seed)).hexdigest() == digest
 
 
+# The benchmark's protocol shapes at seed 1: ``wide-pool``'s two variants
+# (100 clients, 1e5 pulls each) and ``long-horizon`` (10 clients, 1e6 pulls
+# each).  Each digest covers ``repr`` of every segment, client by client,
+# then ``repr`` of the server rounds and personal steps, then the trace
+# bytes.  Recorded before the per-run statistics moved into the cell table.
+SCALE_DIGESTS = [
+    ("garland", 100, 100_000, "pfpne",
+     "b68f504e9af818022bd86d6a104d113c9ceeec4c7f6ccb76c642b75ff2c092b2"),
+    ("garland", 100, 100_000, "local-only",
+     "4794ef51b5f65575e51174fece332e97bb09fcf8639fd3cecd825b4e8a02a605"),
+    ("garland", 10, 1_000_000, "pfpne",
+     "5c6b87c1e26ff529e1b1f0a5c3ac351ad05d280a6a018ced97907e4675dfb222"),
+]
+
+
+@pytest.mark.parametrize("objective,clients,horizon,variant,digest", SCALE_DIGESTS,
+                         ids=[f"{o}-{v}-M{m}-T{t}" for o, m, t, v, _ in SCALE_DIGESTS])
+def test_benchmark_scale_runs_match_recorded_hashes(objective, clients, horizon, variant, digest):
+    config = ExperimentConfig(objective=objective, variant=variant, clients=clients,
+                              horizon=horizon, seeds=(1,))
+    metrics = run(config, 1)
+    sha = hash_segments(hashlib.sha256(), metrics)
+    sha.update(repr((metrics.comm_rounds, metrics.client_events)).encode())
+    sha.update(metrics.avg_cum_regret.tobytes())
+    assert sha.hexdigest() == digest
+
+
 # SHA-256 over a grid of small runs: for each, ``repr`` of every segment, the
 # trace bytes, the server rounds, the personal steps, ``h0`` and the
 # transition time.
