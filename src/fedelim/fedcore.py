@@ -78,7 +78,8 @@ class SmoothParams:
 class NodeStats:
     """Pull count, reward sum, mean estimate and confidence half-width.
 
-    A client's entry for a cell the server kept carries the broadcast (mean,
+    A client's statistics (``Client.stats``, a view of its column of the
+    run's cell table) of a cell the server kept carry the broadcast (mean,
     bound) over its own pulls and reward sum.  ``reward_sum`` is None for
     server-side merged statistics.
     """
@@ -87,19 +88,6 @@ class NodeStats:
     reward_sum: float | None
     mean: float
     bound: float
-
-    @classmethod
-    def from_counts(cls, pulls: int, reward_sum: float, conf: ConfParams,
-                    bounds: dict[int, float] | None = None) -> "NodeStats":
-        """``bounds``, if given, caches ``confidence_bound`` under ``conf`` by pull count."""
-        if pulls < 1:
-            raise ValueError("local statistics need at least one pull")
-        if bounds is None:
-            return cls(pulls, reward_sum, reward_sum / pulls, confidence_bound(pulls, conf))
-        bound = bounds.get(pulls)
-        if bound is None:
-            bound = bounds[pulls] = confidence_bound(pulls, conf)
-        return cls(pulls, reward_sum, reward_sum / pulls, bound)
 
 
 @dataclass

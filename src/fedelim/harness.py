@@ -63,6 +63,8 @@ class ExperimentConfig:
         """
         if self.clients < 1:  # before conf divides by it
             raise ConfigError("clients must be at least 1")
+        if self.horizon > np.iinfo(np.int64).max:  # pull counts are int64 table entries
+            raise ConfigError(f"horizon must be at most 2**63 - 1, got {self.horizon}")
         if self.shift_std is not None and not 0 <= self.shift_std < math.inf:
             raise ConfigError("shift_std must be finite and nonnegative")
         if self.depth_cap < 1:
@@ -188,8 +190,7 @@ def average_regret_trace(pull_logs: list[PullLog], checkpoints: np.ndarray) -> n
     """
     acc = np.zeros(len(checkpoints))
     for log in pull_logs:
-        _, pulls, _, regret = zip(*log.segments)
-        pulls, regret = np.array(pulls, dtype=np.int64), np.array(regret, dtype=float)
+        pulls, regret = np.array(log.pulls, dtype=np.int64), np.array(log.regrets, dtype=float)
         ends = np.cumsum(pulls)
         accrued = np.cumsum(pulls * regret)
         accrued[1:], accrued[0] = accrued[:-1], 0.0  # shifted in place: before each segment

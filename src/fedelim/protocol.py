@@ -21,15 +21,19 @@ The driver is synchronous and deterministic: given a suite and a master
 seed, every pull, message and elimination event is reproducible.  Clients
 take the same steps side by side, so ``run_protocol`` steps them together:
 each stage-one round and each personal depth is one *cohort*, one call per
-client, pulled by ``pull_cohort``, the one pull path.  It evaluates the
-cohort's new cells in one batch, draws each client's noise once from the
-client's own generator into a shared buffer, and sums each run of
-equal-count cells in one reduction.  The call that exhausts a client draws
-none: nothing reads its rewards.  The one-client methods
-(``Client._pull_cells``, ``run_stage1_phase``, ``pe_step``, ``run_pe``) are
-the cohort of one.  A client's pull log keeps a segment per cell pulled
-(cell, pull count, reward sum, ``None`` in that last call, and shared
-instant regret), not one per pull.
+client, pulled by ``pull_cohort``, the one pull path.  What a run knows of
+its cells is one ``CellTable``: a row per cell, a column per client, for
+the cell values and each client's pulls, reward sums, means and bounds.  A
+cohort reads and writes whole rows and columns of it: it evaluates its new
+cells in one batch, draws each client's noise once from the client's own
+generator into a shared buffer, sums each run of equal-count cells in one
+reduction, and settles, picks and eliminates over every client's cells at
+once.  The call that exhausts a client draws none: nothing reads its
+rewards.  The one-client methods (``Client._pull_cells``,
+``run_stage1_phase``, ``pe_step``, ``run_pe``) are the cohort of one.  A
+client's pull log keeps columns with an entry per cell pulled (cell, pull
+count, reward sum, ``None`` in that last call, and shared instant regret),
+not one per pull.
 """
 from __future__ import annotations
 
@@ -67,28 +71,41 @@ class Stage(enum.Enum):
 
 
 class PullLog:
-    """One client's pulls, stored as one segment per cell pulled.
+    """One client's pulls as columns, an entry per segment: ``cells``, ``pulls``, ``sums``, ``regrets``.
 
     All pulls of a cell in one call share the cell, so a segment is the
     cell, the pull count, the reward sum and the instant regret shared by
     all its pulls.  The rewards themselves are not kept: elimination reads
     only counts and sums.  The call that exhausts the client draws no
-    rewards, so its segments' reward sum is ``None``.
+    rewards, so its reward sums are ``None``.
     """
 
     def __init__(self):
-        self.segments: list[tuple[NodeId, int, float | None, float]] = []
+        self.cells: list[NodeId] = []
+        self.pulls: list[int] = []
+        self.sums: list[float | None] = []
+        self.regrets: list[float] = []
         self._pulls = 0
 
-    def append_batch(self, segments: list[tuple[NodeId, int, float | None, float]],
-                     steps: range) -> None:
-        """Log one call's segments, in pull order; the call takes the clock ticks ``steps``."""
+    def append_batch(self, segments: tuple[list, list, list | None, list], steps: range) -> None:
+        """Log one call's segment columns ``(cells, pulls, sums or None, regrets)``; it takes ``steps``."""
+        cells, pulls, sums, regrets = segments
         if steps.start != self._pulls:
             raise ProtocolFault(f"a call at pull {steps.start} does not follow pull {self._pulls}")
-        if sum(pulls for _, pulls, _, _ in segments) != len(steps):
+        if sum(pulls) != len(steps):
             raise ProtocolFault("segments do not account for every pull of the call")
-        self.segments += segments
+        if not len(cells) == len(pulls) == len(regrets) == len(cells if sums is None else sums):
+            raise ProtocolFault("a call's segment columns differ in length")
+        self.cells += cells
+        self.pulls += pulls
+        self.sums += [None] * len(cells) if sums is None else sums
+        self.regrets += regrets
         self._pulls = steps.stop
+
+    @property
+    def segments(self) -> list[tuple[NodeId, int, float | None, float]]:
+        """``(cell, pulls, reward sum, instant regret)`` per segment: a view, built on each read."""
+        return list(zip(self.cells, self.pulls, self.sums, self.regrets))
 
     def __len__(self) -> int:
         return self._pulls
@@ -118,23 +135,77 @@ class CommRound(EliminationEvent):
     clock: int
 
 
+class _Rows(dict):
+    """Each cell's row; a cell named for the first time takes the next one, and joins ``cells``."""
+
+    def __init__(self, cells: list[NodeId]):
+        super().__init__()
+        self.cells = cells
+
+    def __missing__(self, cell: NodeId) -> int:
+        row = self[cell] = len(self.cells)
+        self.cells.append(cell)
+        return row
+
+
+class _Children(dict):
+    """Each cell's children, built by ``partition.children`` the first time they are read."""
+
+    def __init__(self, spec: PartitionSpec):
+        super().__init__()
+        self.spec = spec
+
+    def __missing__(self, cell: NodeId) -> list[NodeId]:
+        kids = self[cell] = children(cell, self.spec)
+        return kids
+
+
 class CellTable:
     """A run's partition and what it knows of each cell, shared by the server and every client.
 
-    Each entry is made once.  ``values``: every client's value at the cell's
-    center, filled by ``pull_cohort``.  ``children``: the cell's
-    children, built by ``partition.children`` when it is first expanded.
+    A cell takes a row the first time it is named (``rows``, ``rows_of``);
+    ``cells`` maps rows back.  Each array holds a row per cell and a column
+    per client, client ``m`` in column ``m - 1``: ``values``, every client's
+    value at the cell's center, filled when the cell is first pulled
+    (``evaluated``); and each client's ``pulls``, reward ``sums``, ``means``
+    and ``bounds``.  A client has statistics of a cell once it has drawn
+    pulls there (``pulls > 0``); a broadcast overwrites a survivor's mean
+    and bound.  The arrays double their rows as cells arrive.
+    ``children``: each cell's children, built when it is first expanded.
     """
 
     def __init__(self, spec: PartitionSpec):
         self.spec = spec
-        self.values: dict[NodeId, list[float]] = {}
-        self.children: dict[NodeId, list[NodeId]] = {}
+        self.cells: list[NodeId] = []
+        self.rows = _Rows(self.cells)
+        self.children = _Children(spec)
+        self.evaluated = np.zeros(0, dtype=bool)
+        self.values = self.sums = self.means = self.bounds = np.zeros((0, 0))
+        self.pulls = np.zeros((0, 0), dtype=np.int64)
+
+    def widen(self, clients: int) -> None:
+        """Make a column for each of ``clients`` clients."""
+        if clients > self.pulls.shape[1]:
+            self._fit(len(self.evaluated), clients)
+
+    def rows_of(self, cells) -> np.ndarray:
+        """The rows of ``cells``, in order; a new cell takes a new row."""
+        rows = np.fromiter(map(self.rows.__getitem__, cells), dtype=np.intp)
+        if len(self.cells) > len(self.evaluated):
+            self._fit(max(64, 2 * len(self.cells)), self.pulls.shape[1])
+        return rows
+
+    def _fit(self, height: int, width: int) -> None:
+        held, clients = self.pulls.shape
+        self.evaluated = np.concatenate([self.evaluated, np.zeros(height - held, dtype=bool)])
+        for name in ("values", "pulls", "sums", "means", "bounds"):
+            grown = np.zeros((height, width), dtype=getattr(self, name).dtype)
+            grown[:held, :clients] = getattr(self, name)
+            setattr(self, name, grown)
 
     def expand(self, cells) -> list[NodeId]:
         """The children of ``cells``, cell by cell, each in index order."""
-        kids, spec = self.children, self.spec
-        return [c for n in cells for c in kids.get(n) or kids.setdefault(n, children(n, spec))]
+        return list(itertools.chain.from_iterable(map(self.children.__getitem__, cells)))
 
 
 class Server:
@@ -188,8 +259,13 @@ class Server:
         return broadcast
 
 
+
 class Client:
-    """One client's pulls, broadcasts and personal steps; ``run_protocol`` decides when."""
+    """One client's clock, stage and frontier; its statistics are its column of the run's table.
+
+    ``run_protocol`` decides when each step runs, and steps the clients
+    together through the cohort functions below.
+    """
 
     def __init__(self, m: int, suite: ObjectiveSuite, table: CellTable,
                  conf: ConfParams, smooth: SmoothParams, rng: np.random.Generator):
@@ -200,12 +276,12 @@ class Client:
         self.smooth = smooth
         self.rng = rng
         self.f_star = suite.local_optima[m - 1].value
+        table.widen(suite.clients)
 
         self.clock = 0
         self.pe_depth = 0
-        self.stats: dict[NodeId, NodeStats] = {}
         self.protected: dict[int, frozenset[NodeId]] = {}
-        self.local_active: list[NodeId] = [ROOT]
+        self.local_active: list[NodeId] = [ROOT]  # in index order
         self.pull_log = PullLog()
         self.pe_events: list[EliminationEvent] = []
         self.stage = Stage.STAGE1
@@ -216,7 +292,13 @@ class Client:
         """Pulls left: the horizon minus the clock."""
         return self.conf.horizon_T - self.clock
 
-    # ---- shared pull machinery ------------------------------------------
+    @property
+    def stats(self) -> dict[NodeId, NodeStats]:
+        """Statistics of each cell this client has drawn pulls of: a view of its table column."""
+        table, col = self.table, self.m - 1
+        return {table.cells[r]: NodeStats(int(table.pulls[r, col]), float(table.sums[r, col]),
+                                          float(table.means[r, col]), float(table.bounds[r, col]))
+                for r in np.flatnonzero(table.pulls[:, col]).tolist()}
 
     def _pull_cells(self, nodes: list[NodeId], wants: list[int]) -> None:
         """Pull each cell up to its want, in order: ``pull_cohort`` of this client alone."""
@@ -230,85 +312,28 @@ class Client:
         child of a survivor of the last personal step.  The client is
         exhausted before the pull, which thus draws no noise.
         """
-        stats, spec = self.stats, self.table.spec
-        cell = max(frontier, key=lambda n: stats[n if n in stats else parent(n, spec)].mean)
+        table, col = self.table, self.m - 1
+        rows = table.rows_of(frontier)
+        own = table.pulls[rows, col] > 0
+        if not own.all():
+            parents = table.rows_of(map(parent, frontier, itertools.repeat(table.spec)))
+            rows = np.where(own, rows, parents)
+        cell = frontier[int(table.means[rows, col].argmax())]
         self.stage = Stage.EXHAUSTED
         self._pull_cells([cell], [self.budget])
-
-    # ---- collaborative stage --------------------------------------------
 
     def run_stage1_phase(self, active: list[NodeId], per_node_quota: int) -> ClientReport | None:
         """This client's stage-one phase: ``stage1_cohort`` of this client alone."""
         return stage1_cohort([self], active, per_node_quota)[0]
-
-    def _report(self, active: list[NodeId]) -> ClientReport | None:
-        """The phase's upload, (mean, pulls) per active cell; ``None`` once exhausted."""
-        if self.stage is Stage.EXHAUSTED:
-            return None
-        entries = {n: (s.mean, s.pulls) for n, s in self._stats_view(active).items()}
-        return ClientReport(client=self.m, depth=len(self.protected), entries=entries)
-
-    def absorb_broadcast(self, broadcast: ServerBroadcast) -> None:
-        """Adopt merged statistics for survivors and advance one depth, staying in ``STAGE1``."""
-        if self.stage != Stage.STAGE1:
-            raise ProtocolFault(f"client {self.m} received a broadcast in stage {self.stage}")
-        if broadcast.depth != len(self.protected):
-            raise ProtocolFault(f"client {self.m} at depth {len(self.protected)} "
-                                f"received a depth-{broadcast.depth} broadcast")
-        for node, (mean, bound) in broadcast.stats.items():
-            prev = self.stats.get(node)
-            if prev is None:
-                raise ProtocolFault(f"broadcast names unknown node {node}")
-            self.stats[node] = NodeStats(prev.pulls, prev.reward_sum, mean, bound)
-        self.protected[broadcast.depth] = frozenset(broadcast.stats)
 
     def enter_pe(self) -> None:
         """Start personal elimination from the root at the current clock."""
         self.stage = Stage.PE
         self.stage_transition_t = self.clock
 
-    # ---- personalized elimination ----------------------------------------
-
-    def _stats_view(self, nodes: list[NodeId]) -> dict[NodeId, NodeStats]:
-        return {node: self.stats[node] for node in nodes if node in self.stats}
-
     def pe_step(self) -> None:
         """One personal depth: ``pe_cohort`` of this client alone."""
         pe_cohort([self])
-
-    def _pe_plan(self) -> tuple[list[NodeId], list[int], set[NodeId]]:
-        """A personal step up to its pulls: the cells to top up, their wants, the settled cells.
-
-        A cell the server eliminated at this depth is tested on the client's
-        own stage-one pulls against the best protected cell; if that test
-        eliminates it, it is settled without a top-up.  Every other
-        unprotected cell wants the depth threshold, less its stage-one pulls.
-        """
-        h, stats = self.pe_depth, self.stats
-        prot = self.protected.get(h, frozenset())
-        tau_h = tau(h, self.conf, self.smooth)
-        to_sample = [n for n in self.local_active if n not in prot]
-        settled: set[NodeId] = set()
-        if prot:
-            # Unprotected cells with stage-one pulls are exactly the cells the
-            # server eliminated at depth h.
-            ref = select_best({n: stats[n] for n in prot})
-            settled = eliminate(stats, [n for n in to_sample if n in stats], ref, h, self.smooth)
-            to_sample = [n for n in to_sample if n not in settled]
-        wants = [tau_h - stats[n].pulls if n in stats else tau_h for n in to_sample]
-        return to_sample, wants, settled
-
-    def _pe_finish(self, sampled: list[NodeId], settled: set[NodeId]) -> None:
-        """Finish a personal step the budget covered: best cell, elimination, event, expansion."""
-        h = self.pe_depth
-        best = select_best(self._stats_view(self.local_active))
-        removed = settled | eliminate(self.stats, sampled, best, h, self.smooth)
-        if not self.protected.get(h, frozenset()).isdisjoint(removed):
-            raise ProtocolFault(f"client {self.m} eliminated protected nodes at depth {h}")
-        survivors = tuple(n for n in self.local_active if n not in removed)
-        self.pe_events.append(EliminationEvent(h, best, frozenset(removed), survivors))
-        self.local_active = self.table.expand(survivors)  # sorted
-        self.pe_depth += 1
 
     def run_pe(self, depth_cap: int) -> None:
         """This client's personal stage: ``run_pe_cohort`` of this client alone."""
@@ -330,26 +355,29 @@ def pull_cohort(calls: list[tuple[Client, list[NodeId], list[int]]]) -> None:
     """The one pull path: each ``(client, nodes, wants)`` call pulls its cells up to their wants.
 
     The calls are one stage-one round's or one personal depth's, one per
-    client of one run.  A want of zero or less pulls nothing.  The first
-    cell a client's budget cannot fill is cut at the budget and exhausts the
-    client; no later cell is pulled.  New cells are evaluated for every
-    client in one batch.  Each cell's pulls are one segment, each call's
-    segments one ``PullLog.append_batch``.  A call that exhausts its
-    client, its last, draws no noise: nothing reads its rewards, so its
-    reward sums are ``None``.  The other calls draw from their own clients'
-    generators, in call order, into buffers of at most ``BUFFER_DOUBLES``
-    doubles (``_draw_and_sum``).  Statistics take one ``confidence_bound``
-    per distinct pull count.
+    client of one run, and each call's cells are distinct.  A want of zero
+    or less pulls nothing.  The first cell a client's budget cannot fill is
+    cut at the budget and exhausts the client; no later cell is pulled.
+    Until then the wants are Python ints, since one may be
+    ``TAU_SATURATED``; the pulls left are table entries.  New cells are
+    evaluated for every client in one batch.  Each cell's pulls are one
+    segment, each call's segments one ``PullLog.append_batch``.  A call that
+    exhausts its client, its last, draws no noise: nothing reads its
+    rewards, so its reward sums are ``None``.  The other calls draw from
+    their own clients' generators, in call order, into buffers of at most
+    ``BUFFER_DOUBLES`` doubles (``_draw_and_sum``), and add their pulls and
+    sums to the table, whose means and bounds of those cells are then
+    recomputed in one pass.
     """
     planned = []  # (client, cells, their pulls, total) of each call that pulls
     for client, nodes, wants in calls:
         left, n = client.budget, sum(wants)
-        if wants and min(wants) > 0 and n <= left:  # the usual call: every want in full
+        if wants and min(wants) > 0 and n <= left and len(nodes) == len(wants):  # the usual call
             planned.append((client, nodes, wants, n))
             continue
         cells, ks = [], []
         for node, want in zip(nodes, wants):
-            k = min(want, left) if want > 0 else 0  # Python ints: a want may be TAU_SATURATED
+            k = min(want, left) if want > 0 else 0
             if k:
                 cells.append(node)
                 ks.append(k)
@@ -362,68 +390,83 @@ def pull_cohort(calls: list[tuple[Client, list[NodeId], list[int]]]) -> None:
     if not planned:
         return
     table, suite = planned[0][0].table, planned[0][0].suite
-    values = table.values
-    new = dict.fromkeys(node for _, cells, _, _ in planned for node in cells if node not in values)
-    if new:
-        centers = [representative(suite.domain, node, table.spec) for node in new]
-        values.update(zip(new, suite.eval_clients_batch(np.array(centers)).tolist()))
-    drawing = []  # (client, cells, pulls, cell values, clock ticks) of each call that draws
-    for client, cells, ks, n in planned:
-        cell_values = [values[node][client.m - 1] for node in cells]
-        steps = range(client.clock, client.clock + n)
+    counts = [len(cells) for _, cells, _, _ in planned]
+    rows = table.rows_of(itertools.chain.from_iterable(call[1] for call in planned))
+    at = rows * table.pulls.shape[1] + np.array([c.m - 1 for c, *_ in planned]).repeat(counts)
+    ks = np.fromiter(itertools.chain.from_iterable(call[2] for call in planned), dtype=np.int64)
+    evaluated = table.evaluated[rows]
+    if not evaluated.all():
+        new = list(dict.fromkeys(rows[~evaluated].tolist()))
+        centers = [representative(suite.domain, table.cells[r], table.spec) for r in new]
+        table.values[new] = suite.eval_clients_batch(np.array(centers))
+        table.evaluated[new] = True
+    values = table.values.ravel()[at]  # flat (row, client) indices into the table
+    f_stars = np.array([client.f_star for client, _, _, _ in planned]).repeat(counts)
+    regrets = (f_stars - values).tolist()
+
+    drawing, groups, group, size, first = [], [], [], 0, 0
+    for (client, cells, pulls, n), count in zip(planned, counts):
+        steps, last = range(client.clock, client.clock + n), first + count
         client.clock = steps.stop
         if client.stage is Stage.EXHAUSTED:
-            f_star = client.f_star
-            client.pull_log.append_batch([(node, k, None, f_star - v)
-                                          for node, k, v in zip(cells, ks, cell_values)], steps)
+            client.pull_log.append_batch((cells, pulls, None, regrets[first:last]), steps)
         else:
-            drawing.append((client, cells, ks, cell_values, steps))
+            if group and size + n > BUFFER_DOUBLES:
+                groups.append((group, size))
+                group, size = [], 0
+            group.append((client, steps, ks[first:last], values[first:last]))
+            size += n
+            drawing.append((client, cells, pulls, first, last, steps))
+        first = last
+    if not drawing:
+        return
+    groups.append((group, size))
+    sums = [_draw_and_sum(group, size, suite.noise) for group, size in groups]
+    sums = np.concatenate(sums) if len(sums) > 1 else sums[0]
+    if len(drawing) < len(planned):
+        keep = np.repeat([client.stage is not Stage.EXHAUSTED for client, *_ in planned], counts)
+        at, ks = at[keep], ks[keep]
 
-    sums, group, size = [], [], 0
-    for call in drawing:
-        if group and size + len(call[4]) > BUFFER_DOUBLES:
-            sums += _draw_and_sum(group, size, suite.noise)
-            group, size = [], 0
-        group.append(call)
-        size += len(call[4])
-    if group:
-        sums += _draw_and_sum(group, size, suite.noise)
+    flat = [array.ravel() for array in (table.pulls, table.sums, table.means, table.bounds)]
+    pulls = flat[0][at] + ks
+    totals = flat[1][at] + sums  # a reward sum is never -0.0, so 0.0 + it is it
+    flat[0][at], flat[1][at], flat[2][at] = pulls, totals, totals / pulls
+    conf = drawing[0][0].conf
+    if all(call[0].conf is conf for call in drawing):
+        c, log_term = conf.c, conf.log_term
+    else:  # a client with parameters of its own
+        c, log_term = (np.array([getattr(call[0].conf, name) for call in drawing]).repeat(
+            [call[4] - call[3] for call in drawing]) for name in ("c", "log_term"))
+    flat[3][at] = c * np.sqrt(log_term / pulls)  # confidence_bound, cell by cell
 
-    bounds, conf, first = {}, None, 0
-    for client, cells, ks, cell_values, steps in drawing:
-        if client.conf is not conf:
-            bounds, conf = {}, client.conf
-        stats, f_star, segments = client.stats, client.f_star, []
-        for node, k, value, total in zip(cells, ks, cell_values, sums[first:first + len(cells)]):
-            segments.append((node, k, total, f_star - value))
-            prev = stats.get(node)
-            if prev is not None:
-                k, total = prev.pulls + k, prev.reward_sum + total
-            stats[node] = NodeStats.from_counts(k, total, conf, bounds)
-        first += len(cells)
-        client.pull_log.append_batch(segments, steps)
+    sums, done = sums.tolist(), 0
+    for client, cells, pulls, first, last, steps in drawing:
+        client.pull_log.append_batch(
+            (cells, pulls, sums[done:done + last - first], regrets[first:last]), steps)
+        done += last - first
 
 
-def _draw_and_sum(group: list, size: int, noise) -> list[float]:
+def _draw_and_sum(group: list, size: int, noise) -> np.ndarray:
     """The reward sums of ``group``'s cells, in order, from one buffer of ``size`` doubles.
 
-    Each call draws its slice from its own client's generator.  A run of
-    consecutive equal-count cells, across calls, is one (cells x pulls) view
-    of the buffer, summed by row: each row reduces exactly as the cell's own
-    slice would.
+    Each ``(client, steps, pulls, values)`` call draws its slice from its
+    own client's generator.  A run of consecutive equal-count cells, across
+    calls, is one (cells x pulls) view of the buffer, summed by row: each
+    row reduces exactly as the cell's own slice would.
     """
     rewards, offset = np.empty(size), 0
-    for client, _, _, _, steps in group:
+    for client, steps, _, _ in group:
         noise.draw(client.rng, len(steps), out=rewards[offset:offset + len(steps)])
         offset += len(steps)
-    column = np.array(list(itertools.chain.from_iterable(call[3] for call in group)))
-    sums, offset = [], 0
-    for k, block in itertools.groupby(itertools.chain.from_iterable(call[2] for call in group)):
-        first, r = len(sums), len(list(block))
-        rows = rewards[offset:offset + r * k].reshape(r, k)
-        rows += column[first:first + r, None]  # in place: one array per buffer
-        sums += rows.sum(axis=1).tolist()
-        offset += r * k
+    ks, column = (np.concatenate([call[i] for call in group]) if len(group) > 1 else group[0][i]
+                  for i in (2, 3))
+    starts = [0, *(np.flatnonzero(ks[1:] != ks[:-1]) + 1).tolist(), len(ks)]
+    sums, offset = np.empty(len(ks)), 0
+    for first, last, k in zip(starts, starts[1:], ks[starts[:-1]].tolist()):
+        rows = rewards[offset:offset + (last - first) * k].reshape(last - first, k)
+        rows += column[first:last, None]  # in place: one array per buffer
+        rows.sum(axis=1, out=sums[first:last])
+        offset += (last - first) * k
     return sums
 
 
@@ -435,6 +478,8 @@ def stage1_cohort(clients: list[Client], active: list[NodeId],
     client whose budget falls short is exhausted in the middle of the
     phase, and reports nothing (``None``).  A budget that ends exactly with
     the phase exhausts the client on the first cell of the next phase.
+    Every other client uploads its (mean, pulls) of each active cell, read
+    for all of them in one slice of the table.
     """
     for client in clients:
         if client.stage != Stage.STAGE1:
@@ -442,23 +487,134 @@ def stage1_cohort(clients: list[Client], active: list[NodeId],
                 f"client {client.m} cannot sample stage one in stage {client.stage}")
     wants = [per_node_quota] * len(active)
     pull_cohort([(client, active, wants) for client in clients])
-    return [client._report(active) for client in clients]
+    reporting = [client for client in clients if client.stage is not Stage.EXHAUSTED]
+    table = clients[0].table
+    grid = table.rows_of(active)[:, None], np.array([client.m - 1 for client in reporting], np.intp)
+    uploads = iter([ClientReport(client.m, len(client.protected), dict(zip(active, zip(means, n))))
+                    for client, means, n in zip(reporting, table.means[grid].T.tolist(),
+                                                table.pulls[grid].T.tolist())])
+    return [None if client.stage is Stage.EXHAUSTED else next(uploads) for client in clients]
+
+
+def absorb_cohort(clients: list[Client], broadcast: ServerBroadcast) -> None:
+    """Each client adopts the merged (mean, bound) of every survivor and advances one depth.
+
+    The survivors' rows keep each client's own pulls and sums, and are
+    protected from then on.  The clients stay in ``STAGE1``: the driver,
+    not the broadcast, moves them on.
+    """
+    for client in clients:
+        if client.stage != Stage.STAGE1:
+            raise ProtocolFault(f"client {client.m} received a broadcast in stage {client.stage}")
+        if broadcast.depth != len(client.protected):
+            raise ProtocolFault(f"client {client.m} at depth {len(client.protected)} "
+                                f"received a depth-{broadcast.depth} broadcast")
+    table, survivors = clients[0].table, list(broadcast.stats)
+    rows = list(map(table.rows.get, survivors))
+    if None in rows:
+        raise ProtocolFault(f"broadcast names unknown node {survivors[rows.index(None)]}")
+    grid = np.array(rows, np.intp)[:, None], np.array([client.m - 1 for client in clients])
+    held = table.pulls[grid].all(axis=1)  # every client has statistics of the cell
+    if not held.all():
+        raise ProtocolFault(f"broadcast names unknown node {survivors[int(held.argmin())]}")
+    merged = np.array(list(broadcast.stats.values()), dtype=float).reshape(-1, 2)
+    table.means[grid], table.bounds[grid] = merged[:, :1], merged[:, 1:]
+    protected = frozenset(survivors)
+    for client in clients:
+        client.protected[broadcast.depth] = protected
 
 
 def pe_cohort(clients: list[Client]) -> None:
     """One personal depth for every client: settle, top up unprotected cells, eliminate, expand.
 
-    Protected cells keep their broadcast statistics, still compete for the
-    best-cell slot, and are exempt from both sampling and elimination.  The
-    top-ups of all clients are one ``pull_cohort``.  A budget that falls
-    short exhausts its client there, before the depth's elimination; every
-    step completed names its best cell.
+    The clients' active cells, client by client, are one flat run of table
+    rows and columns.  A cell the server eliminated at a client's depth is
+    tested on the client's own stage-one pulls against its best protected
+    cell; if that test eliminates it, it is settled without a top-up.  Every
+    other unprotected cell wants the depth threshold, less its stage-one
+    pulls; the top-ups of all clients are one ``pull_cohort``.  Protected
+    cells keep their broadcast statistics, still compete for the best-cell
+    slot, and are exempt from both sampling and elimination.  A budget that
+    falls short exhausts its client there, before the depth's elimination;
+    every step completed names its best cell.
     """
-    plans = [client._pe_plan() for client in clients]
-    pull_cohort([(client, nodes, wants) for client, (nodes, wants, _) in zip(clients, plans)])
-    for client, (nodes, _, settled) in zip(clients, plans):
-        if client.stage is not Stage.EXHAUSTED:
-            client._pe_finish(nodes, settled)
+    table, actives = clients[0].table, [client.local_active for client in clients]
+    runs = _Runs([len(active) for active in actives])
+    rows = table.rows_of(itertools.chain.from_iterable(actives))
+    at = rows * table.pulls.shape[1] + np.array([c.m - 1 for c in clients]).repeat(runs.counts)
+    flags, guarded, taus, slacks, depths = [], [], [], [], {}
+    for client, active in zip(clients, actives):
+        h, prot = client.pe_depth, client.protected.get(client.pe_depth)
+        key = (h, id(client.conf), id(client.smooth))
+        if key not in depths:
+            depths[key] = (tau(h, client.conf, client.smooth), client.smooth.slack(h))
+        taus.append(depths[key][0])
+        slacks.append(depths[key][1])
+        held = list(map(prot.__contains__, active)) if prot else [False] * len(active)
+        if prot and sum(held) != len(prot):
+            raise ProtocolFault(f"client {client.m} has protected cells outside its active "
+                                f"set at depth {h}")
+        flags += held
+        guarded.append(bool(prot))
+    prot, slack = np.array(flags, dtype=bool), runs.spread(np.array(slacks))
+    own = table.pulls.ravel()[at]
+    settled = np.zeros(len(rows), dtype=bool)
+    if guarded.count(True):
+        # Unprotected cells with stage-one pulls are exactly the cells the
+        # server eliminated at the depth.  Without a protected cell there is
+        # no reference, and nothing falls below -inf.
+        means, bounds = table.means.ravel()[at], table.bounds.ravel()[at]
+        ref = runs.first_best(np.where(prot, means, -np.inf))
+        threshold = np.where(guarded, means[ref] - bounds[ref], -np.inf)
+        settled = ~prot & (own > 0) & (means + bounds + slack < runs.spread(threshold))
+    sample = ~(prot | settled)
+    picks, own = sample.tolist(), own.tolist()
+    pull_cohort([(client, list(itertools.compress(active, picks[first:last])),
+                  list(map(tau_h.__sub__, itertools.compress(own[first:last], picks[first:last]))))
+                 for client, active, tau_h, first, last
+                 in zip(clients, actives, taus, runs.starts, runs.ends)])
+
+    means, bounds = table.means.ravel()[at], table.bounds.ravel()[at]
+    best = runs.first_best(means)
+    dropped = sample & (means + bounds + slack < runs.spread(means[best] - bounds[best]))
+    if (dropped & prot).any():
+        raise ProtocolFault("a personal step eliminated protected nodes")
+    kept, settled, dropped = (~(settled | dropped)).tolist(), settled.tolist(), dropped.tolist()
+    for client, b, first, last in zip(clients, best.tolist(), runs.starts, runs.ends):
+        if client.stage is Stage.EXHAUSTED:
+            continue
+        active = client.local_active
+        # The settled set joined by the eliminated one, each built in cell
+        # order: this fixes the event's set layout, and so its repr.
+        removed = (set(itertools.compress(active, settled[first:last]))
+                   | set(itertools.compress(active, dropped[first:last])))
+        survivors = tuple(itertools.compress(active, kept[first:last]))
+        client.pe_events.append(EliminationEvent(client.pe_depth, active[b - first],
+                                                 frozenset(removed), survivors))
+        client.local_active = table.expand(survivors)  # in index order
+        client.pe_depth += 1
+
+
+class _Runs:
+    """A flat array's consecutive runs, one per client: its active cells, in index order."""
+
+    def __init__(self, counts: list[int]):
+        ends = np.array(counts).cumsum()
+        self.counts, self.first = counts, ends - counts
+        self.starts, self.ends = self.first.tolist(), ends.tolist()
+        self.at = (np.arange(len(counts)).repeat(counts),
+                   np.arange(self.ends[-1]) - self.first.repeat(counts))
+        self.width = max(counts)
+
+    def spread(self, per_run: np.ndarray) -> np.ndarray:
+        """Each run's value, repeated over its entries."""
+        return per_run.repeat(self.counts)
+
+    def first_best(self, values: np.ndarray) -> np.ndarray:
+        """Each run's flat index of its first largest value: the best cell, ties to the smallest."""
+        grid = np.full((len(self.counts), self.width), -np.inf)
+        grid[self.at] = values
+        return self.first + grid.argmax(axis=1)
 
 
 def run_pe_cohort(clients: list[Client], depth_cap: int) -> None:
@@ -537,9 +693,7 @@ def run_protocol(suite: ObjectiveSuite, spec: PartitionSpec, conf: ConfParams,
             raise ProtocolFault("clients exhausted asynchronously in stage one")
         if clients[0].stage is Stage.EXHAUSTED:
             break
-        broadcast = server.step(reports, clock=clients[0].clock)
-        for client in clients:
-            client.absorb_broadcast(broadcast)
+        absorb_cohort(clients, server.step(reports, clock=clients[0].clock))
 
     for client in clients:
         if client.stage is Stage.STAGE1 and pe_enabled:

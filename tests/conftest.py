@@ -16,7 +16,7 @@ def mark_pull_calls():
     pull = protocol.pull_cohort
 
     def marking(calls):
-        firsts = [len(client.pull_log.segments) for client, _, _ in calls]
+        firsts = [len(client.pull_log.cells) for client, _, _ in calls]
         pull(calls)
         for (client, _, _), first in zip(calls, firsts):
             vars(client.pull_log).setdefault("calls", []).append(

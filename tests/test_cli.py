@@ -413,6 +413,14 @@ class TestRunCommand:
         assert main(["oracle", "--objective", "garland", "--clients", "3", "--seed", "0"]) == 3
         assert "runtime fault: global search did not converge" in capsys.readouterr().err
 
+    def test_a_horizon_past_int64_exits_2_before_the_output_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--objective", "garland", "--horizon", str(10**20),
+                     "--out", str(out)]) == 2
+        assert config_errors(capsys.readouterr().err) == [
+            f"fedelim: config error: horizon must be at most 2**63 - 1, got {10**20}"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_empty_variant_list_exits_2(self, tmp_path, capsys, monkeypatch, threads):
         monkeypatch.setenv("FEDELIM_THREADS", threads)

@@ -386,12 +386,6 @@ class TestEliminate:
 
 
 class TestParamValidation:
-    def test_local_stats_need_one_pull(self):
-        # clients never hold zero-pull statistics, so nothing downstream filters them
-        with pytest.raises(ValueError):
-            NodeStats.from_counts(0, 0.0, CONF)
-        assert NodeStats.from_counts(1, 0.5, CONF).mean == 0.5
-
     def test_conf_log_floor(self):
         with pytest.raises(ValueError):
             ConfParams(c=0.1, c1=1.0, delta=0.9, horizon_T=2)  # c1*T/delta < e

@@ -320,8 +320,9 @@ def test_run_battery_matches_recorded_hash():
 def segment_log(segments):
     """A pull log of (pulls, instant regret) segments, all in the root cell, logged as one call."""
     log = protocol.PullLog()
-    segments = [(protocol.ROOT, pulls, 0.0, regret) for pulls, regret in segments]
-    log.append_batch(segments, range(sum(pulls for _, pulls, _, _ in segments)))
+    pulls, regrets = map(list, zip(*segments))
+    log.append_batch(([protocol.ROOT] * len(pulls), pulls, [0.0] * len(pulls), regrets),
+                     range(sum(pulls)))
     return log
 
 
@@ -395,6 +396,13 @@ class TestCheckpoints:
 class TestConfigValidation:
     def test_defaults_validate(self):
         ExperimentConfig()
+
+    def test_a_horizon_past_int64_is_refused(self):
+        # Built only: a run of either would not end.
+        assert ExperimentConfig(horizon=2**63 - 1).conf.horizon_T == 2**63 - 1
+        for horizon in (2**63, 10**20):
+            with pytest.raises(ConfigError, match=rf"horizon must be at most 2\*\*63 - 1, got {horizon}"):
+                ExperimentConfig(horizon=horizon)
 
     def test_bad_variant(self):
         with pytest.raises(ConfigError):

@@ -1,4 +1,5 @@
 """Protocol state machines: stage-one phases, broadcasts, PE, fallback."""
+import collections
 import dataclasses
 import math
 
@@ -33,7 +34,8 @@ from fedelim.partition import (
     node_containing,
     representative,
 )
-from fedelim.protocol import CellTable, Client, PullLog, Server, Stage, run_protocol
+from fedelim.protocol import (
+    CellTable, Client, PullLog, Server, Stage, absorb_cohort, run_protocol)
 from fedelim.seeding import PURPOSE_NOISE, substream
 from pull_helpers import expand_pulls
 
@@ -59,6 +61,19 @@ def make_client(suite, conf, smooth, pe=False, m=1, seed=1):
     if pe:
         client.enter_pe()
     return client
+
+
+def counted_stats(pulls, reward_sum, conf):
+    """A client's statistics of ``pulls`` pulls summing to ``reward_sum``, before any broadcast."""
+    return NodeStats(pulls, reward_sum, reward_sum / pulls, confidence_bound(pulls, conf))
+
+
+def set_stats(client, node, stats):
+    """Give ``client`` the statistics ``stats`` of ``node``: its row of the client's column."""
+    table, col = client.table, client.m - 1
+    row = table.rows_of([node])[0]
+    table.pulls[row, col], table.sums[row, col] = stats.pulls, stats.reward_sum
+    table.means[row, col], table.bounds[row, col] = stats.mean, stats.bound
 
 
 SMOOTH = SmoothParams(nu1=1.0, rho=0.5, delta_gap=0.01)
@@ -209,7 +224,7 @@ class TestAbsorb:
     def test_substitution_overwrites_local_stats(self):
         client, conf = self._client_after_phase()
         broadcast = ServerBroadcast(0, {ROOT: (0.42, 0.05)})
-        client.absorb_broadcast(broadcast)
+        absorb_cohort([client], broadcast)
         stats = client.stats[ROOT]
         assert stats.mean == 0.42 and stats.bound == 0.05
         assert stats.pulls == 2  # local counts retained
@@ -220,18 +235,18 @@ class TestAbsorb:
         client, _ = self._client_after_phase()
         broadcast = ServerBroadcast(0, {NodeId(0, 1): (0.4, 0.1), NodeId(1, 1): (0.4, 0.1)})
         with pytest.raises(ProtocolFault):
-            client.absorb_broadcast(broadcast)
+            absorb_cohort([client], broadcast)
 
     def test_broadcast_in_pe_fault(self):
         client, _ = self._client_after_phase()
         client.enter_pe()
         with pytest.raises(ProtocolFault, match="received a broadcast in stage"):
-            client.absorb_broadcast(ServerBroadcast(0, {ROOT: (0.4, 0.1)}))
+            absorb_cohort([client], ServerBroadcast(0, {ROOT: (0.4, 0.1)}))
 
     def test_broadcast_of_the_wrong_depth_fault(self):
         client, _ = self._client_after_phase()
         with pytest.raises(ProtocolFault, match="at depth 0 received a depth-1 broadcast"):
-            client.absorb_broadcast(ServerBroadcast(1, {ROOT: (0.4, 0.1)}))
+            absorb_cohort([client], ServerBroadcast(1, {ROOT: (0.4, 0.1)}))
         assert client.protected == {}
 
     def test_absorb_leaves_the_client_in_stage_one(self):
@@ -240,10 +255,10 @@ class TestAbsorb:
         conf = ConfParams(0.1, 1.0, 0.1, 1000)
         client = make_client(suite, conf, SMOOTH)
         client.run_stage1_phase([ROOT], 1)
-        client.absorb_broadcast(ServerBroadcast(0, {ROOT: (0.5, 0.1)}))
+        absorb_cohort([client], ServerBroadcast(0, {ROOT: (0.5, 0.1)}))
         kids = (NodeId(1, 1), NodeId(1, 2))
         client.run_stage1_phase(list(kids), 1)
-        client.absorb_broadcast(ServerBroadcast(1, {k: (0.5, 0.1) for k in kids}))
+        absorb_cohort([client], ServerBroadcast(1, {k: (0.5, 0.1) for k in kids}))
         assert client.stage is Stage.STAGE1
         assert len(client.protected) == 2 and client.stage_transition_t is None
 
@@ -263,10 +278,10 @@ class TestPersonalElimination:
         conf = ConfParams(0.1, 1.0, 0.1, 1000)
         client = make_client(suite, conf, SMOOTH)
         client.run_stage1_phase([ROOT], 1)
-        client.absorb_broadcast(ServerBroadcast(0, {ROOT: (0.5, 0.1)}))
+        absorb_cohort([client], ServerBroadcast(0, {ROOT: (0.5, 0.1)}))
         kids = (NodeId(1, 1), NodeId(1, 2))
         client.run_stage1_phase(list(kids), 1)
-        client.absorb_broadcast(ServerBroadcast(1, {k: (0.5, 0.1) for k in kids}))
+        absorb_cohort([client], ServerBroadcast(1, {k: (0.5, 0.1) for k in kids}))
         client.enter_pe()
         clock_before = client.clock
         client.pe_step()  # depth 0: root protected, no pulls
@@ -297,9 +312,9 @@ class TestPersonalElimination:
         good, bad = NodeId(3, 1), NodeId(3, 2)
         client.local_active = [good, bad]
         client.protected[3] = frozenset({good})
-        client.stats[good] = NodeStats(40, None, 0.9, 0.02)
+        set_stats(client, good, NodeStats(40, 36.0, 0.9, 0.02))  # broadcast mean and bound
         pulls = tau(3, conf, SMOOTH)
-        client.stats[bad] = NodeStats.from_counts(pulls, 0.3 * pulls, conf)
+        set_stats(client, bad, counted_stats(pulls, 0.3 * pulls, conf))
         assert client.stats[bad].bound + 0.3 + SMOOTH.slack(3) < 0.9 - 0.02
         client.pe_step()
         assert client.stage is Stage.PE
@@ -313,7 +328,7 @@ class TestPersonalElimination:
         conf = ConfParams(0.1, 1.0, 0.1, 1000)
         client = make_client(suite, conf, SMOOTH, pe=True)
         client.protected[0] = frozenset({ROOT})
-        client.stats[ROOT] = NodeStats(5, None, 0.5, 0.1)
+        set_stats(client, ROOT, NodeStats(5, 2.5, 0.5, 0.1))
         client.pe_step()
         assert client.stage is Stage.PE
         assert client.clock == 0
@@ -576,7 +591,7 @@ class TestDrivenRuns:
                     assert node in server[event.depth].eliminated
                     stats = dict(merged[event.depth])
                     ref = select_best(stats)
-                    stats[node] = NodeStats.from_counts(pulls, float(np.sum(rewards[node])), conf)
+                    stats[node] = counted_stats(pulls, float(np.sum(rewards[node])), conf)
                     assert eliminate(stats, [node], ref, event.depth, SMOOTH) == {node}
                     settled += 1
         assert settled > 0
@@ -714,6 +729,52 @@ class TestBudgetEnds:
             run(two_client_config(1000, depth_cap=5), 0)
 
 
+class TestCellTable:
+    def test_a_client_s_statistics_are_the_cells_it_drew(self):
+        suite = ramp_suite(clients=2, noise=0.1)
+        conf = ConfParams(0.1, 1.0, 0.1, 100)
+        table = CellTable(SPEC)
+        one, two = (Client(m, suite, table, conf, SMOOTH, substream(1, PURPOSE_NOISE, m))
+                    for m in (1, 2))
+        cells = [NodeId(2, i) for i in range(1, 5)]
+        protocol.pull_cohort([(one, cells[:3], [2, 2, 2]), (two, cells[2:], [3, 3])])
+        # each cell is evaluated for both clients; only drawn pulls make statistics
+        assert table.evaluated[table.rows_of(cells)].all()
+        assert list(one.stats) == cells[:3] and list(two.stats) == cells[2:]
+        assert [s.pulls for s in two.stats.values()] == [3, 3]
+        assert two.stats[cells[3]] == counted_stats(3, two.pull_log.sums[1], conf)
+
+    def test_a_run_builds_no_client_statistics_and_logs_each_call_once(self, monkeypatch):
+        # garland, 100 clients, 1e5 pulls: wide-pool's pfpne shape
+        built = []  # whether each NodeStats built carries a reward sum, as a client's would
+        init = NodeStats.__init__
+
+        def counting_init(stats, *args, **kwargs):
+            init(stats, *args, **kwargs)
+            built.append(stats.reward_sum is not None)
+
+        monkeypatch.setattr(NodeStats, "__init__", counting_init)
+        appends = collections.Counter()  # append_batch calls, by log
+        append = PullLog.append_batch
+        monkeypatch.setattr(PullLog, "append_batch", lambda log, segments, steps: (
+            appends.update([id(log)]), append(log, segments, steps)))
+        calls = []  # (pulled, appends) of each client's call
+        pull = protocol.pull_cohort
+
+        def counted_pull(cohort):
+            before = [(client, client.clock, appends[id(client.pull_log)])
+                      for client, _, _ in cohort]
+            pull(cohort)
+            calls.extend((client.clock > clock, appends[id(client.pull_log)] - logged)
+                         for client, clock, logged in before)
+
+        monkeypatch.setattr(protocol, "pull_cohort", counted_pull)
+        run(ExperimentConfig(objective="garland", clients=100, horizon=100_000, seeds=(1,)), 1)
+        assert built.count(True) == 0 and built.count(False) > 0  # the server's merges only
+        assert [logged for _, logged in calls] == [int(pulled) for pulled, _ in calls]
+        assert sum(pulled for pulled, _ in calls) > 1000
+
+
 def per_cell_pulls(suite, m, seed, nodes, counts, spec=SPEC):
     """Client ``m``'s segments for ``counts`` pulls of ``nodes``, one cell at a time.
 
@@ -770,7 +831,7 @@ class TestBlockedPulls:
             assert client.rng.bit_generator.state == state
         else:
             assert client.pull_log.segments == expected
-            assert client.stats == {node: NodeStats.from_counts(n, total, conf)
+            assert client.stats == {node: counted_stats(n, total, conf)
                                     for node, n, total, _ in expected}
         assert client.clock == sum(counts)
         assert client.stage is (Stage.EXHAUSTED if exhausted else Stage.STAGE1)
@@ -780,18 +841,28 @@ class TestPullLogSteps:
     @pytest.mark.parametrize("start", [4, 6], ids=["overlap", "gap"])
     def test_a_call_must_continue_the_log(self, start):
         log = PullLog()
-        log.append_batch([(ROOT, 5, 2.5, 0.1)], range(5))
+        log.append_batch(([ROOT], [5], [2.5], [0.1]), range(5))
         with pytest.raises(ProtocolFault, match=f"a call at pull {start} does not follow pull 5"):
-            log.append_batch([(ROOT, 2, None, 0.1)], range(start, start + 2))
+            log.append_batch(([ROOT], [2], None, [0.1]), range(start, start + 2))
         assert len(log) == 5 and log.segments == [(ROOT, 5, 2.5, 0.1)]
-        log.append_batch([(ROOT, 2, None, 0.1)], range(5, 7))
-        assert len(log) == 7
+        log.append_batch(([ROOT], [2], None, [0.1]), range(5, 7))
+        assert len(log) == 7 and log.segments == [(ROOT, 5, 2.5, 0.1), (ROOT, 2, None, 0.1)]
 
     @pytest.mark.parametrize("stop", [2, 4], ids=["short", "long"])
     def test_segments_must_account_for_every_pull_of_the_call(self, stop):
         log = PullLog()
         with pytest.raises(ProtocolFault, match="segments do not account for every pull"):
-            log.append_batch([(ROOT, 3, 1.5, 0.1)], range(stop))
+            log.append_batch(([ROOT], [3], [1.5], [0.1]), range(stop))
+        assert len(log) == 0 and log.segments == []
+
+    @pytest.mark.parametrize("columns", [
+        ([ROOT, ROOT], [3], [1.5], [0.1]), ([ROOT], [3], [1.5, 0.2], [0.1]),
+        ([ROOT], [3], [1.5], []), ([ROOT, ROOT], [3, 0], None, [0.1])],
+        ids=["cells", "sums", "regrets", "cells-without-sums"])
+    def test_a_call_s_columns_must_have_one_length(self, columns):
+        log = PullLog()
+        with pytest.raises(ProtocolFault, match="segment columns differ in length"):
+            log.append_batch(columns, range(3))
         assert len(log) == 0 and log.segments == []
 
 
@@ -816,7 +887,7 @@ def step_alone(suite, spec, conf, smooth, variant, depth_cap, seed):
             break
         broadcast = server.step(reports, clock=clients[0].clock)
         for client in clients:
-            client.absorb_broadcast(broadcast)
+            absorb_cohort([client], broadcast)
     for client in clients:
         if client.stage is Stage.STAGE1 and variant != "global-only":
             client.enter_pe()
