@@ -602,9 +602,6 @@ class _Runs:
         ends = np.array(counts).cumsum()
         self.counts, self.first = counts, ends - counts
         self.starts, self.ends = self.first.tolist(), ends.tolist()
-        self.at = (np.arange(len(counts)).repeat(counts),
-                   np.arange(self.ends[-1]) - self.first.repeat(counts))
-        self.width = max(counts)
 
     def spread(self, per_run: np.ndarray) -> np.ndarray:
         """Each run's value, repeated over its entries."""
@@ -612,9 +609,8 @@ class _Runs:
 
     def first_best(self, values: np.ndarray) -> np.ndarray:
         """Each run's flat index of its first largest value: the best cell, ties to the smallest."""
-        grid = np.full((len(self.counts), self.width), -np.inf)
-        grid[self.at] = values
-        return self.first + grid.argmax(axis=1)
+        hits = np.flatnonzero(values == self.spread(np.maximum.reduceat(values, self.first)))
+        return hits[hits.searchsorted(self.first)]
 
 
 def run_pe_cohort(clients: list[Client], depth_cap: int) -> None:
