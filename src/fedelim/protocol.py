@@ -71,7 +71,7 @@ class Stage(enum.Enum):
 
 
 class PullLog:
-    """One client's pulls as columns, an entry per segment: ``cells``, ``pulls``, ``sums``, ``regrets``.
+    """One client's pulls as columns ``cells``, ``pulls``, ``sums``, ``regrets``, one entry a segment.
 
     All pulls of a cell in one call share the cell, so a segment is the
     cell, the pull count, the reward sum and the instant regret shared by
@@ -88,7 +88,7 @@ class PullLog:
         self._pulls = 0
 
     def append_batch(self, segments: tuple[list, list, list | None, list], steps: range) -> None:
-        """Log one call's segment columns ``(cells, pulls, sums or None, regrets)``; it takes ``steps``."""
+        """Log one call's segment columns ``(cells, pulls, sums or None, regrets)``, over ``steps``."""
         cells, pulls, sums, regrets = segments
         if steps.start != self._pulls:
             raise ProtocolFault(f"a call at pull {steps.start} does not follow pull {self._pulls}")
@@ -136,49 +136,31 @@ class CommRound(EliminationEvent):
 
 
 class _Rows(dict):
-    """Each cell's row; a cell named for the first time takes the next one, and joins ``cells``."""
-
-    def __init__(self, cells: list[NodeId]):
-        super().__init__()
-        self.cells = cells
+    """Each cell's row, in row order: a cell named for the first time takes the next one."""
 
     def __missing__(self, cell: NodeId) -> int:
-        row = self[cell] = len(self.cells)
-        self.cells.append(cell)
+        row = self[cell] = len(self)
         return row
-
-
-class _Children(dict):
-    """Each cell's children, built by ``partition.children`` the first time they are read."""
-
-    def __init__(self, spec: PartitionSpec):
-        super().__init__()
-        self.spec = spec
-
-    def __missing__(self, cell: NodeId) -> list[NodeId]:
-        kids = self[cell] = children(cell, self.spec)
-        return kids
 
 
 class CellTable:
     """A run's partition and what it knows of each cell, shared by the server and every client.
 
-    A cell takes a row the first time it is named (``rows``, ``rows_of``);
-    ``cells`` maps rows back.  Each array holds a row per cell and a column
-    per client, client ``m`` in column ``m - 1``: ``values``, every client's
-    value at the cell's center, filled when the cell is first pulled
-    (``evaluated``); and each client's ``pulls``, reward ``sums``, ``means``
-    and ``bounds``.  A client has statistics of a cell once it has drawn
-    pulls there (``pulls > 0``); a broadcast overwrites a survivor's mean
-    and bound.  The arrays double their rows as cells arrive.
-    ``children``: each cell's children, built when it is first expanded.
+    A cell takes the next row the first time it is named (``rows``,
+    ``rows_of``).  Each array holds a row per cell and a column per client,
+    client ``m`` in column ``m - 1``: ``values``, every client's value at
+    the cell's center, filled when the cell is first pulled (``evaluated``);
+    and each client's ``pulls``, reward ``sums``, ``means`` and ``bounds``.
+    A client has statistics of a cell once it has drawn pulls there
+    (``pulls > 0``); a broadcast overwrites a survivor's mean and bound.
+    The arrays double their rows as cells arrive.  ``children``: each
+    cell's children, built when it is first expanded.
     """
 
     def __init__(self, spec: PartitionSpec):
         self.spec = spec
-        self.cells: list[NodeId] = []
-        self.rows = _Rows(self.cells)
-        self.children = _Children(spec)
+        self.rows = _Rows()
+        self.children: dict[NodeId, list[NodeId]] = {}
         self.evaluated = np.zeros(0, dtype=bool)
         self.values = self.sums = self.means = self.bounds = np.zeros((0, 0))
         self.pulls = np.zeros((0, 0), dtype=np.int64)
@@ -186,13 +168,13 @@ class CellTable:
     def widen(self, clients: int) -> None:
         """Make a column for each of ``clients`` clients."""
         if clients > self.pulls.shape[1]:
-            self._fit(len(self.evaluated), clients)
+            self._fit(max(64, len(self.evaluated)), clients)
 
     def rows_of(self, cells) -> np.ndarray:
         """The rows of ``cells``, in order; a new cell takes a new row."""
         rows = np.fromiter(map(self.rows.__getitem__, cells), dtype=np.intp)
-        if len(self.cells) > len(self.evaluated):
-            self._fit(max(64, 2 * len(self.cells)), self.pulls.shape[1])
+        if len(self.rows) > len(self.evaluated):
+            self._fit(max(64, 2 * len(self.rows)), self.pulls.shape[1])
         return rows
 
     def _fit(self, height: int, width: int) -> None:
@@ -205,7 +187,8 @@ class CellTable:
 
     def expand(self, cells) -> list[NodeId]:
         """The children of ``cells``, cell by cell, each in index order."""
-        return list(itertools.chain.from_iterable(map(self.children.__getitem__, cells)))
+        kids, spec = self.children, self.spec
+        return [c for n in cells for c in kids.get(n) or kids.setdefault(n, children(n, spec))]
 
 
 class Server:
@@ -259,7 +242,6 @@ class Server:
         return broadcast
 
 
-
 class Client:
     """One client's clock, stage and frontier; its statistics are its column of the run's table.
 
@@ -295,9 +277,9 @@ class Client:
     @property
     def stats(self) -> dict[NodeId, NodeStats]:
         """Statistics of each cell this client has drawn pulls of: a view of its table column."""
-        table, col = self.table, self.m - 1
-        return {table.cells[r]: NodeStats(int(table.pulls[r, col]), float(table.sums[r, col]),
-                                          float(table.means[r, col]), float(table.bounds[r, col]))
+        table, col, cells = self.table, self.m - 1, list(self.table.rows)
+        return {cells[r]: NodeStats(int(table.pulls[r, col]), float(table.sums[r, col]),
+                                    float(table.means[r, col]), float(table.bounds[r, col]))
                 for r in np.flatnonzero(table.pulls[:, col]).tolist()}
 
     def _pull_cells(self, nodes: list[NodeId], wants: list[int]) -> None:
@@ -355,12 +337,12 @@ def pull_cohort(calls: list[tuple[Client, list[NodeId], list[int]]]) -> None:
     """The one pull path: each ``(client, nodes, wants)`` call pulls its cells up to their wants.
 
     The calls are one stage-one round's or one personal depth's, one per
-    client of one run, and each call's cells are distinct.  A want of zero
-    or less pulls nothing.  The first cell a client's budget cannot fill is
-    cut at the budget and exhausts the client; no later cell is pulled.
-    Until then the wants are Python ints, since one may be
-    ``TAU_SATURATED``; the pulls left are table entries.  New cells are
-    evaluated for every client in one batch.  Each cell's pulls are one
+    client of one run, whose clients share one ``ConfParams``; each call's
+    cells are distinct.  A want of zero or less pulls nothing.  The first
+    cell a client's budget cannot fill is cut at the budget and exhausts the
+    client; no later cell is pulled.  Until then the wants are Python ints,
+    since one may be ``TAU_SATURATED``; the pulls left are table entries.
+    New cells are evaluated for every client in one batch.  Each cell's pulls are one
     segment, each call's segments one ``PullLog.append_batch``.  A call that
     exhausts its client, its last, draws no noise: nothing reads its
     rewards, so its reward sums are ``None``.  The other calls draw from
@@ -389,15 +371,17 @@ def pull_cohort(calls: list[tuple[Client, list[NodeId], list[int]]]) -> None:
             planned.append((client, cells, ks, client.budget - left))
     if not planned:
         return
-    table, suite = planned[0][0].table, planned[0][0].suite
+    table, suite, conf = planned[0][0].table, planned[0][0].suite, planned[0][0].conf
     counts = [len(cells) for _, cells, _, _ in planned]
-    rows = table.rows_of(itertools.chain.from_iterable(call[1] for call in planned))
+    pulled = list(itertools.chain.from_iterable(call[1] for call in planned))
+    rows = table.rows_of(pulled)
     at = rows * table.pulls.shape[1] + np.array([c.m - 1 for c, *_ in planned]).repeat(counts)
     ks = np.fromiter(itertools.chain.from_iterable(call[2] for call in planned), dtype=np.int64)
     evaluated = table.evaluated[rows]
     if not evaluated.all():
-        new = list(dict.fromkeys(rows[~evaluated].tolist()))
-        centers = [representative(suite.domain, table.cells[r], table.spec) for r in new]
+        new = dict.fromkeys(itertools.compress(pulled, (~evaluated).tolist()))
+        centers = [representative(suite.domain, cell, table.spec) for cell in new]
+        new = list(map(table.rows.__getitem__, new))
         table.values[new] = suite.eval_clients_batch(np.array(centers))
         table.evaluated[new] = True
     values = table.values.ravel()[at]  # flat (row, client) indices into the table
@@ -414,30 +398,25 @@ def pull_cohort(calls: list[tuple[Client, list[NodeId], list[int]]]) -> None:
             if group and size + n > BUFFER_DOUBLES:
                 groups.append((group, size))
                 group, size = [], 0
-            group.append((client, steps, ks[first:last], values[first:last]))
+            group.append((client, pulls, steps))
             size += n
             drawing.append((client, cells, pulls, first, last, steps))
         first = last
     if not drawing:
         return
     groups.append((group, size))
-    sums = [_draw_and_sum(group, size, suite.noise) for group, size in groups]
-    sums = np.concatenate(sums) if len(sums) > 1 else sums[0]
     if len(drawing) < len(planned):
         keep = np.repeat([client.stage is not Stage.EXHAUSTED for client, *_ in planned], counts)
-        at, ks = at[keep], ks[keep]
+        at, ks, values = at[keep], ks[keep], values[keep]
+    sums, done = np.empty(len(ks)), 0
+    for group, size in groups:
+        done += _draw_and_sum(group, size, values[done:], sums[done:], suite.noise)
 
     flat = [array.ravel() for array in (table.pulls, table.sums, table.means, table.bounds)]
     pulls = flat[0][at] + ks
     totals = flat[1][at] + sums  # a reward sum is never -0.0, so 0.0 + it is it
     flat[0][at], flat[1][at], flat[2][at] = pulls, totals, totals / pulls
-    conf = drawing[0][0].conf
-    if all(call[0].conf is conf for call in drawing):
-        c, log_term = conf.c, conf.log_term
-    else:  # a client with parameters of its own
-        c, log_term = (np.array([getattr(call[0].conf, name) for call in drawing]).repeat(
-            [call[4] - call[3] for call in drawing]) for name in ("c", "log_term"))
-    flat[3][at] = c * np.sqrt(log_term / pulls)  # confidence_bound, cell by cell
+    flat[3][at] = conf.c * np.sqrt(conf.log_term / pulls)  # confidence_bound, cell by cell
 
     sums, done = sums.tolist(), 0
     for client, cells, pulls, first, last, steps in drawing:
@@ -446,28 +425,27 @@ def pull_cohort(calls: list[tuple[Client, list[NodeId], list[int]]]) -> None:
         done += last - first
 
 
-def _draw_and_sum(group: list, size: int, noise) -> np.ndarray:
-    """The reward sums of ``group``'s cells, in order, from one buffer of ``size`` doubles.
+def _draw_and_sum(group: list, size: int, values: np.ndarray, out: np.ndarray, noise) -> int:
+    """Sum the rewards of ``group``'s cells into ``out``, in order, from one ``size``-double buffer.
 
-    Each ``(client, steps, pulls, values)`` call draws its slice from its
-    own client's generator.  A run of consecutive equal-count cells, across
-    calls, is one (cells x pulls) view of the buffer, summed by row: each
-    row reduces exactly as the cell's own slice would.
+    Each ``(client, pulls, steps)`` call draws its slice from its own
+    client's generator; ``values`` holds each cell's value.  A run of
+    consecutive equal-count cells, across calls, is one (cells x pulls) view
+    of the buffer, summed by row: each row reduces exactly as the cell's own
+    slice would.  Returns the number of cells.
     """
     rewards, offset = np.empty(size), 0
-    for client, steps, _, _ in group:
+    for client, _, steps in group:
         noise.draw(client.rng, len(steps), out=rewards[offset:offset + len(steps)])
         offset += len(steps)
-    ks, column = (np.concatenate([call[i] for call in group]) if len(group) > 1 else group[0][i]
-                  for i in (2, 3))
-    starts = [0, *(np.flatnonzero(ks[1:] != ks[:-1]) + 1).tolist(), len(ks)]
-    sums, offset = np.empty(len(ks)), 0
-    for first, last, k in zip(starts, starts[1:], ks[starts[:-1]].tolist()):
+    first = offset = 0
+    for k, run in itertools.groupby(itertools.chain.from_iterable(call[1] for call in group)):
+        last = first + len(list(run))
         rows = rewards[offset:offset + (last - first) * k].reshape(last - first, k)
-        rows += column[first:last, None]  # in place: one array per buffer
-        rows.sum(axis=1, out=sums[first:last])
-        offset += (last - first) * k
-    return sums
+        rows += values[first:last, None]  # in place: one array per buffer
+        rows.sum(axis=1, out=out[first:last])
+        first, offset = last, offset + (last - first) * k
+    return first
 
 
 def stage1_cohort(clients: list[Client], active: list[NodeId],
@@ -478,8 +456,8 @@ def stage1_cohort(clients: list[Client], active: list[NodeId],
     client whose budget falls short is exhausted in the middle of the
     phase, and reports nothing (``None``).  A budget that ends exactly with
     the phase exhausts the client on the first cell of the next phase.
-    Every other client uploads its (mean, pulls) of each active cell, read
-    for all of them in one slice of the table.
+    Every other client uploads its (mean, pulls) of each active cell, its
+    column of the active cells' rows of the table.
     """
     for client in clients:
         if client.stage != Stage.STAGE1:
@@ -487,13 +465,12 @@ def stage1_cohort(clients: list[Client], active: list[NodeId],
                 f"client {client.m} cannot sample stage one in stage {client.stage}")
     wants = [per_node_quota] * len(active)
     pull_cohort([(client, active, wants) for client in clients])
-    reporting = [client for client in clients if client.stage is not Stage.EXHAUSTED]
     table = clients[0].table
-    grid = table.rows_of(active)[:, None], np.array([client.m - 1 for client in reporting], np.intp)
-    uploads = iter([ClientReport(client.m, len(client.protected), dict(zip(active, zip(means, n))))
-                    for client, means, n in zip(reporting, table.means[grid].T.tolist(),
-                                                table.pulls[grid].T.tolist())])
-    return [None if client.stage is Stage.EXHAUSTED else next(uploads) for client in clients]
+    rows = table.rows_of(active)
+    means, pulls = table.means[rows].T.tolist(), table.pulls[rows].T.tolist()
+    return [None if c.stage is Stage.EXHAUSTED else ClientReport(
+        c.m, len(c.protected), dict(zip(active, zip(means[c.m - 1], pulls[c.m - 1]))))
+        for c in clients]
 
 
 def absorb_cohort(clients: list[Client], broadcast: ServerBroadcast) -> None:
@@ -514,9 +491,9 @@ def absorb_cohort(clients: list[Client], broadcast: ServerBroadcast) -> None:
     if None in rows:
         raise ProtocolFault(f"broadcast names unknown node {survivors[rows.index(None)]}")
     grid = np.array(rows, np.intp)[:, None], np.array([client.m - 1 for client in clients])
-    held = table.pulls[grid].all(axis=1)  # every client has statistics of the cell
+    held = table.pulls[grid]  # every client has statistics of the cell
     if not held.all():
-        raise ProtocolFault(f"broadcast names unknown node {survivors[int(held.argmin())]}")
+        raise ProtocolFault(f"broadcast names unknown node {survivors[held.all(1).argmin()]}")
     merged = np.array(list(broadcast.stats.values()), dtype=float).reshape(-1, 2)
     table.means[grid], table.bounds[grid] = merged[:, :1], merged[:, 1:]
     protected = frozenset(survivors)
@@ -527,60 +504,55 @@ def absorb_cohort(clients: list[Client], broadcast: ServerBroadcast) -> None:
 def pe_cohort(clients: list[Client]) -> None:
     """One personal depth for every client: settle, top up unprotected cells, eliminate, expand.
 
-    The clients' active cells, client by client, are one flat run of table
-    rows and columns.  A cell the server eliminated at a client's depth is
-    tested on the client's own stage-one pulls against its best protected
-    cell; if that test eliminates it, it is settled without a top-up.  Every
-    other unprotected cell wants the depth threshold, less its stage-one
-    pulls; the top-ups of all clients are one ``pull_cohort``.  Protected
-    cells keep their broadcast statistics, still compete for the best-cell
-    slot, and are exempt from both sampling and elimination.  A budget that
-    falls short exhausts its client there, before the depth's elimination;
-    every step completed names its best cell.
+    The clients are at one depth; their active cells, client by client, are
+    one flat run of table rows and columns.  A cell the server eliminated at
+    the depth is tested on the client's own stage-one pulls against its best
+    protected cell; if that test eliminates it, it is settled without a
+    top-up.  Every other unprotected cell wants the depth threshold, less
+    its stage-one pulls; the top-ups of all clients are one ``pull_cohort``.
+    Protected cells keep their broadcast statistics, still compete for the
+    best-cell slot, and are exempt from both sampling and elimination.  A
+    budget that falls short exhausts its client there, before the depth's
+    elimination; every step completed names its best cell.
     """
-    table, actives = clients[0].table, [client.local_active for client in clients]
-    runs = _Runs([len(active) for active in actives])
+    table, h = clients[0].table, clients[0].pe_depth
+    tau_h, slack = tau(h, clients[0].conf, clients[0].smooth), clients[0].smooth.slack(h)
+    actives = [client.local_active for client in clients]
+    counts = list(map(len, actives))
+    ends = list(itertools.accumulate(counts))
+    runs = list(zip([0, *ends], ends))  # each client's slice of the flat run
     rows = table.rows_of(itertools.chain.from_iterable(actives))
-    at = rows * table.pulls.shape[1] + np.array([c.m - 1 for c in clients]).repeat(runs.counts)
-    flags, guarded, taus, slacks, depths = [], [], [], [], {}
+    at = rows * table.pulls.shape[1] + np.array([c.m - 1 for c in clients]).repeat(counts)
+    flags = []
     for client, active in zip(clients, actives):
-        h, prot = client.pe_depth, client.protected.get(client.pe_depth)
-        key = (h, id(client.conf), id(client.smooth))
-        if key not in depths:
-            depths[key] = (tau(h, client.conf, client.smooth), client.smooth.slack(h))
-        taus.append(depths[key][0])
-        slacks.append(depths[key][1])
+        prot = client.protected.get(h)
         held = list(map(prot.__contains__, active)) if prot else [False] * len(active)
         if prot and sum(held) != len(prot):
             raise ProtocolFault(f"client {client.m} has protected cells outside its active "
                                 f"set at depth {h}")
         flags += held
-        guarded.append(bool(prot))
-    prot, slack = np.array(flags, dtype=bool), runs.spread(np.array(slacks))
-    own = table.pulls.ravel()[at]
-    settled = np.zeros(len(rows), dtype=bool)
-    if guarded.count(True):
+    prot, own = np.array(flags, dtype=bool), table.pulls.ravel()[at]
+    settled = prot  # all False unless some client has a protected cell
+    if True in flags:
         # Unprotected cells with stage-one pulls are exactly the cells the
         # server eliminated at the depth.  Without a protected cell there is
         # no reference, and nothing falls below -inf.
         means, bounds = table.means.ravel()[at], table.bounds.ravel()[at]
-        ref = runs.first_best(np.where(prot, means, -np.inf))
-        threshold = np.where(guarded, means[ref] - bounds[ref], -np.inf)
-        settled = ~prot & (own > 0) & (means + bounds + slack < runs.spread(threshold))
+        ref = _first_best(np.where(prot, means, -np.inf), runs)
+        threshold = np.where(prot, means - bounds, -np.inf)[ref].repeat(counts)
+        settled = ~prot & (own > 0) & (means + bounds + slack < threshold)
     sample = ~(prot | settled)
     picks, own = sample.tolist(), own.tolist()
     pull_cohort([(client, list(itertools.compress(active, picks[first:last])),
                   list(map(tau_h.__sub__, itertools.compress(own[first:last], picks[first:last]))))
-                 for client, active, tau_h, first, last
-                 in zip(clients, actives, taus, runs.starts, runs.ends)])
+                 for client, active, (first, last) in zip(clients, actives, runs)])
 
     means, bounds = table.means.ravel()[at], table.bounds.ravel()[at]
-    best = runs.first_best(means)
-    dropped = sample & (means + bounds + slack < runs.spread(means[best] - bounds[best]))
-    if (dropped & prot).any():
-        raise ProtocolFault("a personal step eliminated protected nodes")
+    best = _first_best(means, runs)
+    threshold = (means[best] - bounds[best]).repeat(counts)
+    dropped = sample & (means + bounds + slack < threshold)  # never a protected cell
     kept, settled, dropped = (~(settled | dropped)).tolist(), settled.tolist(), dropped.tolist()
-    for client, b, first, last in zip(clients, best.tolist(), runs.starts, runs.ends):
+    for client, b, (first, last) in zip(clients, best, runs):
         if client.stage is Stage.EXHAUSTED:
             continue
         active = client.local_active
@@ -589,28 +561,16 @@ def pe_cohort(clients: list[Client]) -> None:
         removed = (set(itertools.compress(active, settled[first:last]))
                    | set(itertools.compress(active, dropped[first:last])))
         survivors = tuple(itertools.compress(active, kept[first:last]))
-        client.pe_events.append(EliminationEvent(client.pe_depth, active[b - first],
-                                                 frozenset(removed), survivors))
+        client.pe_events.append(EliminationEvent(h, active[b - first], frozenset(removed),
+                                                 survivors))
         client.local_active = table.expand(survivors)  # in index order
         client.pe_depth += 1
 
 
-class _Runs:
-    """A flat array's consecutive runs, one per client: its active cells, in index order."""
-
-    def __init__(self, counts: list[int]):
-        ends = np.array(counts).cumsum()
-        self.counts, self.first = counts, ends - counts
-        self.starts, self.ends = self.first.tolist(), ends.tolist()
-
-    def spread(self, per_run: np.ndarray) -> np.ndarray:
-        """Each run's value, repeated over its entries."""
-        return per_run.repeat(self.counts)
-
-    def first_best(self, values: np.ndarray) -> np.ndarray:
-        """Each run's flat index of its first largest value: the best cell, ties to the smallest."""
-        hits = np.flatnonzero(values == self.spread(np.maximum.reduceat(values, self.first)))
-        return hits[hits.searchsorted(self.first)]
+def _first_best(values: np.ndarray, runs: list[tuple[int, int]]) -> list[int]:
+    """Each run's flat index of its first largest value: the best cell, ties to the smallest."""
+    values = values.tolist()
+    return [values.index(max(values[first:last]), first, last) for first, last in runs]
 
 
 def run_pe_cohort(clients: list[Client], depth_cap: int) -> None:

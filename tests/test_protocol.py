@@ -953,8 +953,8 @@ class TestCohortSteps:
         monkeypatch.setattr(protocol, "BUFFER_DOUBLES", cap)
         buffers = []  # (calls, doubles) of each buffer
         draw_and_sum = protocol._draw_and_sum
-        monkeypatch.setattr(protocol, "_draw_and_sum", lambda group, size, noise: buffers.append(
-            (len(group), size)) or draw_and_sum(group, size, noise))
+        monkeypatch.setattr(protocol, "_draw_and_sum", lambda group, size, *rest: buffers.append(
+            (len(group), size)) or draw_and_sum(group, size, *rest))
         horizon = 20000 if cap == 50 else 1_000_000
         config = ExperimentConfig(objective="garland", clients=3, horizon=horizon,
                                   variant=variant, seeds=(1,))
