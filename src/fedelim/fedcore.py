@@ -1,8 +1,11 @@
 """Shared statistical machinery of the elimination protocol.
 
 Confidence bounds, per-depth sampling thresholds, the stage-transition depth,
-the report and broadcast message types, and the argmax / elimination rules
-used by both the server pass and the per-client pass.
+the report and broadcast message types, the merge of the reports, and the
+one elimination rule, on arrays: the best cell of a run is its first largest
+mean, and a cell falls when its optimistic value lies strictly below the best
+cell's pessimistic one.  The server applies it to the merged reports, each
+client to its own cells.
 
 The confidence half-width for an ``n``-pull mean is ``c * sqrt(log(c1*T/d) / n)``
 and the depth-``h`` sampling threshold is the smallest pull count that drives
@@ -14,7 +17,8 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+
+import numpy as np
 
 from .partition import NodeId
 
@@ -74,29 +78,18 @@ class SmoothParams:
         return self.nu1 * self.rho ** depth
 
 
-@dataclass(slots=True)
-class NodeStats:
-    """Pull count, reward sum, mean estimate and confidence half-width.
-
-    A client's statistics (``Client.stats``, a view of its column of the
-    run's cell table) of a cell the server kept carry the broadcast (mean,
-    bound) over its own pulls and reward sum.  ``reward_sum`` is None for
-    server-side merged statistics.
-    """
-
-    pulls: int
-    reward_sum: float | None
-    mean: float
-    bound: float
-
-
 @dataclass
 class ClientReport:
-    """Per-depth upload: the client's mean estimate and pull count per node."""
+    """Per-depth upload: the client's column of the server's active cells, in active order.
+
+    ``means`` (float64) and ``pulls`` (int64) hold the client's mean estimate
+    and pull count of each active cell.  No reward sum crosses to the server.
+    """
 
     client: int
     depth: int
-    entries: dict[NodeId, tuple[float, int]]
+    means: np.ndarray
+    pulls: np.ndarray
 
 
 @dataclass
@@ -110,11 +103,12 @@ class ServerBroadcast:
     stats: dict[NodeId, tuple[float, float]]
 
 
-def confidence_bound(pulls: int, conf: ConfParams) -> float:
-    """Hoeffding-style half-width ``c * sqrt(log(c1*T/delta) / pulls)``."""
-    if pulls < 1:
-        raise ValueError("confidence bound needs at least one pull")
-    return conf.c * math.sqrt(conf.log_term / pulls)
+def confidence_bound(pulls, conf: ConfParams):
+    """Hoeffding-style half-width ``c * sqrt(log(c1*T/delta) / pulls)`` of each count in ``pulls``.
+
+    ``pulls`` is an int64 array, or one int; every count is positive.
+    """
+    return conf.c * np.sqrt(conf.log_term / pulls)
 
 
 def tau(h: int, conf: ConfParams, smooth: SmoothParams) -> int:
@@ -172,70 +166,54 @@ def transition_depth(smooth: SmoothParams) -> int:
     return hi
 
 
-def merge_global(reports: list[ClientReport], conf: ConfParams) -> dict[NodeId, NodeStats]:
-    """Unweighted average of client means plus pooled pull counts per node.
+def merge_global(reports: list[ClientReport],
+                 conf: ConfParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each cell's unweighted average of the client means, pooled pull count and bound.
 
-    Reports are folded in ascending client order so the result is invariant
-    to the order in which they arrived.  Mismatched key sets across reports
-    are a protocol fault.
+    The reports, sorted by client so that the result does not depend on the
+    order they arrived in, are stacked into one C-contiguous (clients x
+    cells) array and summed over axis 0.  numpy adds its rows in order, so
+    each cell's sum is the fold ``((0.0 + m_1) + m_2) + ...``, bit for bit.
+    Reports of different lengths are a protocol fault.
     """
     if not reports:
         raise ProtocolFault("cannot merge an empty report list")
     ordered = sorted(reports, key=lambda r: r.client)
-    keys = set(ordered[0].entries)
-    for report in ordered[1:]:
-        if set(report.entries) != keys:
+    cells = len(ordered[0].means)
+    for report in ordered:
+        if not len(report.means) == len(report.pulls) == cells:
             raise ProtocolFault(
-                f"report key mismatch between clients {ordered[0].client} and {report.client}"
+                f"report length mismatch between clients {ordered[0].client} and {report.client}"
             )
-    m = len(ordered)
-    merged: dict[NodeId, NodeStats] = {}
-    for node in sorted(keys):
-        mean_sum = 0.0
-        pulls = 0
-        for report in ordered:
-            entry_mean, entry_pulls = report.entries[node]
-            mean_sum += entry_mean
-            pulls += entry_pulls
-        merged[node] = NodeStats(
-            pulls=pulls,
-            reward_sum=None,
-            mean=mean_sum / m,
-            bound=confidence_bound(pulls, conf),
-        )
-    return merged
+    means = np.array([r.means for r in ordered], dtype=float).sum(axis=0) / len(ordered)
+    pulls = np.array([r.pulls for r in ordered], dtype=np.int64).sum(axis=0)
+    return means, pulls, confidence_bound(pulls, conf)
 
 
-def select_best(stats: Mapping[NodeId, NodeStats]) -> NodeId:
-    """Node with the largest mean; ties go to the smallest node index."""
-    if not stats:
-        raise ValueError("cannot select from an empty statistics map")
-    best_mean = max(s.mean for s in stats.values())
-    return min(node for node, s in stats.items() if s.mean == best_mean)
+def select_best(means: np.ndarray, counts: list[int]) -> list[int]:
+    """Each run's best cell: the flat index of its first largest mean, so ties go to the first.
 
-
-def eliminate(
-    stats: Mapping[NodeId, NodeStats],
-    candidates: Iterable[NodeId],
-    best: NodeId,
-    h: int,
-    smooth: SmoothParams,
-) -> set[NodeId]:
-    """Candidates whose optimistic value falls strictly below the best node.
-
-    A node n is removed when ``mean_n + bound_n + nu1*rho**h < mean_best -
-    bound_best``.  The inequality is strict, so the best node can never
-    eliminate itself even when it appears among the candidates.
+    ``means`` holds runs of ``counts`` cells, one after another.
     """
-    if best not in stats:
-        raise ValueError("best node missing from the statistics map")
-    slack = smooth.slack(h)
-    threshold = stats[best].mean - stats[best].bound
-    out = set()
-    for node in candidates:
-        if node not in stats:
-            raise ValueError(f"candidate {node} missing from the statistics map")
-        s = stats[node]
-        if s.mean + s.bound + slack < threshold:
-            out.add(node)
-    return out
+    values, best, first = means.tolist(), [], 0
+    for count in counts:
+        last = first + count
+        best.append(values.index(max(values[first:last]), first, last))
+        first = last
+    return best
+
+
+def eliminate(means: np.ndarray, bounds: np.ndarray, best: list[int], counts: list[int],
+              slack: float, candidates: np.ndarray | None = None) -> np.ndarray:
+    """Flat indices of the cells whose optimistic value falls strictly below their run's best.
+
+    ``means`` and ``bounds`` hold runs of ``counts`` cells, run ``i``'s best
+    cell at ``best[i]``.  A cell falls when ``mean + bound + slack <
+    mean_best - bound_best``.  The inequality is strict, so the best cell
+    never eliminates itself.  Only cells of the boolean mask ``candidates``,
+    or every cell without one, may fall.
+    """
+    falls = means + bounds + slack < (means - bounds)[best].repeat(counts)
+    if candidates is not None:
+        falls &= candidates
+    return falls.nonzero()[0]

@@ -2,10 +2,14 @@
 
 Stage one is collaborative: the server walks the partition depth by depth,
 each client samples every active cell a per-client share of the depth
-threshold, the server merges the reports, eliminates cells whose optimistic
-value falls below the best cell, and broadcasts the survivors with their
-merged statistics.  Clients overwrite their local estimates of surviving
-cells with the broadcast values; those cells are *protected* from then on.
+threshold and reports its column of the active cells (means and pull
+counts, never reward sums), the server merges the reports, eliminates cells
+whose optimistic value falls below the best cell, and broadcasts the
+survivors with their merged statistics.  Clients overwrite their local
+estimates of surviving cells with the broadcast values; those cells are
+*protected* from then on.  The server's round and every personal step pick
+and eliminate with the one rule of ``fedcore``, ``select_best`` and
+``eliminate``, on arrays.
 
 Once the cell resolution drops below the optimal-value gap bound, every
 client restarts from the root on its own (personalized elimination).  A cell
@@ -46,10 +50,10 @@ import numpy as np
 from .fedcore import (
     ClientReport,
     ConfParams,
-    NodeStats,
     ProtocolFault,
     ServerBroadcast,
     SmoothParams,
+    confidence_bound,
     eliminate,
     merge_global,
     quota,
@@ -207,26 +211,31 @@ class Server:
         """Process one depth: merge, eliminate, broadcast, expand."""
         if sorted(r.client for r in reports) != list(range(1, self.clients + 1)):
             raise ProtocolFault(f"expected one report from each client 1..{self.clients}")
-        active = set(self.active)
+        active, n = self.active, len(self.active)
         for report in reports:
             if report.depth != self.depth:
                 raise ProtocolFault(
                     f"client {report.client} reported depth {report.depth}, server is at {self.depth}"
                 )
-            if report.entries.keys() != active:
+            if not len(report.means) == len(report.pulls) == n:
                 raise ProtocolFault(f"client {report.client} report does not cover the active set")
-        merged = merge_global(reports, self.conf)
-        best = select_best(merged)
-        removed = eliminate(merged, active, best, self.depth, self.smooth)
-        survivors = tuple(n for n in self.active if n not in removed)
-        stats = {n: (merged[n].mean, merged[n].bound) for n in survivors}
+        means, _, bounds = merge_global(reports, self.conf)
+        best = select_best(means, [n])
+        out = eliminate(means, bounds, best, [n], self.smooth.slack(self.depth)).tolist()
+        fallen = set(map(active.__getitem__, out))
+        means, bounds = means.tolist(), bounds.tolist()
+        stats = {cell: (means[i], bounds[i]) for i, cell in enumerate(active) if cell not in fallen}
+        survivors = tuple(stats)
+        # The eliminated set is built from the active set, in set order: a
+        # set's layout, and so its repr, depends on the order its cells arrive in.
+        removed = {cell for cell in set(active) if cell in fallen} if fallen else set()
 
-        up = sum(len(r.entries) for r in reports) * 2
+        up = len(reports) * n * 2
         down = len(survivors) * 3
         before = self.comm_rounds[-1].cumulative_scalars if self.comm_rounds else 0
         self.comm_rounds.append(CommRound(
             depth=self.depth,
-            best=best,
+            best=active[best[0]],
             eliminated=frozenset(removed),
             survivors=survivors,
             round_index=len(self.comm_rounds) + 1,
@@ -273,14 +282,6 @@ class Client:
     def budget(self) -> int:
         """Pulls left: the horizon minus the clock."""
         return self.conf.horizon_T - self.clock
-
-    @property
-    def stats(self) -> dict[NodeId, NodeStats]:
-        """Statistics of each cell this client has drawn pulls of: a view of its table column."""
-        table, col, cells = self.table, self.m - 1, list(self.table.rows)
-        return {cells[r]: NodeStats(int(table.pulls[r, col]), float(table.sums[r, col]),
-                                    float(table.means[r, col]), float(table.bounds[r, col]))
-                for r in np.flatnonzero(table.pulls[:, col]).tolist()}
 
     def _pull_cells(self, nodes: list[NodeId], wants: list[int]) -> None:
         """Pull each cell up to its want, in order: ``pull_cohort`` of this client alone."""
@@ -416,7 +417,7 @@ def pull_cohort(calls: list[tuple[Client, list[NodeId], list[int]]]) -> None:
     pulls = flat[0][at] + ks
     totals = flat[1][at] + sums  # a reward sum is never -0.0, so 0.0 + it is it
     flat[0][at], flat[1][at], flat[2][at] = pulls, totals, totals / pulls
-    flat[3][at] = conf.c * np.sqrt(conf.log_term / pulls)  # confidence_bound, cell by cell
+    flat[3][at] = confidence_bound(pulls, conf)
 
     sums, done = sums.tolist(), 0
     for client, cells, pulls, first, last, steps in drawing:
@@ -456,8 +457,8 @@ def stage1_cohort(clients: list[Client], active: list[NodeId],
     client whose budget falls short is exhausted in the middle of the
     phase, and reports nothing (``None``).  A budget that ends exactly with
     the phase exhausts the client on the first cell of the next phase.
-    Every other client uploads its (mean, pulls) of each active cell, its
-    column of the active cells' rows of the table.
+    Every other client uploads its means and pulls of the active cells, its
+    column of their rows of the table.
     """
     for client in clients:
         if client.stage != Stage.STAGE1:
@@ -467,10 +468,9 @@ def stage1_cohort(clients: list[Client], active: list[NodeId],
     pull_cohort([(client, active, wants) for client in clients])
     table = clients[0].table
     rows = table.rows_of(active)
-    means, pulls = table.means[rows].T.tolist(), table.pulls[rows].T.tolist()
+    means, pulls = table.means[rows].T, table.pulls[rows].T  # a row per client
     return [None if c.stage is Stage.EXHAUSTED else ClientReport(
-        c.m, len(c.protected), dict(zip(active, zip(means[c.m - 1], pulls[c.m - 1]))))
-        for c in clients]
+        c.m, len(c.protected), means[c.m - 1], pulls[c.m - 1]) for c in clients]
 
 
 def absorb_cohort(clients: list[Client], broadcast: ServerBroadcast) -> None:
@@ -532,45 +532,44 @@ def pe_cohort(clients: list[Client]) -> None:
                                 f"set at depth {h}")
         flags += held
     prot, own = np.array(flags, dtype=bool), table.pulls.ravel()[at]
-    settled = prot  # all False unless some client has a protected cell
+    sample, settled = ~prot, []
     if True in flags:
         # Unprotected cells with stage-one pulls are exactly the cells the
-        # server eliminated at the depth.  Without a protected cell there is
-        # no reference, and nothing falls below -inf.
+        # server eliminated at the depth.  A client without a protected cell
+        # has no reference, and settles none.
         means, bounds = table.means.ravel()[at], table.bounds.ravel()[at]
-        ref = _first_best(np.where(prot, means, -np.inf), runs)
-        threshold = np.where(prot, means - bounds, -np.inf)[ref].repeat(counts)
-        settled = ~prot & (own > 0) & (means + bounds + slack < threshold)
-    sample = ~(prot | settled)
+        ref = select_best(np.where(prot, means, -np.inf), counts)
+        settled = eliminate(means, bounds, ref, counts, slack,
+                            sample & (own > 0) & prot[ref].repeat(counts))
+        sample[settled] = False
+        settled = settled.tolist()
     picks, own = sample.tolist(), own.tolist()
     pull_cohort([(client, list(itertools.compress(active, picks[first:last])),
                   list(map(tau_h.__sub__, itertools.compress(own[first:last], picks[first:last]))))
                  for client, active, (first, last) in zip(clients, actives, runs)])
 
     means, bounds = table.means.ravel()[at], table.bounds.ravel()[at]
-    best = _first_best(means, runs)
-    threshold = (means[best] - bounds[best]).repeat(counts)
-    dropped = sample & (means + bounds + slack < threshold)  # never a protected cell
-    kept, settled, dropped = (~(settled | dropped)).tolist(), settled.tolist(), dropped.tolist()
+    best = select_best(means, counts)
+    dropped = eliminate(means, bounds, best, counts, slack, sample).tolist()  # never a protected cell
+    # Each cell's fate as flags for itertools.compress: settled, dropped or kept.
+    settled_at, dropped_at, kept = [False] * len(flags), [False] * len(flags), [True] * len(flags)
+    for i in settled:
+        settled_at[i], kept[i] = True, False
+    for i in dropped:
+        dropped_at[i], kept[i] = True, False
     for client, b, (first, last) in zip(clients, best, runs):
         if client.stage is Stage.EXHAUSTED:
             continue
         active = client.local_active
         # The settled set joined by the eliminated one, each built in cell
         # order: this fixes the event's set layout, and so its repr.
-        removed = (set(itertools.compress(active, settled[first:last]))
-                   | set(itertools.compress(active, dropped[first:last])))
+        removed = (set(itertools.compress(active, settled_at[first:last]))
+                   | set(itertools.compress(active, dropped_at[first:last])))
         survivors = tuple(itertools.compress(active, kept[first:last]))
         client.pe_events.append(EliminationEvent(h, active[b - first], frozenset(removed),
                                                  survivors))
         client.local_active = table.expand(survivors)  # in index order
         client.pe_depth += 1
-
-
-def _first_best(values: np.ndarray, runs: list[tuple[int, int]]) -> list[int]:
-    """Each run's flat index of its first largest value: the best cell, ties to the smallest."""
-    values = values.tolist()
-    return [values.index(max(values[first:last]), first, last) for first, last in runs]
 
 
 def run_pe_cohort(clients: list[Client], depth_cap: int) -> None:

@@ -13,7 +13,6 @@ from fedelim.fedcore import (
     TAU_SATURATED,
     ClientReport,
     ConfParams,
-    NodeStats,
     ProtocolFault,
     SmoothParams,
     confidence_bound,
@@ -24,14 +23,14 @@ from fedelim.fedcore import (
     tau,
     transition_depth,
 )
-from fedelim.partition import NodeId
 
 CONF = ConfParams(c=0.1, c1=1.0, delta=0.01, horizon_T=10_000)
 SMOOTH = SmoothParams(nu1=1.0, rho=0.5, delta_gap=0.01)
 
 
-def stats(mean, bound, pulls=10):
-    return NodeStats(pulls=pulls, reward_sum=mean * pulls, mean=mean, bound=bound)
+def report(client, depth, means, pulls):
+    """A report of ``means`` and ``pulls``, one of each per active cell."""
+    return ClientReport(client, depth, np.array(means, dtype=float), np.array(pulls, dtype=np.int64))
 
 
 class TestConfidenceBound:
@@ -66,9 +65,16 @@ class TestConfidenceBound:
         assert bounds == [confidence_bound(n, CONF) for n in (1, 2, 3)]
         assert conf == CONF and hash(conf) == hash(CONF)
 
-    def test_zero_pulls_rejected(self):
-        with pytest.raises(ValueError):
+    def test_zero_pulls_have_no_finite_bound(self):
+        with pytest.raises(ZeroDivisionError):
             confidence_bound(0, CONF)
+        with np.errstate(divide="ignore"):
+            assert confidence_bound(np.array([0, 1]), CONF)[0] == math.inf
+
+    def test_an_array_of_counts_bounds_each_count(self):
+        counts = np.arange(1, 2000, dtype=np.int64)
+        assert confidence_bound(counts, CONF).tolist() == [
+            CONF.c * math.sqrt(CONF.log_term / n) for n in counts.tolist()]
 
 
 class TestTau:
@@ -247,69 +253,53 @@ class TestTransitionDepth:
 
 class TestMergeGlobal:
     def test_two_client_average(self):
-        reports = [
-            ClientReport(1, 2, {NodeId(2, 1): (0.3, 5)}),
-            ClientReport(2, 2, {NodeId(2, 1): (0.5, 5)}),
-        ]
-        merged = merge_global(reports, CONF)
-        assert merged[NodeId(2, 1)].mean == pytest.approx(0.4, abs=1e-15)
-        assert merged[NodeId(2, 1)].pulls == 10
+        reports = [report(1, 2, [0.3], [5]), report(2, 2, [0.5], [5])]
+        means, pulls, _ = merge_global(reports, CONF)
+        assert means[0] == pytest.approx(0.4, abs=1e-15)
+        assert pulls.tolist() == [10]
 
     def test_single_client_identity(self):
-        reports = [ClientReport(1, 0, {NodeId(0, 1): (0.123, 3)})]
-        merged = merge_global(reports, CONF)
-        assert merged[NodeId(0, 1)].mean == 0.123
-        assert merged[NodeId(0, 1)].bound == confidence_bound(3, CONF)
+        means, _, bounds = merge_global([report(1, 0, [0.123], [3])], CONF)
+        assert means.tolist() == [0.123]
+        assert bounds.tolist() == [confidence_bound(3, CONF)]
 
     def test_symmetric_three_clients(self):
-        reports = [
-            ClientReport(m, 1, {NodeId(1, 1): (mean, 5)})
-            for m, mean in zip((1, 2, 3), (0.2, 0.4, 0.6))
-        ]
-        merged = merge_global(reports, CONF)
-        assert merged[NodeId(1, 1)].mean == pytest.approx(0.4, abs=1e-15)
-        assert merged[NodeId(1, 1)].pulls == 15
+        reports = [report(m, 1, [mean], [5]) for m, mean in zip((1, 2, 3), (0.2, 0.4, 0.6))]
+        means, pulls, _ = merge_global(reports, CONF)
+        assert means[0] == pytest.approx(0.4, abs=1e-15)
+        assert pulls.tolist() == [15]
 
     def test_permutation_invariance_is_exact(self):
         rng = np.random.default_rng(10)
-        nodes = [NodeId(3, i) for i in range(1, 9)]
-        reports = [
-            ClientReport(m, 3, {n: (float(rng.random()), int(rng.integers(1, 50))) for n in nodes})
-            for m in range(1, 7)
-        ]
+        reports = [report(m, 3, rng.random(8), rng.integers(1, 50, size=8)) for m in range(1, 7)]
         forward = merge_global(reports, CONF)
         backward = merge_global(list(reversed(reports)), CONF)
-        for n in nodes:
-            assert forward[n].mean == backward[n].mean
-            assert forward[n].pulls == backward[n].pulls
-            assert forward[n].bound == backward[n].bound
+        for got, want in zip(forward, backward):
+            assert got.tolist() == want.tolist()
 
     def test_brute_force_recompute(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             m_count = int(rng.integers(1, 9))
-            nodes = [NodeId(2, int(i)) for i in rng.choice(4, size=rng.integers(1, 4) + 1, replace=False) + 1]
-            reports = [
-                ClientReport(m, 2, {n: (float(rng.random()), int(rng.integers(1, 40))) for n in nodes})
-                for m in range(1, m_count + 1)
-            ]
-            merged = merge_global(reports, CONF)
-            for n in nodes:
+            cells = int(rng.integers(1, 5))
+            reports = [report(m, 2, rng.random(cells), rng.integers(1, 40, size=cells))
+                       for m in range(1, m_count + 1)]
+            means, pulls, bounds = merge_global(reports, CONF)
+            for k in range(cells):
                 mean_sum = 0.0
-                pulls = 0
+                pooled = 0
                 for r in sorted(reports, key=lambda r: r.client):
-                    mean_sum += r.entries[n][0]
-                    pulls += r.entries[n][1]
-                assert merged[n].mean == pytest.approx(mean_sum / m_count, rel=1e-15)
-                assert merged[n].pulls == pulls
-                assert merged[n].bound == confidence_bound(pulls, CONF)
+                    mean_sum += float(r.means[k])
+                    pooled += int(r.pulls[k])
+                assert means[k] == pytest.approx(mean_sum / m_count, rel=1e-15)
+                assert pulls[k] == pooled
+                assert bounds[k] == confidence_bound(pooled, CONF)
 
-    def test_mismatched_keys_fault(self):
-        reports = [
-            ClientReport(1, 1, {NodeId(1, 1): (0.5, 5)}),
-            ClientReport(2, 1, {NodeId(1, 2): (0.5, 5)}),
-        ]
-        with pytest.raises(ProtocolFault):
+    @pytest.mark.parametrize("second", [([0.5, 0.5], [5, 5]), ([0.5], [5, 5])],
+                             ids=["another-length", "means-and-pulls-differ"])
+    def test_mismatched_lengths_fault(self, second):
+        reports = [report(1, 1, [0.5], [5]), report(2, 1, *second)]
+        with pytest.raises(ProtocolFault, match="report length mismatch"):
             merge_global(reports, CONF)
 
     def test_empty_fault(self):
@@ -319,70 +309,80 @@ class TestMergeGlobal:
 
 class TestSelectBest:
     def test_plain_maximum(self):
-        m = {NodeId(2, 1): stats(0.4, 0.1), NodeId(2, 3): stats(0.7, 0.1)}
-        assert select_best(m) == NodeId(2, 3)
+        assert select_best(np.array([0.4, 0.7]), [2]) == [1]
 
-    def test_tie_breaks_to_smaller_index(self):
-        m = {NodeId(2, 2): stats(0.5, 0.1), NodeId(2, 1): stats(0.5, 0.1)}
-        assert select_best(m) == NodeId(2, 1)
+    def test_tie_breaks_to_the_first(self):
+        assert select_best(np.array([0.5, 0.5]), [2]) == [0]
+        assert select_best(np.array([0.1, 0.0, -0.0]), [1, 2]) == [0, 1]
 
     def test_singleton(self):
-        m = {NodeId(4, 9): stats(0.1, 0.2)}
-        assert select_best(m) == NodeId(4, 9)
+        assert select_best(np.array([0.1]), [1]) == [0]
+
+    def test_each_run_picks_its_own_best(self):
+        means = np.array([0.3, 0.9, 0.9, 0.2, 0.8, 0.1])
+        assert select_best(means, [3, 1, 2]) == [1, 3, 4]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            select_best({})
+            select_best(np.array([]), [0])
+
+
+def fallen(means, bounds, h, best=None, candidates=None):
+    """``eliminate`` over one run of cells against ``best`` (by default its first largest mean)."""
+    means, bounds = np.array(means, dtype=float), np.array(bounds, dtype=float)
+    best = select_best(means, [len(means)]) if best is None else best
+    return eliminate(means, bounds, best, [len(means)], SMOOTH.slack(h), candidates).tolist()
 
 
 class TestEliminate:
     def test_depth_three_eliminates_weak_node(self):
         # 0.5 + 0.05 + 0.125 = 0.675 < 0.85 = 0.9 - 0.05
-        m = {NodeId(3, 1): stats(0.9, 0.05), NodeId(3, 2): stats(0.5, 0.05)}
-        out = eliminate(m, set(m), NodeId(3, 1), 3, SMOOTH)
-        assert out == {NodeId(3, 2)}
+        assert fallen([0.9, 0.5], [0.05, 0.05], 3) == [1]
 
     def test_depth_one_keeps_same_node(self):
         # 0.5 + 0.05 + 0.5 = 1.05 >= 0.85
-        m = {NodeId(1, 1): stats(0.9, 0.05), NodeId(1, 2): stats(0.5, 0.05)}
-        out = eliminate(m, set(m), NodeId(1, 1), 1, SMOOTH)
-        assert out == set()
+        assert fallen([0.9, 0.5], [0.05, 0.05], 1) == []
 
     def test_best_alone_never_eliminated(self):
-        m = {NodeId(5, 3): stats(0.2, 0.0)}
-        assert eliminate(m, {NodeId(5, 3)}, NodeId(5, 3), 5, SMOOTH) == set()
+        assert fallen([0.2], [0.0], 5) == []
 
     def test_best_survives_among_candidates(self):
         rng = np.random.default_rng(12)
         for _ in range(200):
-            nodes = [NodeId(4, int(i) + 1) for i in range(8)]
-            m = {n: stats(float(rng.random()), float(rng.random() * 0.2)) for n in nodes}
-            best = select_best(m)
-            out = eliminate(m, set(nodes), best, int(rng.integers(0, 12)), SMOOTH)
-            assert best not in out
+            means, bounds = rng.random(8), rng.random(8) * 0.2
+            best = select_best(means, [8])
+            assert best[0] not in fallen(means, bounds, int(rng.integers(0, 12)), best)
 
     def test_monotone_in_depth(self):
         # shrinking slack can only eliminate more
         rng = np.random.default_rng(13)
         for _ in range(100):
-            nodes = [NodeId(6, int(i) + 1) for i in range(10)]
-            m = {n: stats(float(rng.random()), float(rng.random() * 0.3)) for n in nodes}
-            best = select_best(m)
+            means, bounds = rng.random(10), rng.random(10) * 0.3
             previous = set()
             for h in range(0, 14):
-                out = eliminate(m, set(nodes), best, h, SMOOTH)
+                out = set(fallen(means, bounds, h))
                 assert previous <= out
                 previous = out
 
-    def test_unknown_candidate_rejected(self):
-        m = {NodeId(1, 1): stats(0.9, 0.05)}
-        with pytest.raises(ValueError):
-            eliminate(m, {NodeId(1, 2)}, NodeId(1, 1), 1, SMOOTH)
+    def test_only_candidates_fall(self):
+        means, bounds = [0.9, 0.1, 0.2, 0.3], [0.01] * 4
+        assert fallen(means, bounds, 8) == [1, 2, 3]
+        assert fallen(means, bounds, 8, candidates=np.array([True, False, True, False])) == [2]
 
-    def test_unknown_best_rejected(self):
-        m = {NodeId(1, 1): stats(0.9, 0.05)}
-        with pytest.raises(ValueError, match="best node missing"):
-            eliminate(m, {NodeId(1, 1)}, NodeId(1, 2), 1, SMOOTH)
+    def test_each_run_falls_against_its_own_best(self):
+        means = np.array([0.9, 0.1, 0.4, 0.38, 0.1])
+        bounds = np.full(5, 0.01)
+        # runs [0.9, 0.1] and [0.4, 0.38, 0.1]: 0.38 stands against 0.4, not against 0.9
+        out = eliminate(means, bounds, [0, 2], [2, 3], SMOOTH.slack(8))
+        assert out.tolist() == [1, 4]
+
+    def test_candidate_mask_of_another_length_rejected(self):
+        with pytest.raises(ValueError):
+            fallen([0.9, 0.5], [0.05, 0.05], 3, candidates=np.array([True, True, True]))
+
+    def test_best_outside_the_cells_rejected(self):
+        with pytest.raises(IndexError):
+            fallen([0.9, 0.5], [0.05, 0.05], 3, best=[2])
 
 
 class TestParamValidation:

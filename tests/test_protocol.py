@@ -9,7 +9,6 @@ import pytest
 from fedelim.fedcore import (
     ClientReport,
     ConfParams,
-    NodeStats,
     ProtocolFault,
     ServerBroadcast,
     SmoothParams,
@@ -64,16 +63,34 @@ def make_client(suite, conf, smooth, pe=False, m=1, seed=1):
 
 
 def counted_stats(pulls, reward_sum, conf):
-    """A client's statistics of ``pulls`` pulls summing to ``reward_sum``, before any broadcast."""
-    return NodeStats(pulls, reward_sum, reward_sum / pulls, confidence_bound(pulls, conf))
+    """A client's (pulls, reward sum, mean, bound) of ``pulls`` pulls summing to ``reward_sum``.
+
+    These are the statistics before any broadcast.
+    """
+    return pulls, reward_sum, reward_sum / pulls, float(confidence_bound(pulls, conf))
+
+
+def client_stats(client):
+    """(pulls, reward sum, mean, bound) of each cell ``client`` drew pulls of, in row order.
+
+    The client's column of the run's table, read as plain numbers.
+    """
+    table, col, cells = client.table, client.m - 1, list(client.table.rows)
+    return {cells[r]: (int(table.pulls[r, col]), float(table.sums[r, col]),
+                       float(table.means[r, col]), float(table.bounds[r, col]))
+            for r in np.flatnonzero(table.pulls[:, col]).tolist()}
 
 
 def set_stats(client, node, stats):
-    """Give ``client`` the statistics ``stats`` of ``node``: its row of the client's column."""
+    """Give ``client`` the (pulls, reward sum, mean, bound) ``stats`` of ``node``: its table row."""
     table, col = client.table, client.m - 1
     row = table.rows_of([node])[0]
-    table.pulls[row, col], table.sums[row, col] = stats.pulls, stats.reward_sum
-    table.means[row, col], table.bounds[row, col] = stats.mean, stats.bound
+    table.pulls[row, col], table.sums[row, col], table.means[row, col], table.bounds[row, col] = stats
+
+
+def report(client, depth, means, pulls):
+    """A report of ``means`` and ``pulls``, one of each per active cell."""
+    return ClientReport(client, depth, np.array(means, dtype=float), np.array(pulls, dtype=np.int64))
 
 
 SMOOTH = SmoothParams(nu1=1.0, rho=0.5, delta_gap=0.01)
@@ -109,8 +126,8 @@ class TestStage1Phase:
         report = client.run_stage1_phase(active, per_node_quota=1)
         assert client.stage is Stage.STAGE1
         assert client.clock == 4 and client.budget == 96
-        assert set(report.entries) == set(active)
-        assert all(pulls == 1 for _, pulls in report.entries.values())
+        assert len(report.means) == len(active)
+        assert report.pulls.tolist() == [1] * len(active)
 
     def test_noiseless_means_are_exact(self):
         suite = ramp_suite(noise=0.0)
@@ -118,7 +135,7 @@ class TestStage1Phase:
         client = make_client(suite, conf, SMOOTH)
         active = [NodeId(2, i) for i in range(1, 5)]
         report = client.run_stage1_phase(active, per_node_quota=3)
-        for node, (mean, _) in report.entries.items():
+        for node, mean in zip(active, report.means.tolist(), strict=True):
             # cell centers on [0,1] at depth 2: (2i-1)/8
             assert mean == (2 * node.index - 1) / 8
 
@@ -152,8 +169,7 @@ class TestServerStep:
         pulls = tau(3, conf, SMOOTH)
         bound = confidence_bound(pulls, conf)
         assert bound <= 0.2875
-        report = ClientReport(1, 3, {NodeId(3, 1): (0.9, pulls), NodeId(3, 2): (0.2, pulls)})
-        broadcast = server.step([report], clock=pulls * 2)
+        broadcast = server.step([report(1, 3, [0.9, 0.2], [pulls, pulls])], clock=pulls * 2)
         assert tuple(broadcast.stats) == (NodeId(3, 1),)
         assert server.comm_rounds[-1].eliminated == {NodeId(3, 2)}
         assert server.active == [NodeId(4, 1), NodeId(4, 2)]
@@ -163,9 +179,7 @@ class TestServerStep:
         server = Server(CellTable(SPEC), conf, SMOOTH, clients=2)
         server.depth = 4
         server.active = [NodeId(4, 1), NodeId(4, 2), NodeId(4, 3)]
-        reports = [
-            ClientReport(m, 4, {n: (0.5, 7) for n in server.active}) for m in (1, 2)
-        ]
+        reports = [report(m, 4, [0.5] * 3, [7] * 3) for m in (1, 2)]
         broadcast = server.step(reports, clock=0)
         assert tuple(broadcast.stats) == server.comm_rounds[-1].survivors
         assert len(broadcast.stats) == 3
@@ -174,8 +188,7 @@ class TestServerStep:
     def test_singleton_active_set(self):
         conf = ConfParams(0.1, 1.0, 0.1, 10_000)
         server = Server(CellTable(SPEC), conf, SMOOTH, clients=1)
-        report = ClientReport(1, 0, {ROOT: (0.4, 3)})
-        broadcast = server.step([report], clock=3)
+        broadcast = server.step([report(1, 0, [0.4], [3])], clock=3)
         assert tuple(broadcast.stats) == (ROOT,)
         assert server.active == [NodeId(1, 1), NodeId(1, 2)]
 
@@ -183,13 +196,13 @@ class TestServerStep:
         conf = ConfParams(0.1, 1.0, 0.1, 10_000)
         server = Server(CellTable(SPEC), conf, SMOOTH, clients=1)
         with pytest.raises(ProtocolFault):
-            server.step([ClientReport(1, 2, {ROOT: (0.4, 3)})], clock=0)
+            server.step([report(1, 2, [0.4], [3])], clock=0)
 
     @pytest.mark.parametrize("ids", [(1, 1), (1, 3)], ids=["repeated", "unknown"])
     def test_report_set_must_name_each_client_once(self, ids):
         conf = ConfParams(0.1, 1.0, 0.1, 10_000)
         server = Server(CellTable(SPEC), conf, SMOOTH, clients=2)
-        reports = [ClientReport(m, 0, {ROOT: (mean, 3)}) for m, mean in zip(ids, (0.2, 0.9))]
+        reports = [report(m, 0, [mean], [3]) for m, mean in zip(ids, (0.2, 0.9))]
         with pytest.raises(ProtocolFault, match="one report from each client 1..2"):
             server.step(reports, clock=0)
         assert server.comm_rounds == []
@@ -200,12 +213,24 @@ class TestServerStep:
         server.depth = 1
         server.active = [NodeId(1, 1), NodeId(1, 2)]
         with pytest.raises(ProtocolFault, match="does not cover the active set"):
-            server.step([ClientReport(1, 1, {NodeId(1, 1): (0.4, 3)})], clock=0)
+            server.step([report(1, 1, [0.4], [3])], clock=0)
+
+    @pytest.mark.parametrize("means, pulls", [([0.4, 0.5, 0.6], [3, 3, 3]), ([0.4, 0.5], [3])],
+                             ids=["longer", "pulls-shorter"])
+    def test_report_arrays_must_match_the_active_set(self, means, pulls):
+        conf = ConfParams(0.1, 1.0, 0.1, 10_000)
+        server = Server(CellTable(SPEC), conf, SMOOTH, clients=2)
+        server.depth = 1
+        server.active = [NodeId(1, 1), NodeId(1, 2)]
+        reports = [report(1, 1, [0.4, 0.5], [3, 3]), report(2, 1, means, pulls)]
+        with pytest.raises(ProtocolFault, match="client 2 report does not cover the active set"):
+            server.step(reports, clock=0)
+        assert server.comm_rounds == [] and server.depth == 1
 
     def test_scalar_accounting(self):
         conf = ConfParams(0.1, 1.0, 0.1, 10_000)
         server = Server(CellTable(SPEC), conf, SMOOTH, clients=3)
-        reports = [ClientReport(m, 0, {ROOT: (0.5, 2)}) for m in (1, 2, 3)]
+        reports = [report(m, 0, [0.5], [2]) for m in (1, 2, 3)]
         server.step(reports, clock=2)
         rnd = server.comm_rounds[-1]
         assert rnd.scalars_up == 3 * 1 * 2   # one entry per client, (mean, pulls)
@@ -225,9 +250,9 @@ class TestAbsorb:
         client, conf = self._client_after_phase()
         broadcast = ServerBroadcast(0, {ROOT: (0.42, 0.05)})
         absorb_cohort([client], broadcast)
-        stats = client.stats[ROOT]
-        assert stats.mean == 0.42 and stats.bound == 0.05
-        assert stats.pulls == 2  # local counts retained
+        pulls, _, mean, bound = client_stats(client)[ROOT]
+        assert mean == 0.42 and bound == 0.05
+        assert pulls == 2  # local counts retained
         assert client.protected[0] == frozenset({ROOT})
         assert len(client.protected) == 1
 
@@ -296,7 +321,7 @@ class TestPersonalElimination:
         client = make_client(suite, conf, SMOOTH, pe=True)
         # preload 12 local pulls on the root; threshold at depth 0 is 1
         client._pull_cells([ROOT], [12])
-        assert client.stats[ROOT].pulls == 12
+        assert client_stats(client)[ROOT][0] == 12
         assert tau(0, conf, SMOOTH) <= 12
         clock_before = client.clock
         client.pe_step()
@@ -312,10 +337,10 @@ class TestPersonalElimination:
         good, bad = NodeId(3, 1), NodeId(3, 2)
         client.local_active = [good, bad]
         client.protected[3] = frozenset({good})
-        set_stats(client, good, NodeStats(40, 36.0, 0.9, 0.02))  # broadcast mean and bound
+        set_stats(client, good, (40, 36.0, 0.9, 0.02))  # broadcast mean and bound
         pulls = tau(3, conf, SMOOTH)
         set_stats(client, bad, counted_stats(pulls, 0.3 * pulls, conf))
-        assert client.stats[bad].bound + 0.3 + SMOOTH.slack(3) < 0.9 - 0.02
+        assert client_stats(client)[bad][3] + 0.3 + SMOOTH.slack(3) < 0.9 - 0.02
         client.pe_step()
         assert client.stage is Stage.PE
         event = client.pe_events[-1]
@@ -328,7 +353,7 @@ class TestPersonalElimination:
         conf = ConfParams(0.1, 1.0, 0.1, 1000)
         client = make_client(suite, conf, SMOOTH, pe=True)
         client.protected[0] = frozenset({ROOT})
-        set_stats(client, ROOT, NodeStats(5, 2.5, 0.5, 0.1))
+        set_stats(client, ROOT, (5, 2.5, 0.5, 0.1))
         client.pe_step()
         assert client.stage is Stage.PE
         assert client.clock == 0
@@ -489,8 +514,9 @@ class TestDrivenRuns:
         step = Server.step
 
         def recording_step(server, reports, clock):
+            active = list(server.active)
             broadcast = step(server, reports, clock)
-            messages.append((reports, broadcast))
+            messages.append((active, reports, broadcast))
             return broadcast
 
         monkeypatch.setattr(Server, "step", recording_step)
@@ -501,19 +527,20 @@ class TestDrivenRuns:
                               depth_cap=40, seed=6)
         assert result.h0 == 2
         # messages cover exactly the three collaborative depths
-        assert [broadcast.depth for _, broadcast in messages] == [0, 1, 2]
+        assert [broadcast.depth for _, _, broadcast in messages] == [0, 1, 2]
         assert len(result.comm_rounds) == 3
         indices = [1]
         log_term = math.log(1.0 * 400 / 0.5)
-        for depth, (reports, broadcast), rnd in zip((0, 1, 2), messages, result.comm_rounds):
+        for depth, (active, reports, broadcast), rnd in zip((0, 1, 2), messages,
+                                                            result.comm_rounds):
             per_node = quota(tau(depth, conf, smooth), 2)
             centers = {i: (2 * i - 1) / 2 ** (depth + 1) for i in indices}
             assert [(r.client, r.depth) for r in reports] == [(1, depth), (2, depth)]
-            for report in reports:
-                # exact float equality: (mean, pulls) per cell, no other cells
-                assert report.entries == {
-                    NodeId(depth, i): (centers[i], per_node) for i in indices
-                }
+            assert active == [NodeId(depth, i) for i in indices]
+            for sent in reports:
+                # exact float equality: (mean, pulls) per active cell, no other cells
+                assert sent.means.tolist() == [centers[i] for i in indices]
+                assert sent.pulls.tolist() == [per_node] * len(indices)
             pooled = 2 * per_node
             bound = 0.2 * math.sqrt(log_term / pooled)
             best_value = max(centers.values())
@@ -575,8 +602,8 @@ class TestDrivenRuns:
         # survivors (protected cells are never pulled after stage one)
         merged = {}
         for e in result.comm_rounds:
-            reports = [ClientReport(m, e.depth, {n: (float(np.sum(rw[n])) / len(rw[n]), len(rw[n]))
-                                                 for n in e.survivors})
+            reports = [report(m, e.depth, [float(np.sum(rw[n])) / len(rw[n]) for n in e.survivors],
+                              [len(rw[n]) for n in e.survivors])
                        for m, rw in enumerate(own, start=1)]
             merged[e.depth] = merge_global(reports, conf)
         settled = 0
@@ -589,10 +616,13 @@ class TestDrivenRuns:
                     # below the threshold only a server-eliminated cell whose
                     # own stage-one statistics fail against the best protected cell
                     assert node in server[event.depth].eliminated
-                    stats = dict(merged[event.depth])
-                    ref = select_best(stats)
-                    stats[node] = counted_stats(pulls, float(np.sum(rewards[node])), conf)
-                    assert eliminate(stats, [node], ref, event.depth, SMOOTH) == {node}
+                    means, _, bounds = merged[event.depth]
+                    ref = select_best(means, [len(means)])
+                    _, _, mean, bound = counted_stats(pulls, float(np.sum(rewards[node])), conf)
+                    means, bounds = np.append(means, mean), np.append(bounds, bound)
+                    candidate = np.arange(len(means)) == len(means) - 1  # the cell, last
+                    assert eliminate(means, bounds, ref, [len(means)], SMOOTH.slack(event.depth),
+                                     candidate).tolist() == [len(means) - 1]
                     settled += 1
         assert settled > 0
         pooled: dict[NodeId, int] = {}
@@ -688,7 +718,7 @@ class TestBudgetEnds:
         client._pull_cells(cells, [5, 5, 5])
         assert [(node, pulls) for node, pulls, _, _ in client.pull_log.segments] == [
             (cells[0], 5), (cells[1], 2)]
-        assert cells[2] not in client.stats
+        assert cells[2] not in client_stats(client)
         assert client.stage is Stage.EXHAUSTED
         assert client.clock == 7
 
@@ -698,7 +728,7 @@ class TestBudgetEnds:
         client.clock = clock
         state = client.rng.bit_generator.state
         client._pull_cells([NodeId(1, 1), NodeId(1, 2)], [0, -3])
-        assert client.pull_log.segments == [] and client.stats == {}
+        assert client.pull_log.segments == [] and client_stats(client) == {}
         assert client.rng.bit_generator.state == state  # no noise drawn
         assert client.stage is Stage.STAGE1
         assert client.clock == clock
@@ -740,20 +770,12 @@ class TestCellTable:
         protocol.pull_cohort([(one, cells[:3], [2, 2, 2]), (two, cells[2:], [3, 3])])
         # each cell is evaluated for both clients; only drawn pulls make statistics
         assert table.evaluated[table.rows_of(cells)].all()
-        assert list(one.stats) == cells[:3] and list(two.stats) == cells[2:]
-        assert [s.pulls for s in two.stats.values()] == [3, 3]
-        assert two.stats[cells[3]] == counted_stats(3, two.pull_log.sums[1], conf)
+        assert list(client_stats(one)) == cells[:3] and list(client_stats(two)) == cells[2:]
+        assert [s[0] for s in client_stats(two).values()] == [3, 3]
+        assert client_stats(two)[cells[3]] == counted_stats(3, two.pull_log.sums[1], conf)
 
-    def test_a_run_builds_no_client_statistics_and_logs_each_call_once(self, monkeypatch):
+    def test_a_run_logs_each_call_once(self, monkeypatch):
         # garland, 100 clients, 1e5 pulls: wide-pool's pfpne shape
-        built = []  # whether each NodeStats built carries a reward sum, as a client's would
-        init = NodeStats.__init__
-
-        def counting_init(stats, *args, **kwargs):
-            init(stats, *args, **kwargs)
-            built.append(stats.reward_sum is not None)
-
-        monkeypatch.setattr(NodeStats, "__init__", counting_init)
         appends = collections.Counter()  # append_batch calls, by log
         append = PullLog.append_batch
         monkeypatch.setattr(PullLog, "append_batch", lambda log, segments, steps: (
@@ -770,7 +792,6 @@ class TestCellTable:
 
         monkeypatch.setattr(protocol, "pull_cohort", counted_pull)
         run(ExperimentConfig(objective="garland", clients=100, horizon=100_000, seeds=(1,)), 1)
-        assert built.count(True) == 0 and built.count(False) > 0  # the server's merges only
         assert [logged for _, logged in calls] == [int(pulled) for pulled, _ in calls]
         assert sum(pulled for pulled, _ in calls) > 1000
 
@@ -827,14 +848,37 @@ class TestBlockedPulls:
         if exhausted:  # the client's last call: no draw, no sum, no statistics
             assert client.pull_log.segments == [(node, n, None, regret)
                                                  for node, n, _, regret in expected]
-            assert client.stats == {}
+            assert client_stats(client) == {}
             assert client.rng.bit_generator.state == state
         else:
             assert client.pull_log.segments == expected
-            assert client.stats == {node: counted_stats(n, total, conf)
-                                    for node, n, total, _ in expected}
+            assert client_stats(client) == {node: counted_stats(n, total, conf)
+                                            for node, n, total, _ in expected}
         assert client.clock == sum(counts)
         assert client.stage is (Stage.EXHAUSTED if exhausted else Stage.STAGE1)
+
+
+class TestMergeSummationOrder:
+    @pytest.mark.parametrize("m_count", [2, 3, 9, 10, 17, 100, 400])
+    def test_merge_sums_the_clients_in_order(self, m_count):
+        # The reports are rows of a C-contiguous (clients x cells) copy of the
+        # table's (cells x clients) slice, as stage one sends them.  The merge
+        # must add them client by client; a row sum of the slice, or of its
+        # transposed view, sums pairwise past 8 clients and moves last bits.
+        rng = np.random.default_rng(m_count)
+        conf = ConfParams(0.1, 1.0, 0.1, 10_000)
+        for _ in range(20):
+            table = rng.uniform(-1.0, 1.0, size=(300, m_count))
+            means = table.T.copy()
+            fold = np.zeros(300)  # ((0.0 + m_1) + m_2) + ..., one IEEE add per cell and client
+            for row in means:
+                fold = fold + row
+            want = (fold / m_count).tolist()
+            assert (means.sum(axis=0) / m_count).tolist() == want
+            pulls = np.ones((m_count, 300), dtype=np.int64)
+            reports = [ClientReport(m, 0, means[m - 1], pulls[m - 1])
+                       for m in rng.permutation(np.arange(1, m_count + 1)).tolist()]
+            assert merge_global(reports, conf)[0].tolist() == want
 
 
 class TestPullLogSteps:
@@ -899,7 +943,7 @@ def step_alone(suite, spec, conf, smooth, variant, depth_cap, seed):
 
 
 def client_record(client):
-    return (client.pull_log.segments, client.stats, client.pe_events,
+    return (client.pull_log.segments, client_stats(client), client.pe_events,
             client.rng.bit_generator.state, client.clock, client.stage_transition_t)
 
 
